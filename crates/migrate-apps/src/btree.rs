@@ -19,7 +19,7 @@
 
 use migrate_rt::{
     Annotation, Behavior, Frame, Invoke, MachineConfig, MethodEnv, MethodId, RunMetrics, Runner,
-    Scheme, StepCtx, StepResult, System, Word,
+    Scheme, StepCtx, StepResult, System, Word, WordVec,
 };
 use proteus::{Cycles, ProcId};
 use rand::rngs::StdRng;
@@ -125,36 +125,36 @@ impl BTreeNode {
         }
     }
 
-    fn descend(&mut self, key: u64, env: &mut dyn MethodEnv) -> Vec<Word> {
+    fn descend(&mut self, key: u64, env: &mut dyn MethodEnv) -> WordVec {
         self.scan(env);
         if let Some(r) = self.moved_right(key) {
-            return vec![R_MOVED, r.0];
+            return [R_MOVED, r.0].into();
         }
         match &self.children {
             Some(children) => {
                 let idx = self.child_index(key);
                 env.read(HDR + (self.fanout as u64) * 8 + idx as u64 * 8, 8);
-                vec![R_CHILD, children[idx].0]
+                [R_CHILD, children[idx].0].into()
             }
             None => {
                 let found = self.keys.binary_search(&key).is_ok();
-                vec![R_LEAF, u64::from(found)]
+                [R_LEAF, u64::from(found)].into()
             }
         }
     }
 
-    fn insert_leaf(&mut self, key: u64, env: &mut dyn MethodEnv) -> Vec<Word> {
+    fn insert_leaf(&mut self, key: u64, env: &mut dyn MethodEnv) -> WordVec {
         assert!(self.is_leaf(), "M_INSERT on an internal node");
         env.lock();
         self.scan(env);
         if let Some(r) = self.moved_right(key) {
             env.unlock();
-            return vec![R_MOVED, r.0];
+            return [R_MOVED, r.0].into();
         }
         match self.keys.binary_search(&key) {
             Ok(_) => {
                 env.unlock();
-                vec![R_OK, 0]
+                [R_OK, 0].into()
             }
             Err(pos) => {
                 self.keys.insert(pos, key);
@@ -162,7 +162,7 @@ impl BTreeNode {
                 env.write(HDR + pos as u64 * 8, (self.keys.len() - pos) as u64 * 8);
                 if self.keys.len() <= self.fanout {
                     env.unlock();
-                    return vec![R_OK, 1];
+                    return [R_OK, 1].into();
                 }
                 let out = if self.is_root {
                     self.grow_root(env)
@@ -175,13 +175,13 @@ impl BTreeNode {
         }
     }
 
-    fn add_child(&mut self, sep: u64, child: Goid, env: &mut dyn MethodEnv) -> Vec<Word> {
+    fn add_child(&mut self, sep: u64, child: Goid, env: &mut dyn MethodEnv) -> WordVec {
         assert!(!self.is_leaf(), "M_ADD_CHILD on a leaf");
         env.lock();
         self.scan(env);
         if let Some(r) = self.moved_right(sep) {
             env.unlock();
-            return vec![R_MOVED, r.0];
+            return [R_MOVED, r.0].into();
         }
         let pos = self.keys.partition_point(|&k| k < sep);
         self.keys.insert(pos, sep);
@@ -196,7 +196,7 @@ impl BTreeNode {
         );
         if self.keys.len() <= self.fanout {
             env.unlock();
-            return vec![R_OK, 1];
+            return [R_OK, 1].into();
         }
         let out = if self.is_root {
             self.grow_root(env)
@@ -209,7 +209,7 @@ impl BTreeNode {
 
     /// Split a non-root node: keep the lower half, move the upper half to a
     /// new right sibling, and report the separator for the parent.
-    fn split(&mut self, env: &mut dyn MethodEnv) -> Vec<Word> {
+    fn split(&mut self, env: &mut dyn MethodEnv) -> WordVec {
         let (sep, sibling) = match &mut self.children {
             None => {
                 let mid = self.keys.len() / 2;
@@ -249,13 +249,13 @@ impl BTreeNode {
         let new_goid = env.create(Box::new(sibling), None);
         self.high_key = sep;
         self.right = Some(new_goid);
-        vec![R_SPLIT, new_goid.0, sep]
+        [R_SPLIT, new_goid.0, sep].into()
     }
 
     /// The root grows in place: its contents move into two fresh children
     /// and the root becomes (or stays) internal with a single separator.
     /// The GOID of the root never changes.
-    fn grow_root(&mut self, env: &mut dyn MethodEnv) -> Vec<Word> {
+    fn grow_root(&mut self, env: &mut dyn MethodEnv) -> WordVec {
         let mid = self.keys.len() / 2;
         let (sep, left, right) = match &mut self.children {
             None => {
@@ -317,12 +317,12 @@ impl BTreeNode {
         self.children = Some(vec![left_goid, right_goid]);
         env.write(8, 24);
         env.write(HDR, 8);
-        vec![R_OK, 1]
+        [R_OK, 1].into()
     }
 }
 
 impl Behavior for BTreeNode {
-    fn invoke(&mut self, method: MethodId, args: &[Word], env: &mut dyn MethodEnv) -> Vec<Word> {
+    fn invoke(&mut self, method: MethodId, args: &[Word], env: &mut dyn MethodEnv) -> WordVec {
         match method {
             M_DESCEND => self.descend(args[0], env),
             M_INSERT => self.insert_leaf(args[0], env),
@@ -390,7 +390,7 @@ impl BTreeOp {
         }
     }
 
-    fn invoke(&self, method: MethodId, args: Vec<Word>) -> Invoke {
+    fn invoke(&self, method: MethodId, args: impl Into<WordVec>) -> Invoke {
         Invoke {
             annotation: self.annotation,
             ..Invoke::rpc(self.current, method, args)
@@ -401,14 +401,12 @@ impl BTreeOp {
 impl Frame for BTreeOp {
     fn step(&mut self, _ctx: &StepCtx) -> StepResult {
         match &self.phase {
-            OpPhase::Descend => {
-                StepResult::Invoke(self.invoke(M_DESCEND, vec![self.key]).reading())
-            }
-            OpPhase::InsertLeaf => StepResult::Invoke(self.invoke(M_INSERT, vec![self.key])),
+            OpPhase::Descend => StepResult::Invoke(self.invoke(M_DESCEND, [self.key]).reading()),
+            OpPhase::InsertLeaf => StepResult::Invoke(self.invoke(M_INSERT, [self.key])),
             OpPhase::Ascend { sep, child } => {
-                StepResult::Invoke(self.invoke(M_ADD_CHILD, vec![*sep, child.0]))
+                StepResult::Invoke(self.invoke(M_ADD_CHILD, [*sep, child.0]))
             }
-            OpPhase::Finished(v) => StepResult::Return(vec![*v]),
+            OpPhase::Finished(v) => StepResult::Return([*v].into()),
         }
     }
 

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use migrate_rt::{
     Annotation, Behavior, Frame, Invoke, MachineConfig, MethodEnv, MethodId, RunMetrics, Runner,
-    Scheme, StepCtx, StepResult, Word,
+    Scheme, StepCtx, StepResult, Word, WordVec,
 };
 use proteus::{Cycles, ProcId};
 
@@ -248,7 +248,7 @@ pub struct Balancer {
 }
 
 impl Behavior for Balancer {
-    fn invoke(&mut self, method: MethodId, _args: &[Word], env: &mut dyn MethodEnv) -> Vec<Word> {
+    fn invoke(&mut self, method: MethodId, _args: &[Word], env: &mut dyn MethodEnv) -> WordVec {
         assert_eq!(method, M_TRAVERSE, "balancers only traverse");
         env.lock();
         env.read(8, 8); // toggle
@@ -259,7 +259,7 @@ impl Behavior for Balancer {
         env.write(8, 8);
         env.unlock();
         env.read(16, 8); // output wire table (read-mostly)
-        vec![Word::from(out)]
+        [Word::from(out)].into()
     }
     fn size_bytes(&self) -> u64 {
         32
@@ -284,7 +284,7 @@ pub struct OutputCounter {
 }
 
 impl Behavior for OutputCounter {
-    fn invoke(&mut self, method: MethodId, _args: &[Word], env: &mut dyn MethodEnv) -> Vec<Word> {
+    fn invoke(&mut self, method: MethodId, _args: &[Word], env: &mut dyn MethodEnv) -> WordVec {
         assert_eq!(method, M_NEXT_VALUE, "counters only draw values");
         env.lock();
         env.read(8, 8);
@@ -293,7 +293,7 @@ impl Behavior for OutputCounter {
         self.count += 1;
         env.write(8, 8);
         env.unlock();
-        vec![value]
+        [value].into()
     }
     fn size_bytes(&self) -> u64 {
         16
@@ -390,7 +390,7 @@ impl TraverseOp {
 impl Frame for TraverseOp {
     fn step(&mut self, _ctx: &StepCtx) -> StepResult {
         if let Some(v) = self.value {
-            return StepResult::Return(vec![v]);
+            return StepResult::Return([v].into());
         }
         // Frame-local bookkeeping at each hop (wire arithmetic, loop
         // control): the rest of the paper's ~150 cycles of user code per
@@ -403,7 +403,7 @@ impl Frame for TraverseOp {
             let balancer = self.spec.balancer_at(self.layer as usize, self.wire);
             let mut inv = Invoke {
                 annotation: self.annotation,
-                ..Invoke::rpc(balancer, M_TRAVERSE, vec![])
+                ..Invoke::rpc(balancer, M_TRAVERSE, [])
             };
             inv.args.push(Word::from(self.wire));
             StepResult::Invoke(inv)
@@ -411,7 +411,7 @@ impl Frame for TraverseOp {
             let counter = self.spec.counters[self.wire as usize];
             StepResult::Invoke(Invoke {
                 annotation: self.annotation,
-                ..Invoke::rpc(counter, M_NEXT_VALUE, vec![])
+                ..Invoke::rpc(counter, M_NEXT_VALUE, [])
             })
         }
     }

@@ -109,7 +109,7 @@ pub enum StepResult {
     /// Block the thread off-processor for a duration (think time).
     Sleep(Cycles),
     /// Finish this activation, returning values to the caller.
-    Return(Vec<Word>),
+    Return(WordVec),
     /// Terminate the whole thread.
     Halt,
 }
@@ -178,9 +178,9 @@ mod tests {
             match self.phase {
                 0 => {
                     self.phase = 1;
-                    StepResult::Invoke(Invoke::rpc(Goid(1), MethodId(0), vec![7]))
+                    StepResult::Invoke(Invoke::rpc(Goid(1), MethodId(0), [7]))
                 }
-                _ => StepResult::Return(self.got.clone()),
+                _ => StepResult::Return(self.got[..].into()),
             }
         }
         fn on_result(&mut self, results: &[Word]) {
@@ -213,7 +213,7 @@ mod tests {
         }
         f.on_result(&[42, 43]);
         match f.step(&ctx) {
-            StepResult::Return(v) => assert_eq!(v, vec![42, 43]),
+            StepResult::Return(v) => assert_eq!(&v[..], &[42, 43]),
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(f.live_words(), 3);
@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn invoke_builders() {
-        let i = Invoke::migrate(Goid(2), MethodId(1), vec![1, 2])
+        let i = Invoke::migrate(Goid(2), MethodId(1), [1, 2])
             .reading()
             .short();
         assert_eq!(i.annotation, Annotation::Migrate);
@@ -233,7 +233,7 @@ mod tests {
 
     #[test]
     fn step_result_debug_is_informative() {
-        let s = StepResult::Invoke(Invoke::rpc(Goid(9), MethodId(3), vec![]));
+        let s = StepResult::Invoke(Invoke::rpc(Goid(9), MethodId(3), []));
         assert_eq!(format!("{s:?}"), "Invoke(g9.m3)");
         assert_eq!(format!("{:?}", StepResult::Halt), "Halt");
     }

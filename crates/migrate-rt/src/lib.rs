@@ -29,21 +29,21 @@
 //! ```
 //! use migrate_rt::{
 //!     Behavior, Frame, Invoke, MachineConfig, MethodEnv, MethodId, Runner, Scheme, StepCtx,
-//!     StepResult, Word,
+//!     StepResult, Word, WordVec,
 //! };
 //! use proteus::{Cycles, ProcId};
 //!
 //! // An object holding a counter.
 //! struct Counter(u64);
 //! impl Behavior for Counter {
-//!     fn invoke(&mut self, _m: MethodId, _a: &[Word], env: &mut dyn MethodEnv) -> Vec<Word> {
+//!     fn invoke(&mut self, _m: MethodId, _a: &[Word], env: &mut dyn MethodEnv) -> WordVec {
 //!         env.lock();
 //!         env.read(8, 8);
 //!         env.compute(Cycles(50));
 //!         self.0 += 1;
 //!         env.write(8, 8);
 //!         env.unlock();
-//!         vec![self.0]
+//!         [self.0].into()
 //!     }
 //!     fn size_bytes(&self) -> u64 { 16 }
 //!     fn as_any(&self) -> &dyn std::any::Any { self }
@@ -56,7 +56,7 @@
 //!     fn step(&mut self, _ctx: &StepCtx) -> StepResult {
 //!         if self.done { return StepResult::Halt; }
 //!         self.done = true;
-//!         StepResult::Invoke(Invoke::rpc(self.target, MethodId(0), vec![]))
+//!         StepResult::Invoke(Invoke::rpc(self.target, MethodId(0), []))
 //!     }
 //!     fn on_result(&mut self, results: &[Word]) { assert_eq!(results, &[1]); }
 //!     fn live_words(&self) -> u64 { 2 }

@@ -229,7 +229,7 @@ mod tests {
         let p = Payload::RpcRequest {
             thread: ThreadId(0),
             reply_to: ProcId(0),
-            invoke: Invoke::rpc(Goid(1), MethodId(0), vec![1, 2, 3]),
+            invoke: Invoke::rpc(Goid(1), MethodId(0), [1, 2, 3]),
         };
         // 2 linkage + (2 + 3 args)
         assert_eq!(p.words(), 7);
@@ -242,7 +242,7 @@ mod tests {
             thread: ThreadId(0),
             reply_to: ProcId(0),
             frames: vec![Box::new(Fixed(5))],
-            invoke: Invoke::migrate(Goid(1), MethodId(0), vec![9]),
+            invoke: Invoke::migrate(Goid(1), MethodId(0), [9]),
         };
         // 2 linkage + 5 live + (2 + 1 arg)
         assert_eq!(p.words(), 10);
@@ -253,7 +253,7 @@ mod tests {
             thread: ThreadId(0),
             reply_to: ProcId(0),
             frames: vec![Box::new(Fixed(3)), Box::new(Fixed(5))],
-            invoke: Invoke::migrate_all(Goid(1), MethodId(0), vec![9]),
+            invoke: Invoke::migrate_all(Goid(1), MethodId(0), [9]),
         };
         assert_eq!(p2.words(), 15);
     }
@@ -267,8 +267,8 @@ mod tests {
                 _m: MethodId,
                 _a: &[Word],
                 _e: &mut dyn crate::object::MethodEnv,
-            ) -> Vec<Word> {
-                vec![]
+            ) -> WordVec {
+                WordVec::new()
             }
             fn size_bytes(&self) -> u64 {
                 100
@@ -301,7 +301,7 @@ mod tests {
         let p = Payload::ThreadMove {
             thread: ThreadId(0),
             frames: vec![Box::new(Fixed(4)), Box::new(Fixed(6))],
-            invoke: Invoke::rpc(Goid(1), MethodId(0), vec![]),
+            invoke: Invoke::rpc(Goid(1), MethodId(0), []),
         };
         // 16 ctrl + (4 + 6 + 2 linkage) + 2 invoke
         assert_eq!(p.words(), 30);
@@ -312,13 +312,13 @@ mod tests {
     fn reply_and_return_sizes() {
         let p = Payload::RpcReply {
             thread: ThreadId(0),
-            results: vec![1, 2].into(),
+            results: [1, 2].into(),
         };
         assert_eq!(p.words(), 3);
         let r = Payload::OperationReturn {
             thread: ThreadId(0),
             completes_op: true,
-            results: vec![1].into(),
+            results: [1].into(),
         };
         assert_eq!(r.words(), 2);
         assert_eq!(r.kind(), MessageKind::OperationReturn);

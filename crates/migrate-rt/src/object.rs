@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use proteus::coherence::make_addr;
 use proteus::{Cycles, ProcId};
 
-use crate::types::{Goid, MethodId, Word};
+use crate::types::{Goid, MethodId, Word, WordVec};
 
 /// The environment a method body executes in. Implementations differ by
 /// scheme: under message passing, field accesses are local and free (the
@@ -49,8 +49,9 @@ pub trait MethodEnv {
 /// Application object state + methods.
 pub trait Behavior: 'static {
     /// Execute `method` with `args`, producing result words. All effects on
-    /// the machine go through `env`.
-    fn invoke(&mut self, method: MethodId, args: &[Word], env: &mut dyn MethodEnv) -> Vec<Word>;
+    /// the machine go through `env`. Up to four result words ride inline
+    /// with no heap allocation (build them from an array: `[a, b].into()`).
+    fn invoke(&mut self, method: MethodId, args: &[Word], env: &mut dyn MethodEnv) -> WordVec;
 
     /// In-memory size of the object in bytes (determines how many cache
     /// lines it spans under shared memory).
@@ -219,10 +220,10 @@ mod tests {
     }
 
     impl Behavior for Dummy {
-        fn invoke(&mut self, _m: MethodId, args: &[Word], env: &mut dyn MethodEnv) -> Vec<Word> {
+        fn invoke(&mut self, _m: MethodId, args: &[Word], env: &mut dyn MethodEnv) -> WordVec {
             self.hits += 1;
             env.compute(Cycles(1));
-            vec![args.iter().sum()]
+            [args.iter().sum()].into()
         }
         fn size_bytes(&self) -> u64 {
             self.size

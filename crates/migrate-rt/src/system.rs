@@ -33,7 +33,7 @@ use crate::message::{Message, MessageKind, Payload};
 use crate::object::{Behavior, MethodEnv, ObjectTable};
 use crate::policy::{PolicyConfig, PolicyEngine, PolicyStats};
 use crate::rng::SplitMix64;
-use crate::types::{Goid, ThreadId, Word, WordVec};
+use crate::types::{Goid, ThreadId, WordVec};
 
 /// Full machine + scheme configuration for one experiment run.
 #[derive(Clone, Debug)]
@@ -1378,7 +1378,7 @@ impl System {
         inv: &Invoke,
         logical_now: Cycles,
         queue: &mut EventQueue<Event>,
-    ) -> (Cycles, Vec<Word>) {
+    ) -> (Cycles, WordVec) {
         let entry = self.objects.entry(inv.target);
         let is_home = entry.home == proc;
         let replicated = entry.replicated;
@@ -1430,7 +1430,7 @@ impl System {
         inv: &Invoke,
         logical_now: Cycles,
         queue: &mut EventQueue<Event>,
-    ) -> (Cycles, Vec<Word>) {
+    ) -> (Cycles, WordVec) {
         let entry = self.objects.entry(inv.target);
         let base = entry.base_addr;
         let size = entry.size_bytes;
@@ -1481,8 +1481,8 @@ impl System {
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
         let mut busy = Cycles::ZERO;
-        let replicas = self.cfg.replica_procs.clone();
-        for p in replicas {
+        for i in 0..self.cfg.replica_procs.len() {
+            let p = self.cfg.replica_procs[i];
             if p == src {
                 continue;
             }
@@ -2376,7 +2376,7 @@ impl System {
                         let payload = Payload::OperationReturn {
                             thread: tid,
                             completes_op: frame.is_operation(),
-                            results: vals.into(),
+                            results: vals,
                         };
                         acc += self.send_message(proc, reply_to, payload, now + acc, queue);
                         return Ok(acc);
@@ -2649,14 +2649,7 @@ impl System {
                 self.recycle_frame_vec(old);
                 self.threads[t].status = ThreadStatus::Active;
                 let (lat, results) = self.invoke_inline(proc, &invoke, now + acc, queue);
-                self.run_thread_slice(
-                    now,
-                    proc,
-                    thread,
-                    Some((results.into(), false)),
-                    acc + lat,
-                    queue,
-                )
+                self.run_thread_slice(now, proc, thread, Some((results, false)), acc + lat, queue)
             }
             Work::ServeRpc {
                 thread,
@@ -2669,10 +2662,7 @@ impl System {
                 let acc = acc + self.cost.rpc_dispatch;
                 let (lat, results) = self.invoke_inline(proc, &invoke, now + acc, queue);
                 let mut total = acc + lat;
-                let payload = Payload::RpcReply {
-                    thread,
-                    results: results.into(),
-                };
+                let payload = Payload::RpcReply { thread, results };
                 total += self.send_message(proc, reply_to, payload, now + total, queue);
                 total
             }
@@ -3386,11 +3376,11 @@ impl MethodEnv for SmEnv<'_> {
             // miss. This is the coherence activity that throttles
             // write-shared objects in the paper's SM runs. The probes'
             // latency is subsumed by the stall itself.
-            let costs = self.coherence.costs().clone();
-            let n = ((stall.get() / costs.spin_interval.get().max(1)) + 1)
-                .min(u64::from(costs.max_spin_reads));
+            let costs = self.coherence.costs();
+            let (interval, max_reads) = (costs.spin_interval, costs.max_spin_reads);
+            let n = ((stall.get() / interval.get().max(1)) + 1).min(u64::from(max_reads));
             for i in 0..n {
-                let at = t_now + costs.spin_interval * i;
+                let at = t_now + interval * i;
                 let _ = self
                     .coherence
                     .access(self.proc, self.base, Access::Write, self.net, at);
@@ -3537,7 +3527,7 @@ mod tests {
     use super::*;
     use crate::cost::categories;
     use crate::frame::{StepCtx, StepResult};
-    use crate::types::MethodId;
+    use crate::types::{MethodId, Word};
 
     /// A cell object: lock, read state, compute, bump, write state, unlock.
     /// The state spans several cache lines, like a balancer or B-tree node.
@@ -3547,14 +3537,14 @@ mod tests {
     }
 
     impl Behavior for Cell {
-        fn invoke(&mut self, _m: MethodId, _args: &[Word], env: &mut dyn MethodEnv) -> Vec<Word> {
+        fn invoke(&mut self, _m: MethodId, _args: &[Word], env: &mut dyn MethodEnv) -> WordVec {
             env.lock();
             env.read(8, 56);
             env.compute(Cycles(self.compute));
             self.value += 1;
             env.write(8, 24);
             env.unlock();
-            vec![self.value]
+            [self.value].into()
         }
         fn size_bytes(&self) -> u64 {
             64
@@ -3573,18 +3563,18 @@ mod tests {
     }
 
     impl Behavior for ReadCell {
-        fn invoke(&mut self, m: MethodId, _args: &[Word], env: &mut dyn MethodEnv) -> Vec<Word> {
+        fn invoke(&mut self, m: MethodId, _args: &[Word], env: &mut dyn MethodEnv) -> WordVec {
             match m {
                 MethodId(0) => {
                     env.read(8, 8);
                     env.compute(Cycles(30));
-                    vec![self.value]
+                    [self.value].into()
                 }
                 _ => {
                     env.compute(Cycles(30));
                     self.value += 1;
                     env.write(8, 8);
-                    vec![self.value]
+                    [self.value].into()
                 }
             }
         }
@@ -3626,14 +3616,14 @@ mod tests {
     impl Frame for ChainOp {
         fn step(&mut self, _ctx: &StepCtx) -> StepResult {
             if self.idx >= self.targets.len() {
-                return StepResult::Return(vec![self.acc]);
+                return StepResult::Return([self.acc].into());
             }
             let target = self.targets[self.idx];
             let inv = match self.annotation {
-                Annotation::Migrate => Invoke::migrate(target, MethodId(0), vec![]),
-                Annotation::MigrateAll => Invoke::migrate_all(target, MethodId(0), vec![]),
-                Annotation::Rpc => Invoke::rpc(target, MethodId(0), vec![]),
-                Annotation::Auto => Invoke::auto(target, MethodId(0), vec![]),
+                Annotation::Migrate => Invoke::migrate(target, MethodId(0), []),
+                Annotation::MigrateAll => Invoke::migrate_all(target, MethodId(0), []),
+                Annotation::Rpc => Invoke::rpc(target, MethodId(0), []),
+                Annotation::Auto => Invoke::auto(target, MethodId(0), []),
             };
             StepResult::Invoke(inv)
         }
@@ -3930,10 +3920,10 @@ mod tests {
         impl Frame for ReadOp {
             fn step(&mut self, _ctx: &StepCtx) -> StepResult {
                 if self.done {
-                    return StepResult::Return(vec![]);
+                    return StepResult::Return([].into());
                 }
                 self.done = true;
-                StepResult::Invoke(Invoke::migrate(self.target, MethodId(0), vec![]).reading())
+                StepResult::Invoke(Invoke::migrate(self.target, MethodId(0), []).reading())
             }
             fn on_result(&mut self, results: &[Word]) {
                 assert_eq!(results, &[7]);
@@ -3996,7 +3986,7 @@ mod tests {
                 match self.state {
                     0 => {
                         self.state = 1;
-                        StepResult::Invoke(Invoke::rpc(self.target, MethodId(1), vec![]))
+                        StepResult::Invoke(Invoke::rpc(self.target, MethodId(1), []))
                     }
                     _ => StepResult::Halt,
                 }
@@ -4223,7 +4213,7 @@ mod tests {
                     // Move the whole group (just this frame so far) to the
                     // first target.
                     self.phase = 1;
-                    StepResult::Invoke(Invoke::migrate_all(self.targets[0], MethodId(0), vec![]))
+                    StepResult::Invoke(Invoke::migrate_all(self.targets[0], MethodId(0), []))
                 }
                 1 => {
                     // While migrated: call a child that works on the second
@@ -4234,7 +4224,7 @@ mod tests {
                         done: false,
                     }))
                 }
-                _ => StepResult::Return(vec![self.total]),
+                _ => StepResult::Return([self.total].into()),
             }
         }
         fn on_result(&mut self, results: &[Word]) {
@@ -4259,10 +4249,10 @@ mod tests {
     impl Frame for GroupChild {
         fn step(&mut self, _ctx: &StepCtx) -> StepResult {
             if self.done {
-                return StepResult::Return(vec![100]);
+                return StepResult::Return([100].into());
             }
             self.done = true;
-            StepResult::Invoke(Invoke::migrate_all(self.target, MethodId(0), vec![]))
+            StepResult::Invoke(Invoke::migrate_all(self.target, MethodId(0), []))
         }
         fn on_result(&mut self, _results: &[Word]) {}
         fn live_words(&self) -> u64 {
@@ -4587,7 +4577,7 @@ mod tests {
                         thread: victim,
                         reply_to: ProcId(0),
                         frames: Vec::new(),
-                        invoke: Invoke::rpc(targets[0], MethodId(0), vec![]),
+                        invoke: Invoke::rpc(targets[0], MethodId(0), []),
                     },
                 },
             ),

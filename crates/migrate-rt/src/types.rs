@@ -125,6 +125,12 @@ impl From<&[Word]> for WordVec {
     }
 }
 
+impl<const N: usize> From<[Word; N]> for WordVec {
+    fn from(a: [Word; N]) -> WordVec {
+        WordVec::from(&a[..])
+    }
+}
+
 impl FromIterator<Word> for WordVec {
     fn from_iter<I: IntoIterator<Item = Word>>(iter: I) -> WordVec {
         let mut wv = WordVec::new();
@@ -230,6 +236,11 @@ mod tests {
         assert_eq!(large.len(), 9);
         let from_slice: WordVec = (&[1u64, 2, 3][..]).into();
         assert_eq!(&from_slice[..], &[1, 2, 3]);
+        let from_array: WordVec = [4u64, 5].into();
+        assert!(matches!(from_array.0, Repr::Inline { len: 2, .. }));
+        assert_eq!(WordVec::from([]), WordVec::new());
+        let spilled_array: WordVec = [1u64; 5].into();
+        assert!(matches!(spilled_array.0, Repr::Heap(_)));
         let collected: WordVec = (0..6u64).collect();
         assert_eq!(collected.len(), 6);
         assert_eq!(format!("{:?}", WordVec::from(vec![1, 2])), "[1, 2]");

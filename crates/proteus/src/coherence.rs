@@ -13,9 +13,6 @@
 //! without a translation table — the paper's machines likewise derived home
 //! nodes from physical addresses.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use crate::cache::{Cache, CacheConfig, LineState};
 use crate::ids::ProcId;
 use crate::network::Network;
@@ -37,44 +34,14 @@ pub fn home_of_addr(addr: u64) -> ProcId {
     ProcId((addr >> 32) as u32)
 }
 
+const OUTSIDE_MACHINE: &str = "coherence protocol addressed a processor outside the machine";
+
 /// Protocol-internal transfer. The directory only ever names processors of
 /// this machine, so a rejected route here is a model bug worth stopping on.
 #[inline]
 fn xfer(net: &mut Network, src: ProcId, dst: ProcId, payload_words: u64) -> Cycles {
-    net.send(src, dst, payload_words)
-        .expect("coherence protocol addressed a processor outside the machine")
+    net.send(src, dst, payload_words).expect(OUTSIDE_MACHINE)
 }
-
-/// Deterministic one-multiply hasher for line-address keys.
-///
-/// The directory and line-occupancy maps are probed several times per miss,
-/// and the std `HashMap`'s SipHash is the single largest cost of the
-/// shared-memory miss path. Line numbers are small sequential integers, so a
-/// Fibonacci multiply with an xor-fold spreads them well at a fraction of
-/// the cost — and the fixed (seedless) state keeps runs reproducible.
-#[derive(Default)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let h = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 29);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
 
 /// The processors sharing a line, as a bitmask. The paper's machines top out
 /// at 88 processors, so 128 bits cover every configuration this simulator
@@ -209,10 +176,15 @@ pub struct ProtocolStats {
     pub eviction_writebacks: u64,
 }
 
-#[derive(Clone, Debug, Default)]
+/// The home directory's state for one line.
+#[derive(Copy, Clone, Debug, Default)]
 struct DirEntry {
     owner: Option<ProcId>,
     sharers: SharerSet,
+    /// Occupancy: a line in the middle of a protocol transaction cannot
+    /// serve the next request until this time — this is what serializes
+    /// bursts on hot (write-shared) lines.
+    busy_until: Cycles,
 }
 
 /// Outcome of one shared-memory access.
@@ -229,16 +201,18 @@ pub struct AccessOutcome {
 #[derive(Clone, Debug)]
 pub struct CoherenceSystem {
     caches: Vec<Cache>,
-    directory: LineMap<DirEntry>,
-    /// Per-line occupancy: a line in the middle of a protocol transaction
-    /// cannot serve the next request — this is what serializes bursts on
-    /// hot (write-shared) lines. One entry per distinct line ever missed;
-    /// bounded by the machine's allocated object memory, so it is left to
-    /// grow rather than swept.
-    busy_until: LineMap<Cycles>,
+    /// The full-map directory, kept where Alewife keeps it: at each line's
+    /// home. `directory[home][offset]` is the entry of the line at
+    /// node-local line offset `offset` in `home`'s memory. Objects are
+    /// bump-allocated densely from offset 0 in each home's address space, so
+    /// a home's table is as long as the highest line ever missed there and
+    /// grows on demand; a miss indexes it instead of hashing.
+    directory: Vec<Vec<DirEntry>>,
     costs: CoherenceCosts,
     /// `line_bytes.trailing_zeros()`: line math is a shift, not a division.
     line_shift: u32,
+    /// Mask of a line number's node-local offset bits (below the home).
+    offset_mask: u64,
     words_per_line: u64,
     stats: ProtocolStats,
     tracer: Tracer,
@@ -256,14 +230,14 @@ impl CoherenceSystem {
             processors <= 128,
             "the sharer bitmask covers at most 128 processors"
         );
-        let line_bytes = cache.line_bytes;
+        let line_shift = cache.line_bytes.trailing_zeros();
         let words_per_line = cache.words_per_line();
         CoherenceSystem {
             caches: (0..processors).map(|_| Cache::new(cache.clone())).collect(),
-            directory: LineMap::default(),
-            busy_until: LineMap::default(),
+            directory: vec![Vec::new(); processors as usize],
             costs,
-            line_shift: line_bytes.trailing_zeros(),
+            line_shift,
+            offset_mask: (1u64 << (32 - line_shift)) - 1,
             words_per_line,
             stats: ProtocolStats::default(),
             tracer: Tracer::disabled(),
@@ -308,6 +282,31 @@ impl CoherenceSystem {
         self.line_access(proc, line, kind, net, at)
     }
 
+    /// The directory coordinates `(home, node-local line offset)` of `line`.
+    #[inline]
+    fn coords(&self, line: u64) -> (usize, usize) {
+        let home = self.home_of_line(line).index();
+        (home, (line & self.offset_mask) as usize)
+    }
+
+    /// The directory slot of `line`, growing the home's table to cover it.
+    /// A home outside the machine is a model bug, the same one [`xfer`]
+    /// stops on.
+    fn slot(&mut self, line: u64) -> (usize, usize) {
+        let (home, offset) = self.coords(line);
+        let table = self.directory.get_mut(home).expect(OUTSIDE_MACHINE);
+        if offset >= table.len() {
+            table.resize(offset + 1, DirEntry::default());
+        }
+        (home, offset)
+    }
+
+    /// The directory entry of `line`, if the directory has ever seen it.
+    fn entry_mut(&mut self, line: u64) -> Option<&mut DirEntry> {
+        let (home, offset) = self.coords(line);
+        self.directory.get_mut(home)?.get_mut(offset)
+    }
+
     fn line_access(
         &mut self,
         proc: ProcId,
@@ -316,18 +315,38 @@ impl CoherenceSystem {
         net: &mut Network,
         at: Cycles,
     ) -> AccessOutcome {
-        let out = match kind {
-            Access::Read => self.read(proc, line, net),
-            Access::Write => self.write(proc, line, net),
+        let cache = &mut self.caches[proc.index()];
+        let hit = match kind {
+            Access::Read => cache.hit_read(line).is_some(),
+            Access::Write => cache.hit_modified(line),
         };
-        if out.hit {
-            return out;
+        if hit {
+            return AccessOutcome {
+                latency: self.costs.hit,
+                hit: true,
+            };
         }
+        // One directory touch per miss: copy the entry out, run the
+        // protocol against the copy, store it back before the fill (whose
+        // eviction may update another line's entry).
+        let (home, offset) = self.slot(line);
+        let mut entry = self.directory[home][offset];
+        let (latency, state) = match kind {
+            Access::Read => (
+                self.read_miss(proc, line, &mut entry, net),
+                LineState::Shared,
+            ),
+            Access::Write => (
+                self.write_miss(proc, line, &mut entry, net),
+                LineState::Modified,
+            ),
+        };
         // Occupancy: queue behind the previous transaction on this line.
-        let free = self.busy_until.get(&line).copied().unwrap_or(Cycles::ZERO);
-        let start = at.max(free);
+        let start = at.max(entry.busy_until);
         let wait = start - at;
-        self.busy_until.insert(line, start + out.latency);
+        entry.busy_until = start + latency;
+        self.directory[home][offset] = entry;
+        self.fill(proc, line, state, net);
         self.tracer.emit_with(|| TraceEvent {
             at,
             source: "coherence",
@@ -336,11 +355,11 @@ impl CoherenceSystem {
             detail: format!(
                 "line={line} op={kind:?} wait={} latency={}",
                 wait.get(),
-                out.latency.get()
+                latency.get()
             ),
         });
         AccessOutcome {
-            latency: wait + out.latency,
+            latency: wait + latency,
             hit: false,
         }
     }
@@ -371,20 +390,20 @@ impl CoherenceSystem {
         }
     }
 
-    fn read(&mut self, proc: ProcId, line: u64, net: &mut Network) -> AccessOutcome {
-        if self.caches[proc.index()].hit_read(line).is_some() {
-            return AccessOutcome {
-                latency: self.costs.hit,
-                hit: true,
-            };
-        }
+    /// A read miss by `proc` against the line's directory `entry`: books
+    /// the protocol messages and returns the requester's latency.
+    fn read_miss(
+        &mut self,
+        proc: ProcId,
+        line: u64,
+        entry: &mut DirEntry,
+        net: &mut Network,
+    ) -> Cycles {
         self.stats.read_misses += 1;
         let home = self.home_of_line(line);
-        let entry = self.directory.entry(line).or_default();
-        let owner = entry.owner;
         // Request to home directory (1 word: address).
         let mut latency = xfer(net, proc, home, 1) + self.costs.directory;
-        match owner {
+        match entry.owner {
             Some(o) if o != proc => {
                 // Intervention: home forwards to owner; owner downgrades,
                 // sends data to requester and a sharing writeback home.
@@ -393,43 +412,36 @@ impl CoherenceSystem {
                 latency += xfer(net, o, proc, self.words_per_line);
                 xfer(net, o, home, self.words_per_line); // writeback, off critical path
                 self.caches[o.index()].set_state(line, LineState::Shared);
-                let entry = self.directory.get_mut(&line).expect("entry exists");
-                entry.owner = None;
                 entry.sharers.insert(o);
-                entry.sharers.insert(proc);
             }
             _ => {
                 // Clean at home (or we were the stale "owner" after eviction):
                 // memory supplies the line.
                 latency += self.costs.memory + xfer(net, home, proc, self.words_per_line);
-                let entry = self.directory.get_mut(&line).expect("entry exists");
-                entry.owner = None;
-                entry.sharers.insert(proc);
             }
         }
-        self.fill(proc, line, LineState::Shared, net);
-        AccessOutcome {
-            latency,
-            hit: false,
-        }
+        entry.owner = None;
+        entry.sharers.insert(proc);
+        latency
     }
 
-    fn write(&mut self, proc: ProcId, line: u64, net: &mut Network) -> AccessOutcome {
-        if self.caches[proc.index()].hit_modified(line) {
-            return AccessOutcome {
-                latency: self.costs.hit,
-                hit: true,
-            };
-        }
+    /// A write miss (or Shared→Modified upgrade) by `proc` against the
+    /// line's directory `entry`: books the protocol messages and returns the
+    /// requester's latency.
+    fn write_miss(
+        &mut self,
+        proc: ProcId,
+        line: u64,
+        entry: &mut DirEntry,
+        net: &mut Network,
+    ) -> Cycles {
         self.stats.write_misses += 1;
         let home = self.home_of_line(line);
-        let entry = self.directory.entry(line).or_default();
-        let owner = entry.owner;
         let mut sharers = entry.sharers;
         sharers.remove(proc);
         // Exclusive request to home (1 word: address).
         let mut latency = xfer(net, proc, home, 1) + self.costs.directory;
-        if let Some(o) = owner.filter(|&o| o != proc) {
+        if let Some(o) = entry.owner.filter(|&o| o != proc) {
             // Home forwards to the dirty owner; owner flushes to requester.
             self.stats.owner_forwards += 1;
             latency += xfer(net, home, o, 1) + self.costs.cache_op;
@@ -466,22 +478,17 @@ impl CoherenceSystem {
                 latency += self.costs.memory + xfer(net, home, proc, self.words_per_line);
             }
         }
-        let entry = self.directory.get_mut(&line).expect("entry exists");
         entry.owner = Some(proc);
         entry.sharers.clear();
         entry.sharers.insert(proc);
-        self.fill(proc, line, LineState::Modified, net);
-        AccessOutcome {
-            latency,
-            hit: false,
-        }
+        latency
     }
 
     /// Insert the line locally and clean up any eviction in the directory.
     fn fill(&mut self, proc: ProcId, line: u64, state: LineState, net: &mut Network) {
         if let Some(ev) = self.caches[proc.index()].fill(line, state) {
             let ev_home = self.home_of_line(ev.line);
-            if let Some(entry) = self.directory.get_mut(&ev.line) {
+            if let Some(entry) = self.entry_mut(ev.line) {
                 entry.sharers.remove(proc);
                 if entry.owner == Some(proc) {
                     entry.owner = None;
@@ -529,9 +536,19 @@ impl CoherenceSystem {
 
     /// Check the protocol invariant for every directory entry:
     /// a Modified owner excludes all other sharers, and every recorded sharer
-    /// actually holds the line. Used by property tests.
+    /// actually holds the line. Entries are visited home by home in line
+    /// order; that includes the never-missed lines below each home's highest
+    /// missed line, whose empty entries hold trivially (no cache can hold a
+    /// line that never missed). Used by property tests.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (&line, entry) in &self.directory {
+        let lines = self.directory.iter().enumerate().flat_map(|(home, table)| {
+            let base = (home as u64) << (32 - self.line_shift);
+            table
+                .iter()
+                .enumerate()
+                .map(move |(offset, entry)| (base | offset as u64, entry))
+        });
+        for (line, entry) in lines {
             if let Some(o) = entry.owner {
                 if entry.sharers.len() != 1 || !entry.sharers.contains(o) {
                     return Err(format!(
@@ -597,6 +614,13 @@ mod tests {
         let a = make_addr(ProcId(7), 1234);
         assert_eq!(home_of_addr(a), ProcId(7));
         assert_eq!(a & 0xFFFF_FFFF, 1234);
+    }
+
+    #[test]
+    #[should_panic(expected = "coherence protocol addressed a processor outside the machine")]
+    fn access_homed_outside_the_machine_is_diagnosed() {
+        let (mut sys, mut net) = system();
+        sys.access(ProcId(0), addr(4, 0), Access::Read, &mut net, Cycles::ZERO);
     }
 
     #[test]

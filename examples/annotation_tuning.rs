@@ -13,7 +13,7 @@
 use migrate_model::Pattern;
 use migrate_rt::{
     Annotation, Behavior, Frame, Invoke, MachineConfig, MethodEnv, MethodId, Runner, Scheme,
-    StepCtx, StepResult, Word,
+    StepCtx, StepResult, Word, WordVec,
 };
 use proteus::{Cycles, ProcId};
 
@@ -23,10 +23,10 @@ struct Item {
 }
 
 impl Behavior for Item {
-    fn invoke(&mut self, _m: MethodId, args: &[Word], env: &mut dyn MethodEnv) -> Vec<Word> {
+    fn invoke(&mut self, _m: MethodId, args: &[Word], env: &mut dyn MethodEnv) -> WordVec {
         env.read(8, 8);
         env.compute(Cycles(80));
-        vec![args[0] + self.id]
+        [args[0] + self.id].into()
     }
     fn size_bytes(&self) -> u64 {
         16
@@ -52,14 +52,14 @@ struct ChainOp {
 impl Frame for ChainOp {
     fn step(&mut self, _ctx: &StepCtx) -> StepResult {
         if self.idx >= self.items.len() {
-            return StepResult::Return(vec![self.sum]);
+            return StepResult::Return([self.sum].into());
         }
         let target = self.items[self.idx];
         let inv = match self.annotation {
-            Annotation::Migrate => Invoke::migrate(target, MethodId(0), vec![self.sum]),
-            Annotation::MigrateAll => Invoke::migrate_all(target, MethodId(0), vec![self.sum]),
-            Annotation::Rpc => Invoke::rpc(target, MethodId(0), vec![self.sum]),
-            Annotation::Auto => Invoke::auto(target, MethodId(0), vec![self.sum]),
+            Annotation::Migrate => Invoke::migrate(target, MethodId(0), [self.sum]),
+            Annotation::MigrateAll => Invoke::migrate_all(target, MethodId(0), [self.sum]),
+            Annotation::Rpc => Invoke::rpc(target, MethodId(0), [self.sum]),
+            Annotation::Auto => Invoke::auto(target, MethodId(0), [self.sum]),
         };
         StepResult::Invoke(inv)
     }

@@ -9,7 +9,7 @@
 
 use migrate_rt::{
     Behavior, Frame, Invoke, MachineConfig, MethodEnv, MethodId, Runner, Scheme, StepCtx,
-    StepResult, Word,
+    StepResult, Word, WordVec,
 };
 use proteus::{Cycles, ProcId};
 
@@ -19,14 +19,14 @@ struct Counter {
 }
 
 impl Behavior for Counter {
-    fn invoke(&mut self, _m: MethodId, _args: &[Word], env: &mut dyn MethodEnv) -> Vec<Word> {
+    fn invoke(&mut self, _m: MethodId, _args: &[Word], env: &mut dyn MethodEnv) -> WordVec {
         env.lock();
         env.read(8, 8);
         env.compute(Cycles(100)); // the method's user code
         self.value += 1;
         env.write(8, 8);
         env.unlock();
-        vec![self.value]
+        [self.value].into()
     }
     fn size_bytes(&self) -> u64 {
         16
@@ -53,9 +53,9 @@ struct BumpOp {
 impl Frame for BumpOp {
     fn step(&mut self, _ctx: &StepCtx) -> StepResult {
         if self.remaining == 0 {
-            return StepResult::Return(vec![self.last]);
+            return StepResult::Return([self.last].into());
         }
-        StepResult::Invoke(Invoke::migrate(self.counter, MethodId(0), vec![]))
+        StepResult::Invoke(Invoke::migrate(self.counter, MethodId(0), []))
     }
     fn on_result(&mut self, results: &[Word]) {
         self.last = results[0];

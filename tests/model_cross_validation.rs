@@ -13,7 +13,7 @@
 use migrate_model::Pattern;
 use migrate_rt::{
     Annotation, Behavior, Frame, Invoke, MachineConfig, MethodEnv, MethodId, Runner, Scheme,
-    StepCtx, StepResult, Word,
+    StepCtx, StepResult, Word, WordVec,
 };
 use proteus::{Cycles, ProcId};
 
@@ -21,10 +21,10 @@ use proteus::{Cycles, ProcId};
 struct Item;
 
 impl Behavior for Item {
-    fn invoke(&mut self, _m: MethodId, args: &[Word], env: &mut dyn MethodEnv) -> Vec<Word> {
+    fn invoke(&mut self, _m: MethodId, args: &[Word], env: &mut dyn MethodEnv) -> WordVec {
         env.read(8, 8);
         env.compute(Cycles(50));
-        vec![args[0] + 1]
+        [args[0] + 1].into()
     }
     fn size_bytes(&self) -> u64 {
         16
@@ -49,14 +49,14 @@ struct ChainOp {
 impl Frame for ChainOp {
     fn step(&mut self, _ctx: &StepCtx) -> StepResult {
         if self.idx >= self.items.len() {
-            return StepResult::Return(vec![self.acc]);
+            return StepResult::Return([self.acc].into());
         }
         let t = self.items[self.idx];
         let inv = match self.annotation {
-            Annotation::Migrate => Invoke::migrate(t, MethodId(0), vec![self.acc]).reading(),
-            Annotation::MigrateAll => Invoke::migrate_all(t, MethodId(0), vec![self.acc]).reading(),
-            Annotation::Rpc => Invoke::rpc(t, MethodId(0), vec![self.acc]).reading(),
-            Annotation::Auto => Invoke::auto(t, MethodId(0), vec![self.acc]).reading(),
+            Annotation::Migrate => Invoke::migrate(t, MethodId(0), [self.acc]).reading(),
+            Annotation::MigrateAll => Invoke::migrate_all(t, MethodId(0), [self.acc]).reading(),
+            Annotation::Rpc => Invoke::rpc(t, MethodId(0), [self.acc]).reading(),
+            Annotation::Auto => Invoke::auto(t, MethodId(0), [self.acc]).reading(),
         };
         StepResult::Invoke(inv)
     }
