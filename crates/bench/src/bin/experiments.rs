@@ -1,8 +1,9 @@
 //! Regenerate every table and figure of the paper from fresh simulations.
 //!
 //! ```text
-//! experiments [fig1|fig2|fig3|table1|table2|table3|table4|table5|fanout10|all|faults]
-//!             [--json <path>] [--faults <seed>] [--jobs <n>] [--profile <path>]
+//! experiments [all|fig1|fig2|fig3|table1|table2|table3|table4|table5|fanout10|extensions
+//!             |faults|failover|adaptive|ablations]
+//!             [--json <path>] [--faults <seed>|<a..b>] [--failover <seed>] [--jobs <n>]
 //! ```
 //!
 //! With no argument (or `all`) everything runs; output is the paper's
@@ -18,7 +19,9 @@
 //! The `adaptive` target runs the adaptive-dispatch sweep (seeds 0..32,
 //! both applications, static RPC vs static CM vs `Annotation::Auto`), each
 //! cell audited and self-asserting the acceptance bounds (`adaptive-ok`
-//! lines).
+//! lines). The `ablations` target runs the cost, contention and topology
+//! ablations behind DESIGN.md §6 points 6–7 and §7; like the sweeps, it is
+//! not part of `all`.
 //! The fault-free artifacts are byte-identical whether or not these flags
 //! are passed (CI checks this). With `--json <path>` the same runs are also
 //! written to `<path>` as a machine-readable document:
@@ -29,10 +32,7 @@
 //!
 //! `--jobs <n>` bounds the sweep worker pool (default: one worker per
 //! available core); results are byte-identical for any worker count.
-//! `--profile <path>` additionally profiles the event loop itself (both
-//! apps, every Table 1 scheme, run serially after the artifacts) and writes
-//! events/sec, peak queue depth, and allocations-per-event to `<path>`
-//! (conventionally `BENCH_3.json`) — the artifacts JSON is unaffected.
+//! Host speed is measured separately, by the `perfbench/` package.
 
 use bench::json::{obj, Json};
 use bench::{
@@ -42,9 +42,7 @@ use bench::{
 use migrate_model::{figure1, Pattern};
 use migrate_rt::Scheme;
 
-include!("../alloc_counter.rs");
-
-const USAGE: &str = "usage: experiments [all|fig1|fig2|fig3|table1|table2|table3|table4|table5|fanout10|extensions|faults|failover|adaptive] [--json <path>] [--faults <seed>|<a..b>] [--failover <seed>] [--jobs <n>] [--profile <path>]";
+const USAGE: &str = "usage: experiments [all|fig1|fig2|fig3|table1|table2|table3|table4|table5|fanout10|extensions|faults|failover|adaptive|ablations] [--json <path>] [--faults <seed>|<a..b>] [--failover <seed>] [--jobs <n>]";
 
 /// The `--faults` argument: one seed, or a half-open `a..b` range of them.
 #[derive(Copy, Clone, Debug)]
@@ -62,85 +60,44 @@ fn parse_seed_spec(s: &str) -> Option<SeedSpec> {
     }
 }
 
+/// Print `msg` and the usage line, then exit with status 2.
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Remove `flag` and its value from `args`. A missing value, or one that is
+/// itself a flag, is a usage error.
+fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
+    args.remove(i);
+    match args.get(i) {
+        Some(value) if !value.starts_with("--") => Some(args.remove(i)),
+        _ => usage_exit(&format!("{flag} requires a value")),
+    }
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = match args.iter().position(|a| a == "--json") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                eprintln!("--json requires a path\n{USAGE}");
-                std::process::exit(2);
-            }
-            let path = args.remove(i + 1);
-            args.remove(i);
-            Some(path)
-        }
-        None => None,
-    };
-    let profile_path = match args.iter().position(|a| a == "--profile") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                eprintln!("--profile requires a path\n{USAGE}");
-                std::process::exit(2);
-            }
-            let path = args.remove(i + 1);
-            args.remove(i);
-            Some(path)
-        }
-        None => None,
-    };
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        if i + 1 >= args.len() {
-            eprintln!("--jobs requires a worker count\n{USAGE}");
-            std::process::exit(2);
-        }
-        let n = args.remove(i + 1);
-        args.remove(i);
+    let json_path = take_value(&mut args, "--json");
+    if let Some(n) = take_value(&mut args, "--jobs") {
         match n.parse::<usize>() {
             Ok(n) if n > 0 => bench::pool::set_jobs(n),
-            _ => {
-                eprintln!("--jobs must be a positive integer, got {n:?}\n{USAGE}");
-                std::process::exit(2);
-            }
+            _ => usage_exit(&format!("--jobs must be a positive integer, got {n:?}")),
         }
     }
-    let faults_seed = match args.iter().position(|a| a == "--faults") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                eprintln!("--faults requires a seed or range\n{USAGE}");
-                std::process::exit(2);
-            }
-            let seed = args.remove(i + 1);
-            args.remove(i);
-            match parse_seed_spec(&seed) {
-                Some(spec) => Some(spec),
-                None => {
-                    eprintln!(
-                        "--faults takes an integer seed or an a..b range (a < b), got {seed:?}\n{USAGE}"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
-        None => None,
-    };
-    let failover_seed = match args.iter().position(|a| a == "--failover") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                eprintln!("--failover requires a seed\n{USAGE}");
-                std::process::exit(2);
-            }
-            let seed = args.remove(i + 1);
-            args.remove(i);
-            match seed.parse::<u64>() {
-                Ok(s) => Some(s),
-                Err(_) => {
-                    eprintln!("--failover seed must be an integer, got {seed:?}\n{USAGE}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        None => None,
-    };
+    let faults_seed = take_value(&mut args, "--faults").map(|seed| {
+        parse_seed_spec(&seed).unwrap_or_else(|| {
+            usage_exit(&format!(
+                "--faults takes an integer seed or an a..b range (a < b), got {seed:?}"
+            ))
+        })
+    });
+    let failover_seed = take_value(&mut args, "--failover").map(|seed| {
+        seed.parse::<u64>().unwrap_or_else(|_| {
+            usage_exit(&format!("--failover seed must be an integer, got {seed:?}"))
+        })
+    });
     let arg = args.first().cloned().unwrap_or_else(|| {
         if failover_seed.is_some() && faults_seed.is_none() {
             "failover".to_string()
@@ -165,10 +122,10 @@ fn main() {
         "faults",
         "failover",
         "adaptive",
+        "ablations",
     ];
     if !known.contains(&arg.as_str()) || args.len() > 1 {
-        eprintln!("unknown arguments {args:?}\n{USAGE}");
-        std::process::exit(2);
+        usage_exit(&format!("unknown arguments {args:?}"));
     }
     let all = arg == "all";
     let mut artifacts: Vec<(String, Json)> = Vec::new();
@@ -203,6 +160,9 @@ fn main() {
     if arg == "adaptive" {
         adaptive(&mut emit);
     }
+    if arg == "ablations" {
+        ablations(&mut emit);
+    }
     if let Some(path) = json_path {
         let doc = obj(vec![
             ("schema_version", Json::Int(1)),
@@ -213,19 +173,6 @@ fn main() {
             std::process::exit(1);
         }
         println!("wrote JSON artifacts to {path}");
-    }
-    if let Some(path) = profile_path {
-        // Profiling runs strictly after (and apart from) the artifacts, so
-        // it cannot perturb them; cells run serially for honest wall-clock.
-        println!("== simulator core profile ==");
-        let cells = bench::profile_cells(3, Some(&allocations_now));
-        print!("{}", bench::render_profile(&cells));
-        let doc = bench::profile_to_json(&cells);
-        if let Err(e) = std::fs::write(&path, doc.render() + "\n") {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote profile to {path}");
     }
 }
 
@@ -340,6 +287,58 @@ fn adaptive(emit: Emit) {
                 obj(vec![("start", Json::Int(0)), ("end", Json::Int(32))]),
             ),
             ("cells", bench::adaptive_to_json(&cells)),
+        ]),
+    );
+}
+
+fn ablations(emit: Emit) {
+    println!("== Ablations: calibration constants, SM contention model, topology ==");
+    println!("(DESIGN.md §6 points 6-7 and §7; every cell warms up 100k cycles and");
+    println!(" measures 300k)\n");
+    let costs = bench::ablation_costs();
+    print!(
+        "{}",
+        render_rows(
+            "RPC stub costs and hardware estimates (B-tree, 0 think):",
+            &costs
+        )
+    );
+    let cp = costs
+        .iter()
+        .find(|r| r.label == "CP software")
+        .expect("CP reference row");
+    for rpc in costs.iter().filter(|r| r.label.starts_with("RPC")) {
+        println!(
+            "  CP/RPC at {}: {:.2}",
+            rpc.label,
+            cp.metrics.throughput_per_1000 / rpc.metrics.throughput_per_1000
+        );
+    }
+    println!();
+    let contention = bench::ablation_contention();
+    print!(
+        "{}",
+        render_rows(
+            "SM contention model (counting network, 48 requesters, 0 think):",
+            &contention
+        )
+    );
+    println!();
+    let topology = bench::ablation_topology();
+    print!(
+        "{}",
+        render_rows(
+            "bitonic (6 stages) vs periodic (9 stages) network, 32 requesters, 0 think:",
+            &topology
+        )
+    );
+    println!();
+    emit(
+        "ablations",
+        obj(vec![
+            ("costs", rows_to_json(&costs)),
+            ("contention", rows_to_json(&contention)),
+            ("topology", rows_to_json(&topology)),
         ]),
     );
 }

@@ -290,12 +290,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one UTF-8 scalar (text came from a &str, so this
-                // is always on a char boundary).
-                let rest = &text_from(bytes)[*pos..];
-                let c = rest.chars().next().ok_or("bad utf-8")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash. Both are
+                // ASCII, so the run ends on a char boundary of the &str the
+                // bytes came from.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).expect("run of a &str"));
             }
         }
     }
@@ -305,11 +307,6 @@ fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
     let hex = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
     let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
     u32::from_str_radix(hex, 16).map_err(|e| e.to_string())
-}
-
-fn text_from(bytes: &[u8]) -> &str {
-    // Input entered as &str; this cannot fail.
-    std::str::from_utf8(bytes).expect("input was a str")
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -328,7 +325,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             _ => break,
         }
     }
-    let s = &text_from(bytes)[start..*pos];
+    // Only ASCII bytes were consumed, so this cannot fail.
+    let s = std::str::from_utf8(&bytes[start..*pos]).expect("number bytes are ASCII");
     if s.is_empty() || s == "-" {
         return Err(format!("invalid number at byte {start}"));
     }

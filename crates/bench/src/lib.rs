@@ -1,17 +1,17 @@
 //! # bench — experiment harness for every table and figure
 //!
-//! Shared runners behind both the `experiments` binary (which prints the
-//! paper's tables/figures from fresh simulations) and the Criterion benches.
-//! Each function corresponds to one artifact of the paper's evaluation;
-//! DESIGN.md §4 maps them.
+//! Shared runners behind the `experiments` binary, which prints the paper's
+//! tables/figures from fresh simulations, and the host-speed benchmark in
+//! `perfbench/`. Each function corresponds to one artifact of the paper's
+//! evaluation; DESIGN.md §4 maps them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use migrate_apps::btree::BTreeExperiment;
-use migrate_apps::counting::CountingExperiment;
-use migrate_rt::{categories as cat, Annotation, EngineProfile, RunMetrics, Scheme};
-use proteus::Cycles;
+use migrate_apps::counting::{CountingExperiment, Topology};
+use migrate_rt::{categories as cat, Annotation, CostModel, RunMetrics, Scheme};
+use proteus::{CoherenceCosts, Cycles};
 
 pub mod json;
 pub mod pool;
@@ -627,204 +627,157 @@ pub fn adaptive_to_json(cells: &[AdaptiveCell]) -> Json {
 }
 
 // ----------------------------------------------------------------------
-// Self-measurement: the `--profile` mode / `perf` harness
+// Ablations: the `ablations` target (DESIGN.md §6 points 6–7, §7)
 // ----------------------------------------------------------------------
 
-/// One profiled cell: how fast the simulator core ran one app×scheme
-/// experiment, independent of what the simulation computed.
-#[derive(Clone, Debug)]
-pub struct ProfiledCell {
-    /// Application ("counting" or "btree").
-    pub app: &'static str,
-    /// Scheme label as printed in the paper.
-    pub scheme: String,
-    /// Events the engine dispatched (warm-up + window).
-    pub events: u64,
-    /// Peak pending-event count.
-    pub peak_queue_depth: usize,
-    /// Operations the simulation completed in its window.
-    pub ops: u64,
-    /// Best wall-clock seconds over the measured repetitions.
-    pub wall_seconds: f64,
-    /// Heap allocations per dispatched event, when the harness binary
-    /// installed a counting allocator (see `bin/perf.rs`).
-    pub allocations_per_event: Option<f64>,
-}
+/// Warm-up and measurement window for every ablation cell.
+const ABLATION_WARMUP: Cycles = Cycles(100_000);
+const ABLATION_WINDOW: Cycles = Cycles(300_000);
 
-impl ProfiledCell {
-    /// Events dispatched per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_seconds
-    }
-}
-
-/// Wall-clock seconds per cell measured on the pre-PR core (commit
-/// `06fe8a7`, best of three runs on the development machine), for the same
-/// cells [`profile_cells`] runs. The simulation is byte-identical across
-/// that boundary, so the events-per-second ratio equals the wall-clock
-/// ratio; BENCH_3.json records the speedup column from this table.
-pub const PRE_PR_WALL_SECONDS: &[(&str, &str, f64)] = &[
-    ("btree", "CP", 0.011316),
-    ("btree", "CP w/HW", 0.019288),
-    ("btree", "CP w/repl.", 0.012977),
-    ("btree", "CP w/repl. & HW", 0.011520),
-    ("btree", "RPC", 0.005127),
-    ("btree", "RPC w/HW", 0.009375),
-    ("btree", "RPC w/repl.", 0.008736),
-    ("btree", "RPC w/repl. & HW", 0.007905),
-    ("btree", "SM", 0.061960),
-    ("counting", "CP", 0.023134),
-    ("counting", "CP w/HW", 0.035782),
-    ("counting", "CP w/repl.", 0.024459),
-    ("counting", "CP w/repl. & HW", 0.038759),
-    ("counting", "RPC", 0.011510),
-    ("counting", "RPC w/HW", 0.014574),
-    ("counting", "RPC w/repl.", 0.008937),
-    ("counting", "RPC w/repl. & HW", 0.016075),
-    ("counting", "SM", 0.027758),
-];
-
-/// The recorded pre-PR wall seconds for one cell, if measured.
-pub fn pre_pr_wall_seconds(app: &str, scheme: &str) -> Option<f64> {
-    PRE_PR_WALL_SECONDS
-        .iter()
-        .find(|&&(a, s, _)| a == app && s == scheme)
-        .map(|&(_, _, secs)| secs)
-}
-
-/// Profile the event loop on both applications under every Table 1 scheme
-/// (the paper's full scheme set). Cells run serially — wall-clock numbers
-/// must not be polluted by sibling cells — with `reps` repetitions each,
-/// keeping the fastest. `alloc_count` reads a process-wide allocation
-/// counter when the harness binary installs one.
-pub fn profile_cells(reps: u32, alloc_count: Option<&dyn Fn() -> u64>) -> Vec<ProfiledCell> {
-    let reps = reps.max(1);
-    let schemes = Scheme::table1_rows();
-    let mut cells = Vec::new();
-    let mut run =
-        |app: &'static str, scheme: Scheme, f: &dyn Fn() -> (RunMetrics, EngineProfile)| {
-            let mut best: Option<ProfiledCell> = None;
-            for _ in 0..reps {
-                let allocs_before = alloc_count.map(|c| c());
-                let start = std::time::Instant::now();
-                let (metrics, profile) = f();
-                let wall_seconds = start.elapsed().as_secs_f64();
-                let allocations_per_event = alloc_count
-                    .zip(allocs_before)
-                    .map(|(c, before)| (c() - before) as f64 / profile.events.max(1) as f64);
-                if best.as_ref().is_none_or(|b| wall_seconds < b.wall_seconds) {
-                    best = Some(ProfiledCell {
-                        app,
-                        scheme: scheme.label(),
-                        events: profile.events,
-                        peak_queue_depth: profile.peak_queue_depth,
-                        ops: metrics.ops,
-                        wall_seconds,
-                        allocations_per_event,
-                    });
-                }
-            }
-            cells.push(best.expect("at least one repetition"));
-        };
-    for &scheme in &schemes {
-        run("counting", scheme, &|| {
-            CountingExperiment::paper(16, 0, scheme).run_profiled(COUNTING_WARMUP, COUNTING_WINDOW)
-        });
-    }
-    for &scheme in &schemes {
-        run("btree", scheme, &|| {
-            BTreeExperiment::paper(0, scheme).run_profiled(BTREE_WARMUP, BTREE_WINDOW)
-        });
-    }
+/// Run labelled cells on the worker pool, keeping their order.
+fn labelled_rows<E: Sync>(
+    cells: &[(String, E)],
+    run: impl Fn(&E) -> RunMetrics + Sync,
+) -> Vec<Row> {
+    let metrics = pool::map_indexed(cells, |(_, exp)| run(exp));
     cells
+        .iter()
+        .zip(metrics)
+        .map(|((label, _), metrics)| Row {
+            label: label.clone(),
+            metrics,
+        })
+        .collect()
 }
 
-/// Serialize profiled cells to the BENCH_3.json document: per-cell events
-/// per second plus the speedup over the recorded pre-PR baseline.
-pub fn profile_to_json(cells: &[ProfiledCell]) -> Json {
-    let mut speedups: Vec<f64> = Vec::new();
-    let rows = Json::Arr(
-        cells
-            .iter()
-            .map(|c| {
-                let mut fields = vec![
-                    ("app", Json::Str(c.app.to_string())),
-                    ("scheme", Json::Str(c.scheme.clone())),
-                    ("events", Json::Int(c.events)),
-                    ("events_per_sec", Json::Num(c.events_per_sec())),
-                    ("wall_seconds", Json::Num(c.wall_seconds)),
-                    ("peak_queue_depth", Json::Int(c.peak_queue_depth as u64)),
-                    ("ops", Json::Int(c.ops)),
-                ];
-                if let Some(ape) = c.allocations_per_event {
-                    fields.push(("allocations_per_event", Json::Num(ape)));
-                }
-                if let Some(base) = pre_pr_wall_seconds(c.app, &c.scheme) {
-                    let speedup = base / c.wall_seconds;
-                    speedups.push(speedup);
-                    fields.push(("pre_pr_wall_seconds", Json::Num(base)));
-                    fields.push(("speedup_vs_pre_pr", Json::Num(speedup)));
-                }
-                obj(fields)
-            })
-            .collect(),
-    );
-    let total_events: u64 = cells.iter().map(|c| c.events).sum();
-    let total_wall: f64 = cells.iter().map(|c| c.wall_seconds).sum();
-    let mut summary = vec![
-        ("cells", Json::Int(cells.len() as u64)),
-        ("total_events", Json::Int(total_events)),
+/// Cost ablation on the B-tree at zero think time (DESIGN.md §6 point 6).
+///
+/// Six RPC rows sweep the two documented calibration constants,
+/// `rpc_dispatch` and `rpc_stub_words` (labelled `RPC <dispatch> cyc,
+/// <words> words`): with both at zero, RPC ties CP at the root bottleneck.
+/// Four CP rows then isolate the two hardware-support estimates (`CP
+/// software`, `CP +register NIC`, `CP +HW GOID`, `CP +both`); `CP software`
+/// is also the reference the RPC rows are compared against.
+pub fn ablation_costs() -> Vec<Row> {
+    let rpc = |dispatch: u64, stub_words: u64| {
+        let cost = CostModel {
+            rpc_dispatch: Cycles(dispatch),
+            rpc_stub_words: stub_words,
+            ..CostModel::default()
+        };
         (
-            "aggregate_events_per_sec",
-            Json::Num(total_events as f64 / total_wall),
+            format!("RPC {dispatch} cyc, {stub_words} words"),
+            (Scheme::rpc(), cost),
+        )
+    };
+    let cp = |label: &str, cost: CostModel| {
+        (
+            format!("CP {label}"),
+            (Scheme::computation_migration(), cost),
+        )
+    };
+    let cells = [
+        rpc(0, 0),
+        rpc(0, 16),
+        rpc(300, 16),
+        rpc(600, 0),
+        rpc(600, 16),
+        rpc(1200, 16),
+        cp("software", CostModel::default()),
+        cp(
+            "+register NIC",
+            CostModel::default().with_hw_message_support(),
+        ),
+        cp("+HW GOID", CostModel::default().with_hw_goid_support()),
+        cp(
+            "+both",
+            CostModel::default()
+                .with_hw_message_support()
+                .with_hw_goid_support(),
         ),
     ];
-    if !speedups.is_empty() {
-        let min = speedups.iter().cloned().fold(f64::INFINITY, f64::min);
-        let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
-        summary.push(("min_speedup_vs_pre_pr", Json::Num(min)));
-        summary.push(("geomean_speedup_vs_pre_pr", Json::Num(geomean)));
-    }
-    obj(vec![
-        ("schema_version", Json::Int(1)),
-        (
-            "workload",
-            Json::Str(
-                "counting(16 requesters) + btree(fanout 100), all Table 1 schemes, think 0"
-                    .to_string(),
-            ),
-        ),
-        ("cells", rows),
-        ("summary", obj(summary)),
-    ])
+    labelled_rows(&cells, |(scheme, cost)| {
+        BTreeExperiment {
+            cost_override: Some(cost.clone()),
+            ..BTreeExperiment::paper(0, *scheme)
+        }
+        .run(ABLATION_WARMUP, ABLATION_WINDOW)
+    })
 }
 
-/// Render profiled cells as an aligned text table.
-pub fn render_profile(cells: &[ProfiledCell]) -> String {
-    let mut out = format!(
-        "{:<10} {:<18} {:>10} {:>14} {:>10} {:>12} {:>10}\n",
-        "app", "scheme", "events", "events/sec", "peak q", "allocs/ev", "speedup"
-    );
-    for c in cells {
-        let ape = c
-            .allocations_per_event
-            .map(|a| format!("{a:.2}"))
-            .unwrap_or_else(|| "-".to_string());
-        let speedup = pre_pr_wall_seconds(c.app, &c.scheme)
-            .map(|b| format!("{:.2}x", b / c.wall_seconds))
-            .unwrap_or_else(|| "-".to_string());
-        out.push_str(&format!(
-            "{:<10} {:<18} {:>10} {:>14.0} {:>10} {:>12} {:>10}\n",
-            c.app,
-            c.scheme,
-            c.events,
-            c.events_per_sec(),
-            c.peak_queue_depth,
-            ape,
-            speedup,
-        ));
+/// Shared-memory contention ablation on the counting network, 48
+/// requesters, zero think time (DESIGN.md §6 point 7). The first row is
+/// the `CP w/HW` reference. `SM full model` runs the whole coherence model;
+/// `SM no lock penalty`, `SM no spin reads` and `SM no extras` drop the
+/// contended-lock penalty, the test-and-test-and-set spin reads, or both
+/// of those plus the LimitLESS trap costs.
+pub fn ablation_contention() -> Vec<Row> {
+    let sm = |label: &str, coherence: CoherenceCosts| {
+        (
+            format!("SM {label}"),
+            (Scheme::shared_memory(), Some(coherence)),
+        )
+    };
+    let cells = [
+        {
+            let cm_hw = Scheme::computation_migration().with_hardware();
+            (cm_hw.label(), (cm_hw, None))
+        },
+        sm("full model", CoherenceCosts::default()),
+        sm(
+            "no lock penalty",
+            CoherenceCosts {
+                contended_lock_penalty: Cycles::ZERO,
+                ..CoherenceCosts::default()
+            },
+        ),
+        sm(
+            "no spin reads",
+            CoherenceCosts {
+                max_spin_reads: 0,
+                ..CoherenceCosts::default()
+            },
+        ),
+        sm(
+            "no extras",
+            CoherenceCosts {
+                contended_lock_penalty: Cycles::ZERO,
+                max_spin_reads: 0,
+                limitless_trap: Cycles::ZERO,
+                limitless_per_sharer: Cycles::ZERO,
+                ..CoherenceCosts::default()
+            },
+        ),
+    ];
+    labelled_rows(&cells, |(scheme, coherence)| {
+        CountingExperiment {
+            coherence_override: coherence.clone(),
+            ..CountingExperiment::paper(48, 0, *scheme)
+        }
+        .run(ABLATION_WARMUP, ABLATION_WINDOW)
+    })
+}
+
+/// Counting-network topology ablation, 32 requesters, zero think time
+/// (DESIGN.md §7): the paper's 6-stage bitonic network against the 9-stage
+/// periodic one, under CP and SM. Rows are labelled `<topology> <scheme>`.
+pub fn ablation_topology() -> Vec<Row> {
+    let mut cells = Vec::new();
+    for (name, topology) in [
+        ("bitonic", Topology::Bitonic),
+        ("periodic", Topology::Periodic),
+    ] {
+        for scheme in [Scheme::computation_migration(), Scheme::shared_memory()] {
+            cells.push((format!("{name} {}", scheme.label()), (topology, scheme)));
+        }
     }
-    out
+    labelled_rows(&cells, |&(topology, scheme)| {
+        CountingExperiment {
+            topology,
+            ..CountingExperiment::paper(32, 0, scheme)
+        }
+        .run(ABLATION_WARMUP, ABLATION_WINDOW)
+    })
 }
 
 /// One Table 5 line: category name and mean cycles per migration.
@@ -1134,6 +1087,58 @@ mod tests {
         let m = counting_cell(8, 0, Scheme::computation_migration());
         assert!(m.policy.is_none());
         assert!(!metrics_to_json(&m).render().contains("\"policy\""));
+    }
+
+    /// Throughput of the row labelled `label`.
+    fn throughput(rows: &[Row], label: &str) -> f64 {
+        rows.iter()
+            .find(|r| r.label == label)
+            .unwrap_or_else(|| panic!("no row {label:?}"))
+            .metrics
+            .throughput_per_1000
+    }
+
+    #[test]
+    fn ablation_costs_shape() {
+        let rows = ablation_costs();
+        let t = |label: &str| throughput(&rows, label);
+        let cp = t("CP software");
+        // Message counts alone make RPC tie CP; the calibrated stub costs
+        // open the paper's gap.
+        assert!(cp / t("RPC 0 cyc, 0 words") < 1.0);
+        assert!(cp / t("RPC 600 cyc, 16 words") > 1.5);
+        let by_dispatch: Vec<f64> = [0, 300, 600, 1200]
+            .iter()
+            .map(|d| t(&format!("RPC {d} cyc, 16 words")))
+            .collect();
+        assert!(
+            by_dispatch.windows(2).all(|w| w[0] > w[1]),
+            "RPC throughput by dispatch cost {by_dispatch:?}"
+        );
+        let hw: Vec<f64> = ["+both", "+register NIC", "+HW GOID", "software"]
+            .iter()
+            .map(|l| t(&format!("CP {l}")))
+            .collect();
+        assert!(hw.windows(2).all(|w| w[0] > w[1]), "CP by hardware {hw:?}");
+    }
+
+    #[test]
+    fn ablation_contention_shape() {
+        let rows = ablation_contention();
+        let cm_hw = throughput(&rows, "CP w/HW");
+        // The paper's crossover holds only with the contended-lock penalty.
+        assert!(throughput(&rows, "SM full model") < cm_hw);
+        assert!(throughput(&rows, "SM no lock penalty") > cm_hw);
+    }
+
+    #[test]
+    fn ablation_topology_shape() {
+        let rows = ablation_topology();
+        let t = |label: &str| throughput(&rows, label);
+        // Each extra stage is an extra hop for CP; SM does not care.
+        assert!(t("periodic CP") <= 0.85 * t("bitonic CP"));
+        let (bitonic, periodic) = (t("bitonic SM"), t("periodic SM"));
+        assert!((periodic - bitonic).abs() <= 0.01 * bitonic);
     }
 
     #[test]

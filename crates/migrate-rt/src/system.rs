@@ -98,7 +98,7 @@ pub struct MachineConfig {
 /// [`Payload::Heartbeat`] envelope. The probe rides the same sequence-
 /// numbered ack/retry machinery as every other message, so "no ack after
 /// [`FailoverConfig::max_heartbeat_attempts`] sends" is the suspicion
-/// criterion — deterministic, and safe against queueing delay because the
+/// rule — deterministic, and safe against queueing delay because the
 /// retransmission timeouts are far above one service round-trip. Exactly one
 /// processor (the ring predecessor) probes each node, so a permanent crash
 /// produces exactly one suspicion and one promotion.
