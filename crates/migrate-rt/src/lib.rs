@@ -81,6 +81,7 @@ pub mod object;
 pub mod policy;
 pub mod rng;
 pub mod system;
+mod transport;
 pub mod types;
 
 pub use cost::{categories, category_ids, CategoryId, CategoryTable, CostModel, DenseAccounting};

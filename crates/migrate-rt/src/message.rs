@@ -172,8 +172,9 @@ impl Payload {
     }
 }
 
-/// Discriminant of a payload, for statistics.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+/// Discriminant of a payload, for statistics. Ordered by declaration, the
+/// order of [`MessageKind::ALL`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MessageKind {
     /// RPC call message.
     RpcRequest,
@@ -197,6 +198,23 @@ pub enum MessageKind {
     Heartbeat,
     /// Primary-backup replication state delta.
     BackupDelta,
+}
+
+impl MessageKind {
+    /// Every kind, in declaration order: `ALL[k as usize] == k`.
+    pub(crate) const ALL: [MessageKind; 11] = [
+        MessageKind::RpcRequest,
+        MessageKind::RpcReply,
+        MessageKind::Migration,
+        MessageKind::ObjectPull,
+        MessageKind::ObjectMove,
+        MessageKind::ThreadMove,
+        MessageKind::OperationReturn,
+        MessageKind::ReplicaUpdate,
+        MessageKind::Ack,
+        MessageKind::Heartbeat,
+        MessageKind::BackupDelta,
+    ];
 }
 
 /// A message in flight.
@@ -353,5 +371,13 @@ mod tests {
         };
         assert_eq!(p.words(), 17);
         assert_eq!(p.kind(), MessageKind::ReplicaUpdate);
+    }
+
+    #[test]
+    fn all_kinds_are_indexed_by_discriminant() {
+        for (i, k) in MessageKind::ALL.iter().enumerate() {
+            assert_eq!(*k as usize, i);
+        }
+        assert!(MessageKind::ALL.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -12,7 +12,7 @@
 //!   migration-specific charges are additionally folded into a separate
 //!   accounting that regenerates Table 5 itself.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use proteus::coherence::Access;
 use proteus::engine::{Engine, Simulation};
@@ -33,6 +33,7 @@ use crate::message::{Message, MessageKind, Payload};
 use crate::object::{Behavior, MethodEnv, ObjectTable};
 use crate::policy::{PolicyConfig, PolicyEngine, PolicyStats};
 use crate::rng::SplitMix64;
+use crate::transport::{InFlight, Window};
 use crate::types::{Goid, ThreadId, WordVec};
 
 /// Full machine + scheme configuration for one experiment run.
@@ -385,22 +386,6 @@ impl QueuedTask {
     }
 }
 
-/// Sender-side retransmission buffer entry for one unacked envelope.
-struct InFlight {
-    src: ProcId,
-    dst: ProcId,
-    kind: MessageKind,
-    /// Wire words (receive-path charge uses the same figure).
-    words: u64,
-    /// Short-method receive path?
-    short: bool,
-    /// The buffered payload; taken by the first delivery, so a `Some` here
-    /// means no copy has been delivered yet.
-    payload: Option<Payload>,
-    /// Send attempts so far (1 = the original send).
-    attempt: u32,
-}
-
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum ThreadStatus {
     /// Runnable or running at home.
@@ -505,8 +490,8 @@ pub struct RunMetrics {
     /// Accounting restricted to migration messages + migrated user code
     /// (regenerates Table 5 when divided by `migrations`).
     pub migration_accounting: CycleAccounting,
-    /// Message counts by kind.
-    pub message_kinds: HashMap<MessageKind, u64>,
+    /// Message counts by kind (kinds never sent in the window are absent).
+    pub message_kinds: BTreeMap<MessageKind, u64>,
     /// Per-call-site mechanism-dispatch counters for the window.
     pub dispatch: DispatchStats,
     /// Per-processor utilization/queue statistics for the window.
@@ -548,7 +533,9 @@ pub struct System {
     replica_at: Vec<bool>,
     objects: ObjectTable,
     threads: Vec<ThreadState>,
-    detached: HashMap<ThreadId, DetachedFrame>,
+    /// Parked detached activation groups, indexed by thread; grown to the
+    /// thread count when the first group parks.
+    detached: Vec<Option<DetachedFrame>>,
     /// Recycled frame-group buffers. Every migration allocates a `Vec` for
     /// the travelling activation group; reusing the emptied buffers
     /// (capacity only — contents are always cleared) keeps the steady-state
@@ -562,7 +549,8 @@ pub struct System {
     migrations: u64,
     ops_completed: u64,
     op_latency: Histogram,
-    msg_counts: HashMap<MessageKind, u64>,
+    /// Messages sent in the window, indexed by `MessageKind as usize`.
+    msg_counts: [u64; MessageKind::ALL.len()],
     window_start: Cycles,
     dispatch: DispatchStats,
     tracer: Tracer,
@@ -576,22 +564,12 @@ pub struct System {
     /// Fault injector (`Some` exactly when `cfg.faults` is set). Its absence
     /// keeps the fault-free fast path bit-identical to the pre-fault runtime.
     faults: Option<FaultInjector>,
-    /// Next envelope sequence number (global across processors; the *order*
-    /// of allocation is deterministic, so fault decisions replay exactly).
-    next_seq: u64,
-    /// Unacked envelopes, by sequence number.
-    in_flight: BTreeMap<u64, InFlight>,
-    /// Sequence numbers already delivered (or abandoned), for duplicate
-    /// suppression. Ordered so the watermark prune can split off everything
-    /// below [`System::acked_below`] in one call.
-    delivered_seqs: std::collections::BTreeSet<u64>,
-    /// Duplicate-suppression watermark: every envelope with `seq <
-    /// acked_below` has been acknowledged (or abandoned) and its
-    /// `delivered_seqs` entry pruned — any copy still in the network is a
-    /// duplicate by definition. Advanced to the smallest in-flight sequence
-    /// number whenever an envelope leaves the retransmission buffer, keeping
-    /// the table O(in-flight window) on long chaos runs.
-    acked_below: u64,
+    /// Unacked envelopes and delivered flags, indexed by sequence number
+    /// (global across processors; the *order* of allocation is
+    /// deterministic, so fault decisions replay exactly). Its watermark
+    /// advances whenever an envelope leaves the retransmission buffer,
+    /// keeping the dedup table O(in-flight window) on long chaos runs.
+    transport: Window,
     /// Per-processor crash-restart horizon: arrivals before this time are
     /// lost.
     crashed_until: Vec<Cycles>,
@@ -602,8 +580,9 @@ pub struct System {
     /// Processors the failure detector has declared dead: dead protocol
     /// state. Lags `failed` by the detection latency.
     declared_dead: Vec<bool>,
-    /// Per-object replication delta sequence numbers (primary side).
-    delta_seqs: HashMap<Goid, u64>,
+    /// Per-object replication delta sequence numbers (primary side),
+    /// indexed by goid; grown on demand.
+    delta_seqs: Vec<u64>,
     failover: FailoverStats,
     /// Adaptive dispatch policy (see [`crate::policy`]). Consulted only for
     /// [`Annotation::Auto`] dispatches under migration-enabled schemes.
@@ -631,7 +610,7 @@ impl System {
             replica_at,
             objects: ObjectTable::new(),
             threads: Vec::new(),
-            detached: HashMap::new(),
+            detached: Vec::new(),
             frame_pool: Vec::new(),
             rng: SplitMix64::new(cfg.seed),
             acct: DenseAccounting::default(),
@@ -640,7 +619,7 @@ impl System {
             migrations: 0,
             ops_completed: 0,
             op_latency: Histogram::new(100, 4096),
-            msg_counts: HashMap::new(),
+            msg_counts: [0; MessageKind::ALL.len()],
             window_start: Cycles::ZERO,
             dispatch: DispatchStats::default(),
             tracer: Tracer::disabled(),
@@ -649,15 +628,12 @@ impl System {
             audit_violations: Vec::new(),
             runtime_errors: Vec::new(),
             faults: cfg.faults.clone().map(FaultInjector::new),
-            next_seq: 0,
-            in_flight: BTreeMap::new(),
-            delivered_seqs: std::collections::BTreeSet::new(),
-            acked_below: 0,
+            transport: Window::default(),
             crashed_until: vec![Cycles::ZERO; n as usize],
             recovery: RecoveryStats::default(),
             failed: vec![false; n as usize],
             declared_dead: vec![false; n as usize],
-            delta_seqs: HashMap::new(),
+            delta_seqs: Vec::new(),
             failover: FailoverStats::default(),
             policy: PolicyEngine::new(cfg.policy.clone()),
             cfg,
@@ -699,7 +675,7 @@ impl System {
     /// watermark prune keeps this O(in-flight window) regardless of how many
     /// envelopes a long chaos run delivers.
     pub fn dedup_table_size(&self) -> usize {
-        self.delivered_seqs.len()
+        self.transport.dedup_table_size()
     }
 
     /// `true` if `proc` has suffered a permanent fail-stop crash.
@@ -809,7 +785,7 @@ impl System {
         self.migrations = 0;
         self.ops_completed = 0;
         self.op_latency = Histogram::new(100, 4096);
-        self.msg_counts.clear();
+        self.msg_counts = [0; MessageKind::ALL.len()];
         self.dispatch = DispatchStats::default();
         self.audit_tasks = 0;
         self.audit_violations.clear();
@@ -913,7 +889,11 @@ impl System {
             max_proc_utilization: max_util,
             accounting: self.acct.to_cycle_accounting(),
             migration_accounting: self.migration_acct.to_cycle_accounting(),
-            message_kinds: self.msg_counts.clone(),
+            message_kinds: MessageKind::ALL
+                .into_iter()
+                .zip(self.msg_counts)
+                .filter(|&(_, n)| n > 0)
+                .collect(),
             dispatch: self.dispatch.clone(),
             per_proc,
             audit,
@@ -956,6 +936,21 @@ impl System {
     // ------------------------------------------------------------------
     // Frame-group buffer recycling
     // ------------------------------------------------------------------
+
+    /// The detached activation group parked for `thread`, if any.
+    fn detached_group(&self, thread: ThreadId) -> Option<&DetachedFrame> {
+        self.detached.get(thread.index())?.as_ref()
+    }
+
+    /// Park `thread`'s detached activation group (replacing any earlier one).
+    fn park_detached(&mut self, thread: ThreadId, group: DetachedFrame) {
+        let t = thread.index();
+        if t >= self.detached.len() {
+            self.detached
+                .resize_with(self.threads.len().max(t + 1), || None);
+        }
+        self.detached[t] = Some(group);
+    }
 
     /// A buffer for a migrating activation group, reusing a recycled one's
     /// capacity when available.
@@ -1096,7 +1091,7 @@ impl System {
         let Some(latency) = latency else {
             return overhead;
         };
-        *self.msg_counts.entry(kind).or_insert(0) += 1;
+        self.msg_counts[kind as usize] += 1;
         if kind == MessageKind::Migration {
             self.migrations += 1;
         }
@@ -1135,25 +1130,20 @@ impl System {
         let Some(latency) = latency else {
             return overhead;
         };
-        *self.msg_counts.entry(kind).or_insert(0) += 1;
+        self.msg_counts[kind as usize] += 1;
         if kind == MessageKind::Migration {
             self.migrations += 1;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let short = System::recv_short(&payload);
-        self.in_flight.insert(
-            seq,
-            InFlight {
-                src,
-                dst,
-                kind,
-                words,
-                short,
-                payload: Some(payload),
-                attempt: 1,
-            },
-        );
+        let seq = self.transport.push(InFlight {
+            src,
+            dst,
+            kind,
+            words,
+            short,
+            payload: Some(payload),
+            attempt: 1,
+        });
         self.launch_envelope(seq, send_time + overhead, latency, queue);
         overhead
     }
@@ -1181,10 +1171,7 @@ impl System {
         latency: Cycles,
         queue: &mut EventQueue<Event>,
     ) {
-        let entry = self
-            .in_flight
-            .get(&seq)
-            .expect("launching unknown envelope");
+        let entry = self.transport.get(seq).expect("launching unknown envelope");
         let (src, dst, kind, words, short, attempt) = (
             entry.src,
             entry.dst,
@@ -1272,7 +1259,7 @@ impl System {
         let Some(latency) = latency else {
             return overhead;
         };
-        *self.msg_counts.entry(MessageKind::Ack).or_insert(0) += 1;
+        self.msg_counts[MessageKind::Ack as usize] += 1;
         let fate = self
             .faults
             .as_mut()
@@ -1530,9 +1517,12 @@ impl System {
         if backup == proc {
             return Cycles::ZERO; // the executor is the backup: delta applies locally, free
         }
-        let seq = self.delta_seqs.entry(target).or_insert(0);
-        *seq += 1;
-        let delta_seq = *seq;
+        let g = target.0 as usize;
+        if g >= self.delta_seqs.len() {
+            self.delta_seqs.resize(self.objects.len().max(g + 1), 0);
+        }
+        self.delta_seqs[g] += 1;
+        let delta_seq = self.delta_seqs[g];
         let words = wrote_bytes.div_ceil(8).max(1);
         self.charge(cat::REPLICATION_DELTA_SEND, self.cost.delta_send);
         self.failover.replication_deltas += 1;
@@ -1549,23 +1539,6 @@ impl System {
                 send_time,
                 queue,
             )
-    }
-
-    /// Advance the duplicate-suppression watermark after an envelope left
-    /// the retransmission buffer: everything below the smallest still-unacked
-    /// sequence number is retired, so its dedup entries can be pruned. Keeps
-    /// `delivered_seqs` O(in-flight window) on unbounded chaos runs.
-    fn advance_watermark(&mut self) {
-        let floor = self
-            .in_flight
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or(self.next_seq);
-        if floor > self.acked_below {
-            self.acked_below = floor;
-            self.delivered_seqs = self.delivered_seqs.split_off(&floor);
-        }
     }
 
     /// Declare `victim` dead (heartbeat suspicion threshold reached at the
@@ -1641,8 +1614,8 @@ impl System {
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
         let entry = self
-            .in_flight
-            .get(&seq)
+            .transport
+            .get(seq)
             .expect("reroute on unknown envelope");
         let (src, dst, kind, words) = (entry.src, entry.dst, entry.kind, entry.words);
         debug_assert!(self.declared_dead[dst.index()]);
@@ -1665,8 +1638,7 @@ impl System {
                 // Replies follow the caller: a parked detached group, or the
                 // thread's home.
                 Payload::RpcReply { thread, .. } => Some(
-                    self.detached
-                        .get(thread)
+                    self.detached_group(*thread)
                         .map(|d| d.at)
                         .unwrap_or(self.threads[thread.index()].home),
                 ),
@@ -1683,12 +1655,12 @@ impl System {
                 self.failover.rerouted_calls += 1;
                 self.charge(cat::RECOVERY_REROUTE, self.cost.reroute);
                 let acc = acc + self.cost.reroute;
-                let entry = self.in_flight.get_mut(&seq).expect("entry checked above");
+                let entry = self.transport.get_mut(seq).expect("entry checked above");
                 entry.dst = d;
                 entry.attempt = 1;
                 let (overhead, latency) = self.charge_send(src, d, kind, words, now + acc);
                 let acc = acc + overhead;
-                *self.msg_counts.entry(kind).or_insert(0) += 1;
+                self.msg_counts[kind as usize] += 1;
                 self.tracer.emit_with(|| TraceEvent {
                     at: now + acc,
                     source: "runtime",
@@ -1704,7 +1676,7 @@ impl System {
             _ => {
                 // No live destination (or the work already happened): retire
                 // the envelope so the watermark can advance.
-                let retired = self.in_flight.remove(&seq).expect("entry checked above");
+                let retired = self.transport.remove(seq).expect("entry checked above");
                 if retired.payload.is_some() && kind != MessageKind::Heartbeat {
                     self.record_runtime_error(
                         now + acc,
@@ -1718,7 +1690,7 @@ impl System {
                     self.recycle_frame_vec(frames);
                     self.failover.frames_lost += n;
                 }
-                self.advance_watermark();
+                self.transport.advance();
                 acc
             }
         }
@@ -1756,7 +1728,7 @@ impl System {
             let QueuedTask { work, ack, .. } = task;
             let Some(ticket) = ack else { continue };
             let seq = ticket.seq;
-            let kind = self.in_flight.get(&seq).map(|e| e.kind);
+            let kind = self.transport.get(seq).map(|e| e.kind);
             let payload = match (work, kind) {
                 (
                     Work::ServeRpc {
@@ -1859,14 +1831,7 @@ impl System {
                 _ => None,
             };
             if let Some(p) = payload {
-                if let Some(entry) = self.in_flight.get_mut(&seq) {
-                    debug_assert!(
-                        entry.payload.is_none(),
-                        "restoring an envelope that was never delivered"
-                    );
-                    entry.payload = Some(p);
-                    self.delivered_seqs.remove(&seq);
-                }
+                self.transport.undeliver(seq, p);
             }
         }
         // Threads homed at the dead processor die with it — except Moving
@@ -1888,15 +1853,11 @@ impl System {
         }
         // Detached activation groups parked at the victim are destroyed;
         // their threads can never receive the short-circuited return.
-        let mut dead_groups: Vec<ThreadId> = self
-            .detached
-            .iter()
-            .filter(|(_, d)| d.at == victim)
-            .map(|(t, _)| *t)
-            .collect();
-        dead_groups.sort_unstable_by_key(|t| t.index());
-        for tid in dead_groups {
-            let d = self.detached.remove(&tid).expect("group collected above");
+        for t in 0..self.detached.len() {
+            let Some(d) = self.detached[t].take_if(|d| d.at == victim) else {
+                continue;
+            };
+            let tid = ThreadId(t as u32);
             let n = d.stack.len() as u64;
             self.recycle_frame_vec(d.stack);
             self.failover.frames_lost += n;
@@ -2298,7 +2259,7 @@ impl System {
                 (frames, frame, reply_to)
             }
             None => {
-                let Some(mut d) = self.detached.remove(&tid) else {
+                let Some(mut d) = self.detached.get_mut(tid.index()).and_then(Option::take) else {
                     return Err((
                         acc,
                         RuntimeError::UnknownDetachedGroup {
@@ -2447,7 +2408,7 @@ impl System {
                     self.record_dispatch(now + acc, proc, frame.label(), DispatchKind::Rpc);
                     let mut stack = std::mem::take(&mut lower);
                     stack.push(frame);
-                    self.detached.insert(
+                    self.park_detached(
                         tid,
                         DetachedFrame {
                             stack,
@@ -2677,8 +2638,8 @@ impl System {
                 acc + self.cost.dedup_check
             }
             Work::AckApply { seq } => {
-                if self.in_flight.remove(&seq).is_some() {
-                    self.advance_watermark();
+                if self.transport.remove(seq).is_some() {
+                    self.transport.advance();
                 }
                 acc
             }
@@ -2726,7 +2687,7 @@ impl System {
         acc: Cycles,
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
-        let Some(entry) = self.in_flight.get(&seq) else {
+        let Some(entry) = self.transport.get(seq) else {
             return acc; // acked between timer fire and task execution
         };
         let (src, dst, kind, words, attempt) =
@@ -2746,15 +2707,15 @@ impl System {
         {
             // Suspicion: the probe's retry budget is exhausted with no ack —
             // the ring predecessor declares the destination dead.
-            self.in_flight.remove(&seq);
-            self.advance_watermark();
+            self.transport.remove(seq);
+            self.transport.advance();
             return self.declare_dead(dst, now, proc, acc, queue);
         }
         if kind == MessageKind::Migration && attempt >= self.cfg.recovery.max_migration_attempts {
             return self.fallback_to_rpc(seq, now, proc, acc, queue);
         }
-        self.in_flight
-            .get_mut(&seq)
+        self.transport
+            .get_mut(seq)
             .expect("entry checked above")
             .attempt = attempt + 1;
         self.recovery.retries += 1;
@@ -2763,7 +2724,7 @@ impl System {
         let Some(latency) = latency else {
             return acc; // route rejected (recorded); the timer re-arms below anyway
         };
-        *self.msg_counts.entry(kind).or_insert(0) += 1;
+        self.msg_counts[kind as usize] += 1;
         self.tracer.emit_with(|| TraceEvent {
             at: now + acc,
             source: "runtime",
@@ -2792,15 +2753,15 @@ impl System {
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
         let entry = self
-            .in_flight
-            .remove(&seq)
+            .transport
+            .remove(seq)
             .expect("fallback on unknown envelope");
         // The envelope is retired: any straggler copy still in flight must
         // be treated as a duplicate, not re-executed. (If the watermark
         // passes `seq` right away the tombstone is pruned again — copies
         // below the watermark are duplicates by definition.)
-        self.delivered_seqs.insert(seq);
-        self.advance_watermark();
+        self.transport.mark_delivered(seq);
+        self.transport.advance();
         let Some(Payload::Migration {
             thread,
             reply_to,
@@ -2859,7 +2820,7 @@ impl System {
         } else {
             // Re-migration of an already-detached group: park the group
             // here and route the reply back through the detached path.
-            self.detached.insert(
+            self.park_detached(
                 thread,
                 DetachedFrame {
                     stack: frames,
@@ -2905,11 +2866,7 @@ impl System {
             ),
             Payload::RpcReply { thread, results } => {
                 let words = 1 + results.len() as u64 + self.cost.rpc_stub_words;
-                let detached_here = self
-                    .detached
-                    .get(&thread)
-                    .map(|d| d.at == dest)
-                    .unwrap_or(false);
+                let detached_here = self.detached_group(thread).is_some_and(|d| d.at == dest);
                 QueuedTask::new(
                     RecvCharge::Message {
                         words,
@@ -3126,34 +3083,23 @@ impl Simulation for System {
                     return;
                 }
                 let ticket = AckTicket { to: src, seq };
-                let mut task = if seq < self.acked_below || self.delivered_seqs.contains(&seq) {
-                    // Already processed (an injected duplicate, or a
-                    // retransmission racing its own ack): suppress, but
-                    // still charge the receive path and re-ack.
-                    QueuedTask::new(
+                let mut task = match self.transport.deliver(seq) {
+                    Some(payload) => self.task_for_payload(dst, src, payload),
+                    // Already processed (an injected duplicate, a
+                    // retransmission racing its own ack, or a tombstone left
+                    // by a fallback): suppress, but still charge the receive
+                    // path and re-ack.
+                    None => QueuedTask::new(
                         RecvCharge::Message { words, kind, short },
                         Work::DuplicateDrop { seq },
-                    )
-                } else {
-                    match self.in_flight.get_mut(&seq).and_then(|e| e.payload.take()) {
-                        Some(payload) => {
-                            self.delivered_seqs.insert(seq);
-                            self.task_for_payload(dst, src, payload)
-                        }
-                        // Tombstoned entry (fallback already consumed the
-                        // payload) — treat like a duplicate.
-                        None => QueuedTask::new(
-                            RecvCharge::Message { words, kind, short },
-                            Work::DuplicateDrop { seq },
-                        ),
-                    }
+                    ),
                 };
                 task.ack = Some(ticket);
                 self.procs[dst.index()].enqueue(task);
                 self.ensure_poll(dst, now, queue);
             }
             Event::Timeout(seq) => {
-                let Some(entry) = self.in_flight.get(&seq) else {
+                let Some(entry) = self.transport.get(seq) else {
                     return; // acked meanwhile — stale timer
                 };
                 let src = entry.src;
@@ -3161,8 +3107,8 @@ impl Simulation for System {
                     // The sender died: nobody is left to retransmit, and no
                     // ack will ever release the buffer. Retire the envelope
                     // so the dedup watermark can advance past it.
-                    self.in_flight.remove(&seq);
-                    self.advance_watermark();
+                    self.transport.remove(seq);
+                    self.transport.advance();
                     return;
                 }
                 self.procs[src.index()]
