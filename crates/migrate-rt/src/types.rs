@@ -111,10 +111,15 @@ impl From<Vec<Word>> for WordVec {
 }
 
 impl From<&[Word]> for WordVec {
+    /// A plain copy loop, not `copy_from_slice`: at most four words, and a
+    /// `memcpy` call for them costs more than the copy.
+    #[inline]
     fn from(s: &[Word]) -> WordVec {
         if s.len() <= WORDVEC_INLINE {
             let mut buf = [0; WORDVEC_INLINE];
-            buf[..s.len()].copy_from_slice(s);
+            for (d, &w) in buf.iter_mut().zip(s) {
+                *d = w;
+            }
             WordVec(Repr::Inline {
                 len: s.len() as u8,
                 buf,
@@ -126,8 +131,18 @@ impl From<&[Word]> for WordVec {
 }
 
 impl<const N: usize> From<[Word; N]> for WordVec {
+    /// `N` is a constant, so the inline case compiles to `N` stores.
+    #[inline]
     fn from(a: [Word; N]) -> WordVec {
-        WordVec::from(&a[..])
+        if N <= WORDVEC_INLINE {
+            let mut buf = [0; WORDVEC_INLINE];
+            for (d, w) in buf.iter_mut().zip(a) {
+                *d = w;
+            }
+            WordVec(Repr::Inline { len: N as u8, buf })
+        } else {
+            WordVec(Repr::Heap(a.to_vec()))
+        }
     }
 }
 
@@ -238,6 +253,9 @@ mod tests {
         assert_eq!(&from_slice[..], &[1, 2, 3]);
         let from_array: WordVec = [4u64, 5].into();
         assert!(matches!(from_array.0, Repr::Inline { len: 2, .. }));
+        let full_array: WordVec = [4u64, 5, 6, 7].into();
+        assert!(matches!(full_array.0, Repr::Inline { len: 4, .. }));
+        assert_eq!(&full_array[..], &[4, 5, 6, 7]);
         assert_eq!(WordVec::from([]), WordVec::new());
         let spilled_array: WordVec = [1u64; 5].into();
         assert!(matches!(spilled_array.0, Repr::Heap(_)));

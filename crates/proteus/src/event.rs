@@ -5,31 +5,40 @@
 //! simulations bit-for-bit reproducible, which the experiment harness and the
 //! property tests rely on.
 //!
-//! # Two-tier structure
+//! # Structure
 //!
-//! The queue is split by temporal distance. Events within `WHEEL_SLOTS`
-//! cycles of the current window base land in a timing wheel — one slot per
-//! cycle, with a bitmap over slots so the next occupied slot is found by a
-//! word-wise scan instead of a heap traversal. Events further out overflow
-//! into a binary heap and migrate into the wheel in batches whenever the
-//! wheel drains.
+//! Each pending event is written once into a slab of nodes and stays there
+//! until it pops; freed nodes form a free list, so a steady-state run
+//! reuses the same few nodes and allocates nothing. What moves between the
+//! two tiers is a 4-byte node index, never the event:
+//!
+//! * **Wheel.** Events due within `WHEEL_SLOTS` cycles of `now` sit in a
+//!   timing wheel, one slot per cycle. A slot is a `head`/`tail` pair of
+//!   indices into a singly linked list of slab nodes, and a bitmap over the
+//!   slots finds the next occupied one by a word-wise scan.
+//! * **Heap.** Events further out sit in a binary heap of
+//!   `(time, seq, node)` triples.
+//!
+//! The window follows the clock: an event goes into the wheel when
+//! `at - now < WHEEL_SLOTS`. Right after every pop and every `advance_to`,
+//! before the caller can schedule anything at the new `now`, every heap
+//! entry with `at < now + WHEEL_SLOTS` moves into the wheel. So the wheel
+//! holds exactly the pending events in `[now, now + WHEEL_SLOTS)` and the
+//! heap the later ones.
 //!
 //! Determinism does not depend on which tier an event lands in:
 //!
-//! * Wheel slots cover `[wheel_base, wheel_base + WHEEL_SLOTS)` and the heap
-//!   only holds strictly later times, so a wheel event and a heap event can
-//!   never tie on time.
-//! * Within one slot all events share one timestamp. Sequence numbers are
-//!   globally monotone and the clock never runs backwards, so slot pushes —
-//!   whether from `schedule_at` or from draining the heap in `(time, seq)`
-//!   order during a window advance — always append in sequence order. FIFO
-//!   ties therefore come out of plain `push_back`/`pop_front`.
-//! * The window only advances when the wheel is empty, immediately before
-//!   popping the event that defines the new base, so `now >= wheel_base`
-//!   holds whenever callers can observe the queue.
+//! * Every wheel time precedes every heap time, so the two tiers never tie.
+//! * The window is `WHEEL_SLOTS` wide, so each slot holds one timestamp.
+//! * Within a slot, events are appended in sequence order. Those that waited
+//!   in the heap were scheduled while their time was still out of the
+//!   window, so before any event scheduled straight into the slot; they
+//!   move in the heap's `(time, seq)` order, all at once, as soon as the
+//!   window reaches them. FIFO ties therefore come out of a plain linked
+//!   list.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::time::Cycles;
 
@@ -38,44 +47,42 @@ use crate::time::Cycles;
 const WHEEL_SLOTS: usize = 4096;
 /// Words in the slot-occupancy bitmap.
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
+/// The null node index: end of a list, empty slot, empty free list.
+const NIL: u32 = u32::MAX;
 
-struct Scheduled<E> {
-    at: Cycles,
-    seq: u64,
-    event: E,
+/// A slab entry: a pending event (`None` while on the free list) and the
+/// next node of its wheel slot or of the free list.
+struct Node<E> {
+    event: Option<E>,
+    next: u32,
 }
 
-// Manual impls: ordering must ignore the payload (which need not be `Ord`),
-// and the heap is a max-heap so we invert the comparison to pop earliest
-// first.
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// The linked list of one wheel slot; `tail` is stale while `head` is `NIL`.
+#[derive(Copy, Clone)]
+struct Slot {
+    head: u32,
+    tail: u32,
 }
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
+
+const EMPTY_SLOT: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+};
 
 /// A time-ordered queue of simulation events.
 pub struct EventQueue<E> {
-    /// Near-future tier: slot `t % WHEEL_SLOTS` holds the events at time `t`
-    /// for `t` in `[wheel_base, wheel_base + WHEEL_SLOTS)`, in FIFO order.
-    slots: Box<[VecDeque<E>]>,
+    /// Every pending event, written once; free nodes are chained from `free`.
+    nodes: Vec<Node<E>>,
+    free: u32,
+    /// Near-future tier: slot `t % WHEEL_SLOTS` lists the events at time `t`
+    /// for `t` in `[now, now + WHEEL_SLOTS)`, in FIFO order.
+    slots: Box<[Slot]>,
     /// One bit per slot; set iff the slot is non-empty.
     occupied: [u64; WHEEL_WORDS],
     wheel_len: usize,
-    wheel_base: Cycles,
-    /// Far-future tier: events at `wheel_base + WHEEL_SLOTS` or later.
-    heap: BinaryHeap<Scheduled<E>>,
+    /// Far-future tier: `(time, seq, node)` for events at
+    /// `now + WHEEL_SLOTS` or later, earliest first.
+    heap: BinaryHeap<Reverse<(Cycles, u64, u32)>>,
     seq: u64,
     now: Cycles,
     peak: usize,
@@ -91,10 +98,11 @@ impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            slots: vec![EMPTY_SLOT; WHEEL_SLOTS].into_boxed_slice(),
             occupied: [0; WHEEL_WORDS],
             wheel_len: 0,
-            wheel_base: Cycles::ZERO,
             heap: BinaryHeap::new(),
             seq: 0,
             now: Cycles::ZERO,
@@ -137,18 +145,14 @@ impl<E> EventQueue<E> {
             self.now
         );
         let at = at.max(self.now);
-        // `at >= now >= wheel_base`, so the delta cannot underflow.
-        if at.get().wrapping_sub(self.wheel_base.get()) < WHEEL_SLOTS as u64 {
-            self.push_wheel(at, event);
+        let node = self.alloc(event);
+        if self.in_window(at) {
+            self.push_wheel(at, node);
         } else {
-            self.heap.push(Scheduled {
-                at,
-                seq: self.seq,
-                event,
-            });
+            self.heap.push(Reverse((at, self.seq, node)));
         }
         self.seq += 1;
-        let len = self.wheel_len + self.heap.len();
+        let len = self.len();
         if len > self.peak {
             self.peak = len;
         }
@@ -168,25 +172,25 @@ impl<E> EventQueue<E> {
     /// advancing `now` to it. One call replaces a `peek_time` + `pop` pair
     /// in the event loop's hot path.
     pub fn pop_before(&mut self, horizon: Cycles) -> Option<(Cycles, E)> {
-        if self.wheel_len == 0 {
-            // Wheel times always precede heap times, so an empty wheel means
-            // the heap's minimum is the queue's minimum. Don't move the
-            // window for an event beyond the horizon.
-            if self.heap.peek()?.at > horizon {
+        let (t, node) = if self.wheel_len > 0 {
+            let (idx, t) = self.wheel_next();
+            if t > horizon {
                 return None;
             }
-            self.refill_wheel();
-        }
-        let (idx, t) = self.wheel_next();
-        if t > horizon {
-            return None;
-        }
-        let event = self.slots[idx].pop_front().expect("occupied slot is empty");
-        if self.slots[idx].is_empty() {
-            self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
-        }
-        self.wheel_len -= 1;
+            (t, self.pop_slot(idx))
+        } else {
+            // Wheel times always precede heap times, so an empty wheel means
+            // the heap's minimum is the queue's minimum.
+            let Reverse((t, _, node)) = *self.heap.peek()?;
+            if t > horizon {
+                return None;
+            }
+            self.heap.pop();
+            (t, node)
+        };
+        let event = self.release(node);
         self.now = t;
+        self.follow_now();
         Some((t, event))
     }
 
@@ -195,7 +199,7 @@ impl<E> EventQueue<E> {
         if self.wheel_len > 0 {
             Some(self.wheel_next().1)
         } else {
-            self.heap.peek().map(|s| s.at)
+            self.heap.peek().map(|&Reverse((at, _, _))| at)
         }
     }
 
@@ -208,42 +212,100 @@ impl<E> EventQueue<E> {
             debug_assert!(t <= next, "advance_to would skip pending events");
         }
         self.now = self.now.max(t);
+        self.follow_now();
     }
 
+    /// Store `event` in a free node (or a new one) and return its index.
     #[inline]
-    fn push_wheel(&mut self, at: Cycles, event: E) {
-        let idx = (at.get() as usize) & (WHEEL_SLOTS - 1);
-        self.occupied[idx >> 6] |= 1u64 << (idx & 63);
-        self.slots[idx].push_back(event);
+    fn alloc(&mut self, event: E) -> u32 {
+        if self.free != NIL {
+            let idx = self.free;
+            let node = &mut self.nodes[idx as usize];
+            self.free = node.next;
+            node.event = Some(event);
+            node.next = NIL;
+            idx
+        } else {
+            let idx = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("more than u32::MAX - 1 pending events");
+            self.nodes.push(Node {
+                event: Some(event),
+                next: NIL,
+            });
+            idx
+        }
+    }
+
+    /// Take the event out of `idx` and put the node on the free list.
+    #[inline]
+    fn release(&mut self, idx: u32) -> E {
+        let node = &mut self.nodes[idx as usize];
+        let event = node.event.take().expect("released node holds no event");
+        node.next = self.free;
+        self.free = idx;
+        event
+    }
+
+    /// Append node `idx`, due at `at`, to the tail of its wheel slot.
+    #[inline]
+    fn push_wheel(&mut self, at: Cycles, idx: u32) {
+        let s = (at.get() as usize) & (WHEEL_SLOTS - 1);
+        let slot = &mut self.slots[s];
+        if slot.head == NIL {
+            slot.head = idx;
+            self.occupied[s >> 6] |= 1u64 << (s & 63);
+        } else {
+            self.nodes[slot.tail as usize].next = idx;
+        }
+        slot.tail = idx;
         self.wheel_len += 1;
     }
 
-    /// Move the window to the heap's minimum and pull every heap event that
-    /// now fits. Heap pops come out in `(time, seq)` order, so each slot is
-    /// filled in sequence order; all slots are empty when this runs.
-    fn refill_wheel(&mut self) {
-        debug_assert!(self.wheel_len == 0, "window advanced under live slots");
-        let base = self.heap.peek().expect("refill from empty heap").at;
-        self.wheel_base = base;
-        let limit = base.get().saturating_add(WHEEL_SLOTS as u64);
-        while let Some(top) = self.heap.peek() {
-            if top.at.get() >= limit {
+    /// Unlink and return the head node of occupied slot `s`.
+    #[inline]
+    fn pop_slot(&mut self, s: usize) -> u32 {
+        let idx = self.slots[s].head;
+        let next = self.nodes[idx as usize].next;
+        self.slots[s].head = next;
+        if next == NIL {
+            self.occupied[s >> 6] &= !(1u64 << (s & 63));
+        }
+        self.wheel_len -= 1;
+        idx
+    }
+
+    /// Whether an event at `at >= now` belongs in the wheel. A difference,
+    /// not `at < now + WHEEL_SLOTS`, so the rule still holds where that sum
+    /// would saturate at `Cycles::MAX`.
+    #[inline]
+    fn in_window(&self, at: Cycles) -> bool {
+        at.get() - self.now.get() < WHEEL_SLOTS as u64
+    }
+
+    /// Move every heap entry that the window `[now, now + WHEEL_SLOTS)` now
+    /// covers into the wheel. Heap pops come out in `(time, seq)` order, and
+    /// nothing has been scheduled at the new `now` yet, so each slot is
+    /// extended in sequence order.
+    #[inline]
+    fn follow_now(&mut self) {
+        while let Some(&Reverse((at, _, idx))) = self.heap.peek() {
+            if !self.in_window(at) {
                 break;
             }
-            let s = self.heap.pop().expect("peeked entry exists");
-            self.push_wheel(s.at, s.event);
+            self.heap.pop();
+            self.push_wheel(at, idx);
         }
     }
 
     /// Index and timestamp of the earliest occupied wheel slot. Requires a
     /// non-empty wheel. Every live slot holds a time in
-    /// `[max(now, wheel_base), wheel_base + WHEEL_SLOTS)` — a span at most
-    /// `WHEEL_SLOTS` wide — so the first set bit in a circular scan from
-    /// `max(now, wheel_base)` is the earliest event.
+    /// `[now, now + WHEEL_SLOTS)`, so the first set bit in a circular scan
+    /// from `now` is the earliest event.
     fn wheel_next(&self) -> (usize, Cycles) {
         debug_assert!(self.wheel_len > 0, "scan of empty wheel");
-        let from = self.now.max(self.wheel_base);
-        let start = (from.get() as usize) & (WHEEL_SLOTS - 1);
+        let start = (self.now.get() as usize) & (WHEEL_SLOTS - 1);
         let mut word = start >> 6;
         let mut bits = self.occupied[word] & (!0u64 << (start & 63));
         // `<= WHEEL_WORDS` re-scans the starting word in full after a wrap:
@@ -253,7 +315,7 @@ impl<E> EventQueue<E> {
             if bits != 0 {
                 let idx = (word << 6) | bits.trailing_zeros() as usize;
                 let delta = idx.wrapping_sub(start) & (WHEEL_SLOTS - 1);
-                return (idx, Cycles(from.get() + delta as u64));
+                return (idx, Cycles(self.now.get() + delta as u64));
             }
             word = (word + 1) & (WHEEL_WORDS - 1);
             bits = self.occupied[word];
@@ -380,6 +442,18 @@ mod tests {
         q.schedule_at(Cycles(WHEEL_SLOTS as u64 - 1), "in-window");
         assert_eq!(q.pop(), Some((Cycles(WHEEL_SLOTS as u64 - 1), "in-window")));
         assert_eq!(q.pop(), Some((Cycles(WHEEL_SLOTS as u64), "boundary")));
+    }
+
+    #[test]
+    fn ties_at_the_end_of_time_stay_fifo() {
+        // `now + WHEEL_SLOTS` saturates here; the heap event must still join
+        // the wheel ahead of the same-cycle event scheduled after it.
+        let mut q = EventQueue::new();
+        q.schedule_at(Cycles::MAX, "first");
+        q.advance_to(Cycles(u64::MAX - 10));
+        q.schedule_at(Cycles::MAX, "second");
+        assert_eq!(q.pop(), Some((Cycles::MAX, "first")));
+        assert_eq!(q.pop(), Some((Cycles::MAX, "second")));
     }
 
     #[test]

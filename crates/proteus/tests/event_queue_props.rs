@@ -1,7 +1,8 @@
 //! Differential property tests: the two-tier wheel+heap `EventQueue` must be
 //! observationally identical to the old single-`BinaryHeap` implementation —
 //! same `(time, seq)` pop order (including same-cycle FIFO ties), same clock,
-//! same horizon clamping — under arbitrary schedule/pop/advance interleavings.
+//! same horizon clamping, same peak depth — under arbitrary
+//! schedule/pop/advance interleavings.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -10,6 +11,10 @@ use proptest::prelude::*;
 use proteus::event::EventQueue;
 use proteus::Cycles;
 
+/// The queue's wheel width in cycles: events due this far from `now` or
+/// further wait in its heap.
+const WHEEL_SLOTS: u64 = 4096;
+
 /// The pre-optimization queue, reproduced verbatim as the reference model:
 /// one max-heap with inverted `(time, seq)` ordering, `pop` advances the
 /// clock, `pop_before` is the peek-then-pop pair the engine used to do.
@@ -17,6 +22,7 @@ struct RefQueue<E> {
     heap: BinaryHeap<RefScheduled<E>>,
     seq: u64,
     now: Cycles,
+    peak: usize,
 }
 
 struct RefScheduled<E> {
@@ -48,6 +54,7 @@ impl<E> RefQueue<E> {
             heap: BinaryHeap::new(),
             seq: 0,
             now: Cycles::ZERO,
+            peak: 0,
         }
     }
 
@@ -59,6 +66,7 @@ impl<E> RefQueue<E> {
             event,
         });
         self.seq += 1;
+        self.peak = self.peak.max(self.heap.len());
     }
 
     fn pop(&mut self) -> Option<(Cycles, E)> {
@@ -89,7 +97,8 @@ impl<E> RefQueue<E> {
 enum Op {
     /// Schedule at `now + delta`. Deltas span several wheel windows so both
     /// tiers and the migration path are exercised; small deltas (and 0)
-    /// produce same-cycle ties.
+    /// produce same-cycle ties, and deltas within two cycles of
+    /// `WHEEL_SLOTS` land on either side of the wheel/heap boundary.
     Schedule(u64),
     /// Pop unconditionally.
     Pop,
@@ -104,14 +113,15 @@ enum Op {
 
 fn decode(tape: &[(u8, u64)]) -> Vec<Op> {
     tape.iter()
-        .map(|&(tag, v)| match tag % 8 {
+        .map(|&(tag, v)| match tag % 9 {
             // Weight scheduling and popping heaviest; bias deltas toward
             // ties and window boundaries.
             0 | 1 => Op::Schedule(v % 12_288),
             2 => Op::Schedule(v % 3),
-            3 | 4 => Op::Pop,
-            5 => Op::PopBefore(v % 9_000),
-            6 => Op::Advance(v % 5_000),
+            3 => Op::Schedule(WHEEL_SLOTS - 2 + v % 4),
+            4 | 5 => Op::Pop,
+            6 => Op::PopBefore(v % 9_000),
+            7 => Op::Advance(v % 5_000),
             _ => Op::Peek,
         })
         .collect()
@@ -157,7 +167,74 @@ fn step(
     }
     prop_assert_eq!(q.now(), r.now, "clock diverged");
     prop_assert_eq!(q.len(), r.heap.len(), "len diverged");
+    prop_assert_eq!(q.peak_len(), r.peak, "peak_len diverged");
     Ok(())
+}
+
+/// Run a fixed tape against both queues, then drain both.
+fn run_tape(ops: &[Op]) {
+    let mut q = EventQueue::new();
+    let mut r = RefQueue::new();
+    let mut next_id = 0usize;
+    for op in ops {
+        step(op, &mut q, &mut r, &mut next_id).unwrap();
+    }
+    loop {
+        let (a, b) = (q.pop(), r.pop());
+        assert_eq!(a, b, "drain diverged");
+        if a.is_none() {
+            break;
+        }
+    }
+}
+
+#[test]
+fn heap_event_keeps_its_turn_once_the_window_reaches_it_by_pop() {
+    // Event 0 at W + 100 waits in the heap. Popping event 1 at 200 brings
+    // it within the window; events 2 and 3 are then scheduled for the same
+    // cycle straight into the wheel and must pop after it. Event 4 is one
+    // cycle past the new window and goes to the heap.
+    run_tape(&[
+        Op::Schedule(WHEEL_SLOTS + 100),
+        Op::Schedule(200),
+        Op::Pop,
+        Op::Schedule(WHEEL_SLOTS - 100),
+        Op::Schedule(WHEEL_SLOTS - 100),
+        Op::Schedule(WHEEL_SLOTS),
+        Op::Peek,
+    ]);
+}
+
+#[test]
+fn heap_event_keeps_its_turn_once_the_window_reaches_it_by_advance() {
+    // As above, but the clock reaches the heap event through `advance_to`:
+    // afterwards the event is exactly `WHEEL_SLOTS - 1` cycles away, the
+    // last slot of the window.
+    run_tape(&[
+        Op::Schedule(WHEEL_SLOTS + 50),
+        Op::Schedule(WHEEL_SLOTS + 50),
+        Op::Advance(51),
+        Op::Schedule(WHEEL_SLOTS - 1),
+        Op::Schedule(WHEEL_SLOTS),
+        Op::Schedule(WHEEL_SLOTS - 1),
+        Op::Pop,
+        Op::Schedule(0),
+    ]);
+}
+
+#[test]
+fn peak_len_counts_both_tiers() {
+    // Alternate near and far events, pop part of the backlog so heap
+    // entries move into the wheel, then refill past the old peak.
+    let mut ops = Vec::new();
+    for i in 0..40 {
+        ops.push(Op::Schedule(if i % 2 == 0 { i } else { WHEEL_SLOTS + i }));
+    }
+    ops.extend((0..25).map(|_| Op::Pop));
+    for i in 0..30 {
+        ops.push(Op::Schedule(WHEEL_SLOTS - 1 + i % 3));
+    }
+    run_tape(&ops);
 }
 
 proptest! {
@@ -165,7 +242,7 @@ proptest! {
 
     #[test]
     fn two_tier_queue_matches_binary_heap_reference(
-        tape in proptest::collection::vec((0u8..8, 0u64..1 << 32), 1..400)
+        tape in proptest::collection::vec((0u8..9, 0u64..1 << 32), 1..400)
     ) {
         let ops = decode(&tape);
         let mut q = EventQueue::new();
