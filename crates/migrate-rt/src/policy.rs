@@ -142,7 +142,9 @@ pub struct PolicyDecision {
 }
 
 /// The per-call-site adaptive dispatch engine owned by a
-/// [`crate::System`]. Sliding windows persist across
+/// [`crate::System`], which builds it the first time an `Auto` dispatch
+/// consults or feeds it — so schemes that never dispatch an `Auto` invoke
+/// carry no engine and no `policy` metrics. Sliding windows persist across
 /// [`crate::System::reset_window`] (the decision stream continues, like
 /// the fault injector's); only the [`PolicyStats`] counters reset.
 #[derive(Clone, Debug)]
@@ -150,10 +152,6 @@ pub struct PolicyEngine {
     cfg: PolicyConfig,
     sites: BTreeMap<&'static str, SiteState>,
     stats: PolicyStats,
-    /// Whether the engine was ever consulted (lifetime of the run):
-    /// gates the `policy` field in metrics so schemes that never dispatch
-    /// an `Auto` invoke keep byte-identical artifacts.
-    active: bool,
 }
 
 impl PolicyEngine {
@@ -163,18 +161,11 @@ impl PolicyEngine {
             cfg,
             sites: BTreeMap::new(),
             stats: PolicyStats::default(),
-            active: false,
         }
-    }
-
-    /// `true` once the engine has been consulted or fed a sample.
-    pub fn is_active(&self) -> bool {
-        self.active
     }
 
     /// Decide the mechanism for one remote `Auto` dispatch from `site`.
     pub fn decide(&mut self, site: &'static str) -> PolicyDecision {
-        self.active = true;
         let window = self.cfg.window;
         let s = self
             .sites
@@ -202,7 +193,6 @@ impl PolicyEngine {
 
     /// Fold one finished episode's remote-access count into `site`'s window.
     pub fn record_episode(&mut self, site: &'static str, remote_accesses: u32) {
-        self.active = true;
         let window = self.cfg.window;
         self.sites
             .entry(site)
@@ -237,7 +227,7 @@ mod tests {
         let d = e.decide("site");
         assert!(!d.migrate, "no evidence yet: default to RPC");
         assert!(!d.flipped);
-        assert!(e.is_active());
+        assert_eq!(e.stats().decisions, 1);
     }
 
     #[test]
