@@ -3,6 +3,17 @@
 //! The paper's machine gives each processor a 64 KB shared-memory cache with
 //! 16-byte lines (§4). We model a set-associative cache with LRU replacement
 //! and MSI line states; the directory protocol lives in [`crate::coherence`].
+//!
+//! The whole cache is one flat array of `sets × ways` tag words, one word
+//! per way: the line plus one, shifted left, with the Modified state in the
+//! low bit, and 0 for an empty way. LRU is kept by position: each set runs
+//! most recently used first with its empty ways last, so a hit or a fill
+//! moves the way to the front, an eviction takes the last way, and an
+//! invalidation closes the gap without reordering the rest. The array is
+//! allocated by the first fill, so a machine that never misses in shared
+//! memory (every message-passing scheme) owns no cache storage.
+
+use std::ops::Range;
 
 use crate::stats::CacheStats;
 
@@ -56,13 +67,6 @@ impl CacheConfig {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Way {
-    line: u64,
-    state: LineState,
-    lru: u64,
-}
-
 /// A line evicted to make room for a fill.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Evicted {
@@ -72,28 +76,81 @@ pub struct Evicted {
     pub state: LineState,
 }
 
+/// Lines at or above this cannot be tagged: `line + 1` must fit in the 63
+/// bits above the state bit.
+const LINE_LIMIT: u64 = (1 << 63) - 1;
+
+/// The tag of `line` with its state bit clear.
+#[inline]
+fn key(line: u64) -> u64 {
+    assert!(
+        line < LINE_LIMIT,
+        "line {line:#x} is beyond the cache's 63-bit tag range"
+    );
+    (line + 1) << 1
+}
+
+#[inline]
+fn state_bit(state: LineState) -> u64 {
+    u64::from(state == LineState::Modified)
+}
+
+#[inline]
+fn state_of(tag: u64) -> LineState {
+    if tag & 1 == 1 {
+        LineState::Modified
+    } else {
+        LineState::Shared
+    }
+}
+
+/// The way in `set` holding the line whose tag is `key` (state bit clear).
+/// Empty ways are 0 and never match: every key is at least 2.
+#[inline]
+fn find(set: &[u64], key: u64) -> Option<usize> {
+    set.iter().position(|&tag| tag & !1 == key)
+}
+
+/// Put `tag` at the front of `set`, moving the ways before `pos` back by
+/// one and overwriting the way at `pos`. A plain loop: on sets this short,
+/// `rotate_right`'s general-purpose code costs more than the moves it makes.
+#[inline]
+fn promote(set: &mut [u64], pos: usize, tag: u64) {
+    let ways = &mut set[..=pos];
+    for i in (1..ways.len()).rev() {
+        ways[i] = ways[i - 1];
+    }
+    ways[0] = tag;
+}
+
 /// One processor's cache.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
-    /// `sets.len() - 1` when the set count is a power of two, letting the
+    /// `sets × ways` tag words, set after set. A tag is
+    /// `((line + 1) << 1) | modified` and 0 is an empty way. Each set runs
+    /// most recently used first, empty ways last. Empty until the first
+    /// fill, so a cache that never misses owns no storage.
+    tags: Vec<u64>,
+    /// Number of sets the geometry implies.
+    sets: usize,
+    /// `sets - 1` when the set count is a power of two, letting the
     /// per-access set index be a mask instead of a division.
     set_mask: Option<u64>,
-    tick: u64,
     stats: CacheStats,
 }
 
 impl Cache {
-    /// An empty cache with the given geometry.
+    /// An empty cache with the given geometry. Allocates nothing.
     pub fn new(config: CacheConfig) -> Cache {
+        assert!(config.ways > 0, "cache must have at least one way");
         let sets = config.sets() as usize;
         assert!(sets > 0, "cache must have at least one set");
         Cache {
-            sets: vec![Vec::new(); sets],
+            tags: Vec::new(),
+            sets,
             set_mask: (sets as u64).is_power_of_two().then(|| sets as u64 - 1),
             config,
-            tick: 0,
             stats: CacheStats::default(),
         }
     }
@@ -103,133 +160,124 @@ impl Cache {
         &self.config
     }
 
-    fn set_index(&self, line: u64) -> usize {
-        match self.set_mask {
-            Some(mask) => (line & mask) as usize,
-            None => (line % self.sets.len() as u64) as usize,
-        }
+    /// The index range of `line`'s set in `tags`.
+    #[inline]
+    fn set_range(&self, line: u64) -> Range<usize> {
+        let set = match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.sets as u64,
+        } as usize;
+        let ways = self.config.ways;
+        set * ways..(set + 1) * ways
+    }
+
+    /// The ways of `line`'s set; empty before the first fill.
+    #[inline]
+    fn set_mut(&mut self, line: u64) -> &mut [u64] {
+        let range = self.set_range(line);
+        self.tags.get_mut(range).unwrap_or(&mut [])
     }
 
     /// The state of `line` if present.
     pub fn probe(&self, line: u64) -> Option<LineState> {
-        let set = &self.sets[self.set_index(line)];
-        set.iter().find(|w| w.line == line).map(|w| w.state)
+        let key = key(line);
+        let set = self.tags.get(self.set_range(line))?;
+        find(set, key).map(|pos| state_of(set[pos]))
     }
 
     /// Record a hit on `line`, refreshing LRU. The caller must have probed.
     pub fn touch(&mut self, line: u64) {
-        self.tick += 1;
-        let tick = self.tick;
-        let idx = self.set_index(line);
-        if let Some(w) = self.sets[idx].iter_mut().find(|w| w.line == line) {
-            w.lru = tick;
-            self.stats.hits += 1;
-        }
+        self.hit_read(line);
     }
 
     /// [`probe`](Self::probe) + [`touch`](Self::touch) in one scan of the
-    /// set: if `line` is resident, refresh its LRU stamp, count a hit, and
-    /// return its state. Behaviorally identical to the two-call sequence on
-    /// the read hot path, without searching the set twice.
+    /// set: if `line` is resident, make it the most recently used, count a
+    /// hit, and return its state.
     pub fn hit_read(&mut self, line: u64) -> Option<LineState> {
-        let idx = self.set_index(line);
-        let tick = self.tick + 1;
-        if let Some(w) = self.sets[idx].iter_mut().find(|w| w.line == line) {
-            self.tick = tick;
-            w.lru = tick;
-            self.stats.hits += 1;
-            Some(w.state)
-        } else {
-            None
-        }
+        let key = key(line);
+        let set = self.set_mut(line);
+        let pos = find(set, key)?;
+        let tag = set[pos];
+        promote(set, pos, tag);
+        self.stats.hits += 1;
+        Some(state_of(tag))
     }
 
     /// [`hit_read`](Self::hit_read) restricted to Modified lines: a write
     /// hits only if this cache already holds the line exclusively. A Shared
     /// copy must still take the upgrade path and is deliberately left
-    /// untouched (no LRU refresh, no hit counted), exactly as the probe-only
-    /// sequence behaved.
+    /// untouched (no LRU refresh, no hit counted).
     pub fn hit_modified(&mut self, line: u64) -> bool {
-        let idx = self.set_index(line);
-        let tick = self.tick + 1;
-        if let Some(w) = self.sets[idx]
-            .iter_mut()
-            .find(|w| w.line == line && w.state == LineState::Modified)
-        {
-            self.tick = tick;
-            w.lru = tick;
-            self.stats.hits += 1;
-            true
-        } else {
-            false
-        }
+        let tag = key(line) | 1;
+        let set = self.set_mut(line);
+        let Some(pos) = set.iter().position(|&t| t == tag) else {
+            return false;
+        };
+        promote(set, pos, tag);
+        self.stats.hits += 1;
+        true
     }
 
-    /// Insert (or upgrade) `line` in `state`, returning any eviction needed
-    /// to make room. Counts a miss.
+    /// Insert (or upgrade) `line` in `state` as the most recently used,
+    /// returning any eviction needed to make room. Counts a miss.
     pub fn fill(&mut self, line: u64, state: LineState) -> Option<Evicted> {
-        self.tick += 1;
-        let tick = self.tick;
-        let ways = self.config.ways;
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
+        let key = key(line);
+        if self.tags.is_empty() {
+            self.tags = vec![0; self.sets * self.config.ways];
+        }
         self.stats.misses += 1;
-        if let Some(w) = set.iter_mut().find(|w| w.line == line) {
+        let tag = key | state_bit(state);
+        let set = self.set_mut(line);
+        if let Some(pos) = find(set, key) {
             // Upgrade in place (e.g. Shared -> Modified).
-            w.state = state;
-            w.lru = tick;
+            promote(set, pos, tag);
             return None;
         }
-        let evicted = if set.len() >= ways {
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.lru)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            let w = set.swap_remove(victim);
-            if w.state == LineState::Modified {
-                self.stats.writebacks += 1;
-            }
-            Some(Evicted {
-                line: w.line,
-                state: w.state,
-            })
-        } else {
-            None
+        // The last way is empty if any is, else the least recently used.
+        let last = set.len() - 1;
+        let victim = set[last];
+        promote(set, last, tag);
+        if victim == 0 {
+            return None;
+        }
+        let evicted = Evicted {
+            line: (victim >> 1) - 1,
+            state: state_of(victim),
         };
-        set.push(Way {
-            line,
-            state,
-            lru: tick,
-        });
-        evicted
+        if evicted.state == LineState::Modified {
+            self.stats.writebacks += 1;
+        }
+        Some(evicted)
     }
 
     /// Change the state of a resident line (e.g. Modified -> Shared on a
-    /// remote read). No-op if the line is absent.
+    /// remote read) without refreshing LRU. No-op if the line is absent.
     pub fn set_state(&mut self, line: u64, state: LineState) {
-        let idx = self.set_index(line);
-        if let Some(w) = self.sets[idx].iter_mut().find(|w| w.line == line) {
-            w.state = state;
+        let key = key(line);
+        let set = self.set_mut(line);
+        if let Some(pos) = find(set, key) {
+            set[pos] = key | state_bit(state);
         }
     }
 
-    /// Drop `line` (remote invalidation). Returns its state if it was
-    /// resident, so the caller can account a writeback for Modified lines.
+    /// Drop `line` (remote invalidation), keeping the other ways in order.
+    /// Returns its state if it was resident, so the caller can account a
+    /// writeback for Modified lines.
     pub fn invalidate(&mut self, line: u64) -> Option<LineState> {
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|w| w.line == line) {
-            let w = set.swap_remove(pos);
-            self.stats.invalidations_received += 1;
-            if w.state == LineState::Modified {
-                self.stats.writebacks += 1;
-            }
-            Some(w.state)
-        } else {
-            None
+        let key = key(line);
+        let set = self.set_mut(line);
+        let pos = find(set, key)?;
+        let state = state_of(set[pos]);
+        let rest = &mut set[pos..];
+        for i in 1..rest.len() {
+            rest[i - 1] = rest[i];
         }
+        rest[rest.len() - 1] = 0;
+        self.stats.invalidations_received += 1;
+        if state == LineState::Modified {
+            self.stats.writebacks += 1;
+        }
+        Some(state)
     }
 
     /// Hit/miss counters.
@@ -244,7 +292,7 @@ impl Cache {
 
     /// Number of resident lines (for tests and invariant checks).
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.tags.iter().filter(|&&tag| tag != 0).count()
     }
 }
 
@@ -342,6 +390,39 @@ mod tests {
         for line in 0..4 {
             assert!(c.probe(line).is_some());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cache must have at least one way")]
+    fn zero_ways_is_rejected_by_name() {
+        Cache::new(CacheConfig {
+            ways: 0,
+            ..CacheConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the cache's 63-bit tag range")]
+    fn line_beyond_the_tag_range_is_rejected() {
+        tiny().fill(LINE_LIMIT, LineState::Shared);
+    }
+
+    #[test]
+    fn largest_taggable_line_round_trips() {
+        let mut c = tiny();
+        let top = LINE_LIMIT - 1;
+        c.fill(top, LineState::Modified);
+        assert_eq!(c.probe(top), Some(LineState::Modified));
+        // `top` shares set 2 with lines 2 and 6; two more fills evict it.
+        c.fill(2, LineState::Shared);
+        let ev = c.fill(6, LineState::Shared).expect("eviction");
+        assert_eq!(
+            ev,
+            Evicted {
+                line: top,
+                state: LineState::Modified
+            }
+        );
     }
 
     #[test]

@@ -1,22 +1,40 @@
 //! With no tracer attached, the steady-state event loop makes zero heap
 //! allocations per event: the queue reuses slab nodes from its free list,
 //! its far-future heap keeps its capacity, and the lazy `emit_with` closure
-//! never runs. Verified with a counting global allocator rather than
-//! inspection.
+//! never runs. The coherence caches own no storage until their first fill,
+//! and allocate nothing after it. Verified with a counting global allocator
+//! rather than inspection.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use proteus::{Cycles, Engine, EventQueue, Simulation};
+use proteus::{
+    Cache, CacheConfig, CoherenceCosts, CoherenceSystem, Cycles, Engine, EventQueue, LineState,
+    Simulation,
+};
 
 thread_local! {
     // Per thread, so the tests in this file can run side by side without
     // seeing each other's allocations.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes as u64));
+}
+
+/// Run `f`, returning its result with the allocations it made and the bytes
+/// they asked for.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (count, bytes) = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    let out = f();
+    (
+        out,
+        ALLOCATIONS.with(Cell::get) - count,
+        BYTES.with(Cell::get) - bytes,
+    )
 }
 
 struct CountingAlloc;
@@ -25,7 +43,7 @@ struct CountingAlloc;
 // const-initialised thread-local `Cell` (no destructor, never allocates).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -34,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -108,4 +126,76 @@ fn far_future_heap_and_its_move_into_the_wheel_allocate_nothing() {
         allocations, 0,
         "near+far event loop allocated {allocations} times over {events} events"
     );
+}
+
+/// Bytes of one default (64 KB, 4-way) cache's tag array: a word per way.
+fn tag_array_bytes() -> u64 {
+    let config = CacheConfig::default();
+    config.sets() * config.ways as u64 * 8
+}
+
+#[test]
+fn a_coherence_system_owns_no_cache_storage_until_it_misses() {
+    const PROCESSORS: u32 = 128;
+    let (_system, allocations, bytes) = allocations_in(|| {
+        CoherenceSystem::new(
+            PROCESSORS,
+            CacheConfig::default(),
+            CoherenceCosts::default(),
+        )
+    });
+    assert!(
+        allocations < u64::from(PROCESSORS),
+        "building {PROCESSORS} processors' caches allocated {allocations} times"
+    );
+    assert!(
+        bytes < tag_array_bytes(),
+        "building {PROCESSORS} processors' caches allocated {bytes} B, \
+         more than one cache's {} B of tags",
+        tag_array_bytes()
+    );
+}
+
+#[test]
+fn a_cache_allocates_once_on_its_first_fill_and_never_after() {
+    let (mut cache, allocations, _) = allocations_in(|| Cache::new(CacheConfig::default()));
+    assert_eq!(allocations, 0, "Cache::new allocated");
+
+    let ((), allocations, _) = allocations_in(|| {
+        assert_eq!(cache.hit_read(7), None);
+        assert!(!cache.hit_modified(7));
+        assert_eq!(cache.invalidate(7), None);
+        cache.set_state(7, LineState::Modified);
+        cache.touch(7);
+    });
+    assert_eq!(allocations, 0, "accesses to an empty cache allocated");
+
+    let (evicted, allocations, bytes) = allocations_in(|| cache.fill(7, LineState::Shared));
+    assert_eq!(evicted, None);
+    assert_eq!(
+        (allocations, bytes),
+        (1, tag_array_bytes()),
+        "the first fill must allocate the tag array, once"
+    );
+
+    // Many times the cache's capacity, so every set fills, evicts, upgrades,
+    // downgrades and loses lines to invalidation.
+    let ((), allocations, _) = allocations_in(|| {
+        for group in 0..50_000u64 {
+            let line = group.wrapping_mul(0x9e37_79b9) % 40_000;
+            cache.fill(line, LineState::Shared);
+            if !cache.hit_modified(line) {
+                cache.fill(line, LineState::Modified);
+            }
+            if group % 2 == 0 {
+                cache.set_state(line, LineState::Shared);
+            }
+            if group % 3 == 0 {
+                cache.invalidate(line);
+            }
+            cache.hit_read(line ^ 1);
+        }
+    });
+    assert_eq!(allocations, 0, "a filled cache allocated again");
+    assert!(cache.stats().writebacks > 0 && cache.stats().invalidations_received > 0);
 }
