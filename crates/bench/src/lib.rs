@@ -10,8 +10,8 @@
 
 use migrate_apps::btree::BTreeExperiment;
 use migrate_apps::counting::{CountingExperiment, Topology};
-use migrate_rt::{categories as cat, Annotation, CostModel, RunMetrics, Scheme};
-use proteus::{CoherenceCosts, Cycles};
+use migrate_rt::{categories as cat, Annotation, CostModel, RunMetrics, Runner, Scheme};
+use proteus::{CoherenceCosts, Cycles, ProcId};
 
 pub mod json;
 pub mod pool;
@@ -96,15 +96,8 @@ pub fn btree_cell(think: u64, scheme: Scheme, fanout: usize) -> RunMetrics {
 /// Tables 1 and 2: all nine schemes at zero think time (throughput and
 /// bandwidth come from the same runs).
 pub fn btree_table(think: u64, schemes: &[Scheme]) -> Vec<Row> {
-    let metrics = pool::map_indexed(schemes, |&scheme| btree_cell(think, scheme, 100));
-    schemes
-        .iter()
-        .zip(metrics)
-        .map(|(scheme, metrics)| Row {
-            label: scheme.label(),
-            metrics,
-        })
-        .collect()
+    let cells: Vec<_> = schemes.iter().map(|&s| (s.label(), s)).collect();
+    labelled_rows(&cells, |&scheme| btree_cell(think, scheme, 100))
 }
 
 /// Tables 3 and 4: the think-10 000 rows the paper prints (SM, CP w/repl.,
@@ -122,19 +115,12 @@ pub fn btree_table_think() -> Vec<Row> {
 
 /// The §4.2 fanout-10 experiment: CP w/repl. vs SM at zero think time.
 pub fn fanout10_rows() -> Vec<Row> {
-    let schemes = [
+    let cells = [
         Scheme::shared_memory(),
         Scheme::computation_migration().with_replication(),
-    ];
-    let metrics = pool::map_indexed(&schemes, |&scheme| btree_cell(0, scheme, 10));
-    schemes
-        .iter()
-        .zip(metrics)
-        .map(|(scheme, metrics)| Row {
-            label: scheme.label(),
-            metrics,
-        })
-        .collect()
+    ]
+    .map(|s| (s.label(), s));
+    labelled_rows(&cells, |&scheme| btree_cell(0, scheme, 10))
 }
 
 /// Extension comparison (DESIGN.md §7): the mechanisms the paper discusses
@@ -200,31 +186,30 @@ pub fn fault_cell_btree(seed: u64, scheme: Scheme) -> RunMetrics {
 /// migration with the chaos fault plan and the cycle audit on. Deterministic:
 /// the same seed yields identical metrics (and identical JSON) on every run.
 pub fn fault_sweep(seed: u64) -> Vec<Row> {
-    let schemes = [Scheme::rpc(), Scheme::computation_migration()];
-    let cells: Vec<(bool, Scheme)> = schemes
-        .iter()
-        .map(|&s| (true, s))
-        .chain(schemes.iter().map(|&s| (false, s)))
-        .collect();
-    let metrics = pool::map_indexed(&cells, |&(is_counting, s)| {
-        if is_counting {
-            fault_cell_counting(seed, s)
-        } else {
-            fault_cell_btree(seed, s)
-        }
-    });
-    cells
-        .iter()
-        .zip(metrics)
-        .map(|(&(is_counting, s), metrics)| Row {
-            label: format!(
-                "{} {}",
-                if is_counting { "counting" } else { "btree" },
-                s.label()
-            ),
-            metrics,
+    let schemes = [Scheme::rpc(), Scheme::computation_migration()].map(|s| (s.label(), s));
+    app_sweep(seed, &schemes, fault_cell_counting, fault_cell_btree)
+}
+
+/// One application's cell at a seed under a scheme.
+type AppCell = fn(u64, Scheme) -> RunMetrics;
+
+/// Run the `counting` cells, then the `btree` cells, under every named
+/// scheme at `seed`; rows are labelled `<app> <scheme name>`.
+fn app_sweep(
+    seed: u64,
+    schemes: &[(impl std::fmt::Display, Scheme)],
+    counting: AppCell,
+    btree: AppCell,
+) -> Vec<Row> {
+    let cells: Vec<_> = [("counting", counting), ("btree", btree)]
+        .into_iter()
+        .flat_map(|(app, cell)| {
+            schemes
+                .iter()
+                .map(move |(name, s)| (format!("{app} {name}"), (cell, *s)))
         })
-        .collect()
+        .collect();
+    labelled_rows(&cells, |&(cell, s)| cell(seed, s))
 }
 
 /// The eight scheme families the runtime implements (the paper's three plus
@@ -265,7 +250,7 @@ pub fn failover_cell_counting(seed: u64, scheme: Scheme) -> RunMetrics {
     // Victims rotate over the 24 balancer processors: they host network
     // objects but no driver threads (except transiently under thread
     // migration), so the kill exercises re-homing rather than plain loss.
-    let victim = proteus::ProcId((seed % 24) as u32);
+    let victim = ProcId((seed % 24) as u32);
     let at = Cycles(25_000 + 2_500 * (seed % 8));
     let exp = CountingExperiment {
         requests_per_thread: Some(per_thread),
@@ -280,17 +265,7 @@ pub fn failover_cell_counting(seed: u64, scheme: Scheme) -> RunMetrics {
     };
     let (mut runner, spec) = exp.build();
     runner.run_until(FAILOVER_HORIZON);
-    runner
-        .system
-        .audit()
-        .unwrap_or_else(|e| panic!("seed {seed}: audit failed under failover: {e}"));
-    assert!(
-        runner.system.is_declared_dead(victim),
-        "seed {seed}: victim {victim:?} never declared dead"
-    );
-    let f = runner.system.failover_stats().clone();
-    assert_eq!(f.suspicions, 1, "seed {seed}: suspicions {f:?}");
-    assert_eq!(f.promotions, 1, "seed {seed}: promotions {f:?}");
+    let threads_lost = assert_failed_over(&runner, seed, victim);
     let total: u64 = spec
         .counters_in_output_order()
         .iter()
@@ -311,12 +286,29 @@ pub fn failover_cell_counting(seed: u64, scheme: Scheme) -> RunMetrics {
     // Each thread that died with the victim forfeits at most its full
     // quota; every other token must have survived via reroute/re-home.
     assert!(
-        total >= issued.saturating_sub(f.threads_lost * per_thread),
+        total >= issued.saturating_sub(threads_lost * per_thread),
         "seed {seed}: tokens lost beyond dead threads \
-         (exited {total}, issued {issued}, threads lost {})",
-        f.threads_lost
+         (exited {total}, issued {issued}, threads lost {threads_lost})"
     );
     runner.system.metrics(FAILOVER_HORIZON)
+}
+
+/// The checks every failover cell makes once its run ends: the cycle audit
+/// closes, and `victim` was declared dead by exactly one suspicion and one
+/// promotion. Returns the number of threads lost with the victim.
+fn assert_failed_over(runner: &Runner, seed: u64, victim: ProcId) -> u64 {
+    runner
+        .system
+        .audit()
+        .unwrap_or_else(|e| panic!("seed {seed}: audit failed under failover: {e}"));
+    assert!(
+        runner.system.is_declared_dead(victim),
+        "seed {seed}: victim {victim:?} never declared dead"
+    );
+    let f = runner.system.failover_stats();
+    assert_eq!(f.suspicions, 1, "seed {seed}: suspicions {f:?}");
+    assert_eq!(f.promotions, 1, "seed {seed}: promotions {f:?}");
+    f.threads_lost
 }
 
 /// One failover B-tree cell: capped requesters, one data processor (object
@@ -330,7 +322,7 @@ pub fn failover_cell_btree(seed: u64, scheme: Scheme) -> RunMetrics {
     let requesters = 4u32;
     let per_thread = 5u64;
     let data_procs = 8u32;
-    let victim = proteus::ProcId((seed % u64::from(data_procs)) as u32);
+    let victim = ProcId((seed % u64::from(data_procs)) as u32);
     let at = Cycles(30_000 + 3_000 * (seed % 8));
     let exp = BTreeExperiment {
         initial_keys: initial,
@@ -350,17 +342,7 @@ pub fn failover_cell_btree(seed: u64, scheme: Scheme) -> RunMetrics {
     };
     let (mut runner, root) = exp.build();
     runner.run_until(FAILOVER_HORIZON);
-    runner
-        .system
-        .audit()
-        .unwrap_or_else(|e| panic!("seed {seed}: audit failed under failover: {e}"));
-    assert!(
-        runner.system.is_declared_dead(victim),
-        "seed {seed}: victim {victim:?} never declared dead"
-    );
-    let f = runner.system.failover_stats().clone();
-    assert_eq!(f.suspicions, 1, "seed {seed}: suspicions {f:?}");
-    assert_eq!(f.promotions, 1, "seed {seed}: promotions {f:?}");
+    assert_failed_over(&runner, seed, victim);
     let stats = migrate_apps::btree::verify_tree(&runner.system, root)
         .unwrap_or_else(|e| panic!("seed {seed}: tree corrupt after failover: {e}"));
     assert!(
@@ -382,31 +364,12 @@ pub fn failover_cell_btree(seed: u64, scheme: Scheme) -> RunMetrics {
 /// exactly one backup promotion; the returned rows carry the metrics for the
 /// JSON artifact. Deterministic for a given seed.
 pub fn failover_sweep(seed: u64) -> Vec<Row> {
-    let schemes = failover_schemes();
-    let cells: Vec<(bool, &'static str, Scheme)> = schemes
-        .iter()
-        .map(|&(name, s)| (true, name, s))
-        .chain(schemes.iter().map(|&(name, s)| (false, name, s)))
-        .collect();
-    let metrics = pool::map_indexed(&cells, |&(is_counting, _, s)| {
-        if is_counting {
-            failover_cell_counting(seed, s)
-        } else {
-            failover_cell_btree(seed, s)
-        }
-    });
-    cells
-        .iter()
-        .zip(metrics)
-        .map(|(&(is_counting, name, _), metrics)| Row {
-            label: format!(
-                "{} {}",
-                if is_counting { "counting" } else { "btree" },
-                name
-            ),
-            metrics,
-        })
-        .collect()
+    app_sweep(
+        seed,
+        &failover_schemes(),
+        failover_cell_counting,
+        failover_cell_btree,
+    )
 }
 
 // ----------------------------------------------------------------------

@@ -172,8 +172,7 @@ impl Payload {
     }
 }
 
-/// Discriminant of a payload, for statistics. Ordered by declaration, the
-/// order of [`MessageKind::ALL`].
+/// Discriminant of a payload, for statistics, ordered by declaration.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MessageKind {
     /// RPC call message.

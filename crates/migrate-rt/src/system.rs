@@ -3,11 +3,11 @@
 //! This module ties everything together into an executable machine model:
 //!
 //! * application threads are stacks of [`Frame`]s living at a home processor;
-//! * an [`Invoke`] from the top frame is dispatched per the configured
-//!   [`Scheme`]: inline when local, by RPC, by *computation migration* (the
-//!   frame itself moves, with linkage passed so the final return
-//!   short-circuits back to the caller — §3.2 of the paper), or through the
-//!   cache-coherence oracle under shared memory;
+//! * an [`Invoke`](crate::Invoke) from the top frame is dispatched per the
+//!   configured [`Scheme`]: inline when local, by RPC, by *computation
+//!   migration* (the frame itself moves, with linkage passed so the final
+//!   return short-circuits back to the caller — §3.2 of the paper), or
+//!   through the cache-coherence oracle under shared memory;
 //! * every cycle charged is attributed to a Table 5 accounting category, and
 //!   migration-specific charges are additionally folded into a separate
 //!   accounting that regenerates Table 5 itself.
@@ -17,8 +17,11 @@
 //!
 //! * `Core` (here): the always-on charging state every layer books into —
 //!   cost model, accountings, message counts, network, tracer, errors;
-//! * `dispatch`: task execution, message delivery, the thread and detached
-//!   slices, object pulls, the adaptive policy hooks;
+//! * `dispatch`: task execution, message delivery, object pulls, the
+//!   adaptive policy hooks, and one step loop for every activation group:
+//!   the thread's stack at home and a migrated group away from it step the
+//!   same way, and only where the group runs (`away`) decides how a sleep,
+//!   the base frame's return and a migration end;
 //! * `transport` (optional): fault injection and the ack/timeout/retry
 //!   recovery protocol over sequence-numbered envelopes;
 //! * `failover` (optional): heartbeat detection, primary-backup deltas,
@@ -229,12 +232,8 @@ pub enum Event {
         src: ProcId,
         /// Envelope sequence number.
         seq: u64,
-        /// Wire words, for the receive-path charge.
-        words: u64,
-        /// Payload kind.
-        kind: MessageKind,
-        /// Whether the payload takes the short-method receive path.
-        short: bool,
+        /// What the receive-path charge needs.
+        meta: RecvMeta,
     },
     /// A retransmission timer for envelope `seq` expired (stale once the
     /// envelope is acknowledged).
@@ -274,9 +273,7 @@ enum Work {
     DuplicateDrop {
         src: ProcId,
         seq: u64,
-        words: u64,
-        kind: MessageKind,
-        short: bool,
+        meta: RecvMeta,
     },
     /// Retransmit (or give up on) unacked envelope `seq`.
     Retransmit { seq: u64 },
@@ -319,9 +316,10 @@ struct ThreadState {
     auto_remote: u32,
 }
 
-/// A detached activation group about to resume: the frames below the top,
-/// the top frame, and the processor its final return short-circuits to.
-type ResumingGroup = (Vec<Box<dyn Frame>>, Box<dyn Frame>, ProcId);
+/// An activation group about to resume: the frames below the top, the top
+/// frame, and where it runs — `None` for the thread's own stack at home,
+/// else the processor a migrated group's final return short-circuits to.
+type ResumingGroup = (Vec<Box<dyn Frame>>, Box<dyn Frame>, Option<ProcId>);
 
 struct DetachedFrame {
     /// The migrated activation group, bottom first (one frame in the
@@ -331,15 +329,18 @@ struct DetachedFrame {
     reply_to: ProcId,
 }
 
-/// Receive-path short-method flag for a payload: only RPC requests for
-/// long methods and arriving activations pay thread creation.
-#[inline]
-fn recv_short(payload: &Payload) -> bool {
-    match payload {
-        Payload::RpcRequest { invoke, .. } => invoke.short_method,
-        Payload::Migration { .. } | Payload::ThreadMove { .. } => false,
-        _ => true,
-    }
+/// What charging a payload's receive path needs, kept where the payload
+/// itself is not: in an envelope's arrival event, a duplicate's suppression
+/// task and the sender's retransmission buffer. Only the runtime builds one,
+/// from the payload it describes.
+#[derive(Copy, Clone, Debug)]
+pub struct RecvMeta {
+    /// Wire words.
+    words: u64,
+    /// Payload kind.
+    kind: MessageKind,
+    /// Short-method receive path: no thread creation.
+    short: bool,
 }
 
 /// The always-on charging state every layer books into. [`System`] lends
@@ -413,6 +414,22 @@ impl Core {
         payload.words() + extra
     }
 
+    /// The receive-path metadata of `payload`: only RPC requests for long
+    /// methods and arriving activations pay thread creation.
+    #[inline]
+    fn recv_meta(&self, payload: &Payload) -> RecvMeta {
+        let short = match payload {
+            Payload::RpcRequest { invoke, .. } => invoke.short_method,
+            Payload::Migration { .. } | Payload::ThreadMove { .. } => false,
+            _ => true,
+        };
+        RecvMeta {
+            words: self.wire_words(payload),
+            kind: payload.kind(),
+            short,
+        }
+    }
+
     /// Charge the sender-side costs of a message (Table 5 categories plus
     /// network transit) and book the wire traffic. Returns
     /// `(overhead, Some(latency))`, or `(overhead, None)` when the network
@@ -469,7 +486,7 @@ impl Core {
 
     /// Charge the receive path of a message; returns the processor-busy
     /// overhead.
-    fn charge_recv(&mut self, words: u64, kind: MessageKind, short: bool) -> Cycles {
+    fn charge_recv(&mut self, RecvMeta { words, kind, short }: RecvMeta) -> Cycles {
         let was = self.migration_ctx;
         self.migration_ctx = was || kind == MessageKind::Migration;
         let thread = if short {
@@ -722,17 +739,47 @@ impl System {
     }
 
     // ------------------------------------------------------------------
-    // Frame-group buffer recycling
+    // Parked activation groups and frame-group buffer recycling
     // ------------------------------------------------------------------
 
-    /// Park `thread`'s detached activation group (replacing any earlier one).
-    fn park_detached(&mut self, thread: ThreadId, group: DetachedFrame) {
-        let t = thread.index();
+    /// Put `group` back on top of `tid`'s home stack (the whole stack, while
+    /// the thread's own group runs) and set the thread's status.
+    fn park_home(&mut self, tid: ThreadId, mut group: Vec<Box<dyn Frame>>, status: ThreadStatus) {
+        let thread = &mut self.threads[tid.index()];
+        thread.status = status;
+        // An empty stack takes over the group's buffer instead of
+        // allocating one to append into.
+        if thread.stack.is_empty() {
+            std::mem::swap(&mut thread.stack, &mut group);
+        } else {
+            thread.stack.append(&mut group);
+        }
+        self.recycle_frame_vec(group);
+    }
+
+    /// Park a group awaiting an RPC reply at `proc`: at home (`away` is
+    /// `None`) back on the thread's stack; away, here, with the linkage its
+    /// final return short-circuits to (replacing any earlier group).
+    fn park_for_reply(
+        &mut self,
+        proc: ProcId,
+        tid: ThreadId,
+        stack: Vec<Box<dyn Frame>>,
+        away: Option<ProcId>,
+    ) {
+        let Some(reply_to) = away else {
+            return self.park_home(tid, stack, ThreadStatus::WaitingReply);
+        };
+        let t = tid.index();
         if t >= self.detached.len() {
             self.detached
                 .resize_with(self.threads.len().max(t + 1), || None);
         }
-        self.detached[t] = Some(group);
+        self.detached[t] = Some(DetachedFrame {
+            stack,
+            at: proc,
+            reply_to,
+        });
     }
 
     /// Return an emptied (or about-to-be-dropped) frame-group buffer to the
@@ -843,10 +890,8 @@ impl Simulation for System {
                 dst,
                 src,
                 seq,
-                words,
-                kind,
-                short,
-            } => self.on_arrive_seq(now, dst, src, seq, (words, kind, short), queue),
+                meta,
+            } => self.on_arrive_seq(now, dst, src, seq, meta, queue),
             Event::Timeout(seq) => self.on_timeout(now, seq, queue),
             Event::Disrupt {
                 proc,

@@ -1,13 +1,14 @@
 //! Dispatch layer: executing queued tasks, delivering runtime messages,
-//! stepping threads at home and migrated activation groups away from home,
-//! serving object pulls, and the adaptive-policy hooks of `Auto` sites.
+//! stepping activation groups (a thread's stack at home and a migrated
+//! group away from home, in one loop), serving object pulls, and the
+//! adaptive-policy hooks of `Auto` sites.
 
 use proteus::event::EventQueue;
 use proteus::trace::TraceEvent;
 use proteus::{Cycles, ProcId};
 
 use super::env::{MpEnv, SmEnv};
-use super::{recv_short, DetachedFrame, Event, ResumingGroup, System, ThreadStatus, Work};
+use super::{DetachedFrame, Event, ResumingGroup, System, ThreadStatus, Work};
 use crate::cost::category_ids as cat;
 use crate::error::RuntimeError;
 use crate::frame::{Frame, Invoke, StepCtx, StepResult};
@@ -30,16 +31,9 @@ impl System {
                 self.charge_delivery(proc, *src, payload),
                 seq.map(|s| (*src, s)),
             ),
-            Work::DuplicateDrop {
-                src,
-                seq,
-                words,
-                kind,
-                short,
-            } => (
-                self.core.charge_recv(*words, *kind, *short),
-                Some((*src, *seq)),
-            ),
+            Work::DuplicateDrop { src, seq, meta } => {
+                (self.core.charge_recv(*meta), Some((*src, *seq)))
+            }
             _ => (Cycles::ZERO, None),
         };
         if let Some((src, seq)) = ack {
@@ -82,11 +76,7 @@ impl System {
                 self.charge(cat::REPLICA_APPLY, self.core.cost.replica_apply)
             }
             Payload::ObjectPull { .. } if src == proc => Cycles::ZERO,
-            _ => {
-                let words = self.core.wire_words(payload);
-                self.core
-                    .charge_recv(words, payload.kind(), recv_short(payload))
-            }
+            _ => self.core.charge_recv(self.core.recv_meta(payload)),
         }
     }
 
@@ -132,7 +122,8 @@ impl System {
                     return acc;
                 };
                 frame.on_result(&results);
-                self.run_detached_slice(now, proc, thread, (stack, frame, reply_to), acc, queue)
+                let group = (stack, frame, Some(reply_to));
+                self.run_group(now, proc, thread, group, acc, queue)
             }
             Payload::OperationReturn {
                 thread,
@@ -174,8 +165,8 @@ impl System {
                 let (lat, results) = self.invoke_inline(proc, &invoke, now + acc, queue);
                 self.core.migration_ctx = false;
                 frame.on_result(&results);
-                let group = (frames, frame, reply_to);
-                self.run_detached_slice(now, proc, thread, group, acc + lat, queue)
+                let group = (frames, frame, Some(reply_to));
+                self.run_group(now, proc, thread, group, acc + lat, queue)
             }
             Payload::ObjectPull {
                 thread,
@@ -504,8 +495,8 @@ impl System {
         }
     }
 
-    /// The message-passing invoke prologue of the thread and detached
-    /// slices: the locality check, the `Auto` episode's access count, and
+    /// The invoke prologue of the group loop under every scheme but shared
+    /// memory: the locality check, the `Auto` episode's access count, and
     /// the invoke itself when its object is homed at `proc` or served by a
     /// local replica. Returns the results when the invoke ran here, or the
     /// object's home when it must leave.
@@ -543,8 +534,10 @@ impl System {
     // Execution slices
     // ------------------------------------------------------------------
 
-    /// Step a thread at its home processor until it blocks, sleeps, yields,
-    /// or finishes. Returns total busy cycles (including `acc` carried in).
+    /// Resume a thread at its home processor: pop its top frame, hand it
+    /// the results being delivered (closing the operation they complete),
+    /// and step the thread's stack as the group at home. Returns total busy
+    /// cycles (including `acc` carried in).
     fn run_thread_slice(
         &mut self,
         now: Cycles,
@@ -561,9 +554,8 @@ impl System {
         if self.threads[t].status == ThreadStatus::Done {
             return acc;
         }
-        let mut frame = match self.threads[t].stack.pop() {
-            Some(f) => f,
-            None => return acc,
+        let Some(mut frame) = self.threads[t].stack.pop() else {
+            return acc;
         };
         self.threads[t].status = ThreadStatus::Active;
         if let Some((results, completes_op)) = deliver {
@@ -572,6 +564,32 @@ impl System {
             }
             frame.on_result(&results);
         }
+        let lower = std::mem::take(&mut self.threads[t].stack);
+        self.run_group(now, proc, tid, (lower, frame, None), acc, queue)
+    }
+
+    /// Step an activation group at `proc` from its top frame until it
+    /// blocks, sleeps, yields, leaves or finishes. Returns total busy cycles
+    /// (including `acc` carried in). `group` is the frames below the top,
+    /// the top frame, and `away`: `None` for the thread's own stack at
+    /// home, else the processor the migrated group's final return
+    /// short-circuits to. Only a sleep, the base frame's return and a
+    /// migration depend on `away`; an arm that parks the group puts its
+    /// frames back.
+    ///
+    /// A well-formed simulation never lets a migrated frame sleep; one that
+    /// does is a protocol error, recorded instead of aborting the run, with
+    /// the busy cycles already charged standing.
+    fn run_group(
+        &mut self,
+        now: Cycles,
+        proc: ProcId,
+        tid: ThreadId,
+        (mut lower, mut frame, away): ResumingGroup,
+        mut acc: Cycles,
+        queue: &mut EventQueue<Event>,
+    ) -> Cycles {
+        let t = tid.index();
         let mut steps = 0u64;
         loop {
             steps += 1;
@@ -580,239 +598,26 @@ impl System {
                 now: now + acc,
                 proc,
             };
-            match frame.step(&ctx) {
+            let inv = match frame.step(&ctx) {
                 StepResult::Compute(c) => {
                     self.core.charge_user(c);
                     acc += c;
+                    continue;
                 }
                 StepResult::Call(child) => {
                     acc += self.charge(cat::LOCAL_LINKAGE, self.core.cost.local_call);
                     if child.is_operation() {
                         self.threads[t].op_started = Some(now + acc);
                     }
-                    self.threads[t].stack.push(frame);
-                    frame = child;
-                }
-                StepResult::Sleep(d) => {
-                    if d.is_zero() {
-                        continue;
-                    }
-                    self.threads[t].stack.push(frame);
-                    self.threads[t].status = ThreadStatus::Sleeping;
-                    queue.schedule_at(now + acc + d, Event::Wake(tid));
-                    return acc;
-                }
-                StepResult::Return(vals) => {
-                    if frame.is_operation() {
-                        acc += self.complete_op(tid, now + acc);
-                    }
-                    match self.threads[t].stack.pop() {
-                        Some(mut parent) => {
-                            acc += self.charge(cat::LOCAL_LINKAGE, self.core.cost.local_call);
-                            parent.on_result(&vals);
-                            frame = parent;
-                        }
-                        None => {
-                            self.threads[t].status = ThreadStatus::Done;
-                            return acc;
-                        }
-                    }
-                }
-                StepResult::Halt => {
-                    self.threads[t].status = ThreadStatus::Done;
-                    return acc;
-                }
-                StepResult::Invoke(inv) => match self.cfg.scheme.access {
-                    DataAccess::SharedMemory => {
-                        self.record_dispatch(
-                            now + acc,
-                            proc,
-                            frame.label(),
-                            DispatchKind::SharedMemory,
-                        );
-                        let (lat, results) = self.invoke_sm(proc, &inv, now + acc, queue);
-                        acc += lat;
-                        frame.on_result(&results);
-                        // Yield so lock windows interleave near the correct
-                        // global time (DESIGN.md §6.2).
-                        self.threads[t].stack.push(frame);
-                        self.procs[proc.index()].enqueue(Work::Step(tid));
-                        return acc;
-                    }
-                    DataAccess::ObjectMigration => {
-                        acc += self.charge(cat::LOCALITY_CHECK, self.core.cost.locality_check);
-                        let home = self.objects.home(inv.target);
-                        if home == proc {
-                            if self.objects.entry(inv.target).behavior.is_none() {
-                                // Rehomed to us but still in flight (another
-                                // thread on this processor pulled it): retry
-                                // once it has had time to arrive.
-                                self.threads[t].stack.push(frame);
-                                self.threads[t].status = ThreadStatus::Sleeping;
-                                queue.schedule_at(now + acc + Cycles(200), Event::Wake(tid));
-                                return acc;
-                            }
-                            self.record_dispatch(
-                                now + acc,
-                                proc,
-                                frame.label(),
-                                DispatchKind::LocalInline,
-                            );
-                            let (lat, results) = self.invoke_inline(proc, &inv, now + acc, queue);
-                            acc += lat;
-                            frame.on_result(&results);
-                            continue;
-                        }
-                        // Pull the object here (Emerald-style); the frame
-                        // re-issues the same invoke once it is installed.
-                        self.record_dispatch(
-                            now + acc,
-                            proc,
-                            frame.label(),
-                            DispatchKind::ObjectPull,
-                        );
-                        self.threads[t].status = ThreadStatus::WaitingReply;
-                        self.threads[t].stack.push(frame);
-                        let payload = Payload::ObjectPull {
-                            thread: tid,
-                            reply_to: proc,
-                            target: inv.target,
-                        };
-                        acc += self.send_message(proc, home, payload, now + acc, queue);
-                        return acc;
-                    }
-                    DataAccess::ThreadMigration => {
-                        acc += self.charge(cat::LOCALITY_CHECK, self.core.cost.locality_check);
-                        let home = self.objects.home(inv.target);
-                        if home == proc {
-                            self.record_dispatch(
-                                now + acc,
-                                proc,
-                                frame.label(),
-                                DispatchKind::LocalInline,
-                            );
-                            let (lat, results) = self.invoke_inline(proc, &inv, now + acc, queue);
-                            acc += lat;
-                            frame.on_result(&results);
-                            continue;
-                        }
-                        // Move the whole thread to the data (§2.3): every
-                        // activation ships; the thread is rehomed on arrival.
-                        self.record_dispatch(
-                            now + acc,
-                            proc,
-                            frame.label(),
-                            DispatchKind::ThreadMove,
-                        );
-                        self.threads[t].status = ThreadStatus::Moving;
-                        let mut frames = std::mem::take(&mut self.threads[t].stack);
-                        frames.push(frame);
-                        let payload = Payload::ThreadMove {
-                            thread: tid,
-                            frames,
-                            invoke: inv,
-                        };
-                        acc += self.send_message(proc, home, payload, now + acc, queue);
-                        return acc;
-                    }
-                    DataAccess::MessagePassing => {
-                        let site = frame.label();
-                        let home =
-                            match self.invoke_here(now, proc, tid, site, &inv, &mut acc, queue) {
-                                Ok(results) => {
-                                    frame.on_result(&results);
-                                    continue;
-                                }
-                                Err(home) => home,
-                            };
-                        if self.wants_migration(now, proc, site, inv.annotation, &mut acc)
-                            && !self.threads[t].stack.is_empty()
-                        {
-                            // The activation group leaves home; linkage
-                            // (reply_to) lets its eventual return
-                            // short-circuit back. It is the top activation
-                            // (the paper's prototype), or everything above
-                            // the thread base (§6 future work).
-                            self.record_dispatch(now + acc, proc, site, DispatchKind::Migration);
-                            self.threads[t].status = ThreadStatus::Detached;
-                            let keep = match inv.annotation {
-                                Annotation::MigrateAll => 1,
-                                _ => self.threads[t].stack.len(),
-                            };
-                            let mut frames = self.frame_pool.pop().unwrap_or_default();
-                            frames.extend(self.threads[t].stack.drain(keep..));
-                            frames.push(frame);
-                            let payload = Payload::Migration {
-                                thread: tid,
-                                reply_to: proc,
-                                frames,
-                                invoke: inv,
-                            };
-                            acc += self.send_message(proc, home, payload, now + acc, queue);
-                            return acc;
-                        }
-                        self.record_dispatch(now + acc, proc, site, DispatchKind::Rpc);
-                        self.threads[t].status = ThreadStatus::WaitingReply;
-                        self.threads[t].stack.push(frame);
-                        let payload = Payload::RpcRequest {
-                            thread: tid,
-                            reply_to: proc,
-                            invoke: inv,
-                        };
-                        acc += self.send_message(proc, home, payload, now + acc, queue);
-                        return acc;
-                    }
-                },
-            }
-        }
-    }
-
-    /// Continue a detached (migrated) activation group at `proc` from its
-    /// top frame, which has just received its results. `group` is the
-    /// frames below the top, the top frame, and the linkage the group's
-    /// final return short-circuits to.
-    ///
-    /// A well-formed simulation never lets a detached frame sleep; one that
-    /// does is a protocol error, recorded instead of aborting the run, with
-    /// the busy cycles already charged standing.
-    fn run_detached_slice(
-        &mut self,
-        now: Cycles,
-        proc: ProcId,
-        tid: ThreadId,
-        group: ResumingGroup,
-        mut acc: Cycles,
-        queue: &mut EventQueue<Event>,
-    ) -> Cycles {
-        let (mut lower, mut frame, reply_to) = group;
-        let mut steps = 0u64;
-        loop {
-            steps += 1;
-            assert!(steps < 1_000_000, "frame livelock: {}", frame.label());
-            let ctx = StepCtx {
-                now: now + acc,
-                proc,
-            };
-            match frame.step(&ctx) {
-                StepResult::Compute(c) => {
-                    self.core.charge_user(c);
-                    acc += c;
-                }
-                StepResult::Call(child) => {
-                    // Local call within the migrated group (only possible
-                    // once multiple activations can migrate together).
-                    acc += self.charge(cat::LOCAL_LINKAGE, self.core.cost.local_call);
-                    if child.is_operation() {
-                        self.threads[tid.index()].op_started = Some(now + acc);
-                    }
                     lower.push(frame);
                     frame = child;
+                    continue;
                 }
-                StepResult::Sleep(_) => {
+                StepResult::Sleep(_) if away.is_some() => {
                     // Think time runs at the thread's home, never at a
                     // migration target (the driver frame stays behind):
                     // the orphaned thread is terminated.
-                    self.threads[tid.index()].status = ThreadStatus::Done;
+                    self.threads[t].status = ThreadStatus::Done;
                     let error = RuntimeError::DetachedFrameSlept {
                         thread: tid,
                         at: proc,
@@ -820,16 +625,16 @@ impl System {
                     self.core.record_error(now + acc, error);
                     return acc;
                 }
-                StepResult::Return(vals) => match lower.pop() {
-                    Some(mut parent) => {
-                        if frame.is_operation() {
-                            acc += self.complete_op(tid, now + acc);
-                        }
-                        acc += self.charge(cat::LOCAL_LINKAGE, self.core.cost.local_call);
-                        parent.on_result(&vals);
-                        frame = parent;
-                    }
-                    None => {
+                StepResult::Sleep(d) if d.is_zero() => continue,
+                StepResult::Sleep(d) => {
+                    lower.push(frame);
+                    self.park_home(tid, lower, ThreadStatus::Sleeping);
+                    queue.schedule_at(now + acc + d, Event::Wake(tid));
+                    return acc;
+                }
+                StepResult::Return(vals) => {
+                    let parent = lower.pop();
+                    if let (None, Some(reply_to)) = (&parent, away) {
                         // The group's base returned: short-circuit straight
                         // to the original caller, not through intermediate
                         // processors (§3.2).
@@ -839,63 +644,140 @@ impl System {
                             completes_op: frame.is_operation(),
                             results: vals,
                         };
-                        acc += self.send_message(proc, reply_to, payload, now + acc, queue);
-                        return acc;
+                        return acc + self.send_message(proc, reply_to, payload, now + acc, queue);
                     }
-                },
+                    if frame.is_operation() {
+                        acc += self.complete_op(tid, now + acc);
+                    }
+                    let Some(mut parent) = parent else {
+                        self.threads[t].status = ThreadStatus::Done;
+                        return acc;
+                    };
+                    acc += self.charge(cat::LOCAL_LINKAGE, self.core.cost.local_call);
+                    parent.on_result(&vals);
+                    frame = parent;
+                    continue;
+                }
                 StepResult::Halt => {
-                    self.threads[tid.index()].status = ThreadStatus::Done;
+                    self.threads[t].status = ThreadStatus::Done;
                     return acc;
                 }
-                StepResult::Invoke(inv) => {
-                    debug_assert_eq!(
-                        self.cfg.scheme.access,
-                        DataAccess::MessagePassing,
-                        "detached frames exist only under message passing"
-                    );
-                    let site = frame.label();
-                    let home = match self.invoke_here(now, proc, tid, site, &inv, &mut acc, queue) {
-                        Ok(results) => {
-                            frame.on_result(&results);
-                            continue;
-                        }
-                        Err(home) => home,
-                    };
-                    let mut frames = std::mem::take(&mut lower);
-                    frames.push(frame);
-                    if self.wants_migration(now, proc, site, inv.annotation, &mut acc) {
-                        // Re-migrate the whole group, passing the original
-                        // linkage along and leaving nothing behind ("destroy
-                        // the original thread" on this processor). A group
-                        // cannot split further once detached.
-                        self.record_dispatch(now + acc, proc, site, DispatchKind::Remigration);
-                        let payload = Payload::Migration {
-                            thread: tid,
-                            reply_to,
-                            frames,
-                            invoke: inv,
-                        };
-                        acc += self.send_message(proc, home, payload, now + acc, queue);
-                        return acc;
+                StepResult::Invoke(inv) => inv,
+            };
+            let access = self.cfg.scheme.access;
+            debug_assert!(
+                away.is_none() || access == DataAccess::MessagePassing,
+                "detached frames exist only under message passing"
+            );
+            let site = frame.label();
+            if access == DataAccess::SharedMemory {
+                self.record_dispatch(now + acc, proc, site, DispatchKind::SharedMemory);
+                let (lat, results) = self.invoke_sm(proc, &inv, now + acc, queue);
+                acc += lat;
+                frame.on_result(&results);
+                // Yield so lock windows interleave near the correct global
+                // time (DESIGN.md §6.2).
+                lower.push(frame);
+                self.park_home(tid, lower, ThreadStatus::Active);
+                self.procs[proc.index()].enqueue(Work::Step(tid));
+                return acc;
+            }
+            if access == DataAccess::ObjectMigration
+                && self.objects.home(inv.target) == proc
+                && self.objects.entry(inv.target).behavior.is_none()
+            {
+                // Rehomed to us but still in flight (another thread on this
+                // processor pulled it): retry once it has had time to
+                // arrive.
+                acc += self.charge(cat::LOCALITY_CHECK, self.core.cost.locality_check);
+                lower.push(frame);
+                self.park_home(tid, lower, ThreadStatus::Sleeping);
+                queue.schedule_at(now + acc + Cycles(200), Event::Wake(tid));
+                return acc;
+            }
+            let home = match self.invoke_here(now, proc, tid, site, &inv, &mut acc, queue) {
+                Ok(results) => {
+                    frame.on_result(&results);
+                    continue;
+                }
+                Err(home) => home,
+            };
+            let payload = match access {
+                DataAccess::ObjectMigration => {
+                    // Pull the object here (Emerald-style); the frame
+                    // re-issues the same invoke once it is installed.
+                    self.record_dispatch(now + acc, proc, site, DispatchKind::ObjectPull);
+                    lower.push(frame);
+                    self.park_for_reply(proc, tid, lower, None);
+                    Payload::ObjectPull {
+                        thread: tid,
+                        reply_to: proc,
+                        target: inv.target,
                     }
+                }
+                DataAccess::ThreadMigration => {
+                    // Move the whole thread to the data (§2.3): every
+                    // activation ships; the thread is rehomed on arrival.
+                    self.record_dispatch(now + acc, proc, site, DispatchKind::ThreadMove);
+                    self.threads[t].status = ThreadStatus::Moving;
+                    lower.push(frame);
+                    Payload::ThreadMove {
+                        thread: tid,
+                        frames: lower,
+                        invoke: inv,
+                    }
+                }
+                // The activation group leaves, with linkage (reply_to) letting
+                // its eventual return short-circuit back. From home it is the
+                // top activation (the paper's prototype) or everything above
+                // the thread base (§6 future work); away, the whole group
+                // re-migrates, passing the original linkage along and leaving
+                // nothing behind ("destroy the original thread" here).
+                _ if self.wants_migration(now, proc, site, inv.annotation, &mut acc)
+                    && (away.is_some() || !lower.is_empty()) =>
+                {
+                    let (kind, reply_to, frames) = match away {
+                        Some(reply_to) => {
+                            lower.push(frame);
+                            (DispatchKind::Remigration, reply_to, lower)
+                        }
+                        None => {
+                            let keep = match inv.annotation {
+                                Annotation::MigrateAll => 1,
+                                _ => lower.len(),
+                            };
+                            // The top frame goes straight into the travelling
+                            // buffer: pushing it onto the home stack first
+                            // could outgrow that stack's buffer.
+                            let mut frames = self.frame_pool.pop().unwrap_or_default();
+                            frames.extend(lower.drain(keep..));
+                            frames.push(frame);
+                            self.park_home(tid, lower, ThreadStatus::Detached);
+                            (DispatchKind::Migration, proc, frames)
+                        }
+                    };
+                    self.record_dispatch(now + acc, proc, site, kind);
+                    Payload::Migration {
+                        thread: tid,
+                        reply_to,
+                        frames,
+                        invoke: inv,
+                    }
+                }
+                _ => {
                     // RPC from the current location; the reply comes back
                     // here, where the group parks.
                     self.record_dispatch(now + acc, proc, site, DispatchKind::Rpc);
-                    let group = DetachedFrame {
-                        stack: frames,
-                        at: proc,
-                        reply_to,
-                    };
-                    self.park_detached(tid, group);
-                    let payload = Payload::RpcRequest {
+                    lower.push(frame);
+                    self.park_for_reply(proc, tid, lower, away);
+                    Payload::RpcRequest {
                         thread: tid,
                         reply_to: proc,
                         invoke: inv,
-                    };
-                    acc += self.send_message(proc, home, payload, now + acc, queue);
-                    return acc;
+                    }
                 }
-            }
+            };
+            return acc + self.send_message(proc, home, payload, now + acc, queue);
         }
     }
 

@@ -284,7 +284,7 @@ impl System {
             .as_ref()
             .and_then(|f| f.window.get(seq))
             .expect("reroute on unknown envelope");
-        let (dst, kind) = (entry.dst, entry.kind);
+        let (dst, kind) = (entry.dst, entry.meta.kind);
         debug_assert!(self.is_declared_dead(dst));
         // A tombstone (no payload) was delivered and executed before the
         // death; only the ack was lost, so the work is done.
@@ -415,11 +415,11 @@ mod tests {
     use proteus::{Cycles, FaultPlan, ProcId};
 
     use super::super::transport::InFlight;
-    use super::super::{recv_short, FailoverConfig, MachineConfig, System, Work};
+    use super::super::{FailoverConfig, MachineConfig, System, Work};
     use crate::error::RuntimeError;
     use crate::frame::{Frame, Invoke, StepCtx, StepResult};
     use crate::mechanism::Scheme;
-    use crate::message::{MessageKind, Payload};
+    use crate::message::Payload;
     use crate::types::{Goid, MethodId, ThreadId, Word};
 
     struct Parked;
@@ -438,14 +438,12 @@ mod tests {
     /// first copy to the receiver: the delivered payload and its sequence
     /// number, as the arrival path leaves them.
     fn deliver_envelope(sys: &mut System, src: ProcId, dst: ProcId, p: Payload) -> (u64, Payload) {
-        let words = sys.core.wire_words(&p);
+        let meta = sys.core.recv_meta(&p);
         let window = &mut sys.faults.as_mut().unwrap().window;
         let seq = window.push(InFlight {
             src,
             dst,
-            kind: p.kind(),
-            words,
-            short: recv_short(&p),
+            meta,
             payload: Some(p),
             attempt: 1,
         });
@@ -498,12 +496,11 @@ mod tests {
         // A copy of an envelope whose first delivery already executed: its
         // suppression task has nothing to hand back.
         let (dup, _executed) = deliver_envelope(&mut sys, src, victim, Payload::Heartbeat);
+        let meta = sys.core.recv_meta(&Payload::Heartbeat);
         sys.procs[victim.index()].enqueue(Work::DuplicateDrop {
             src,
             seq: dup,
-            words: 1,
-            kind: MessageKind::Heartbeat,
-            short: true,
+            meta,
         });
         // Locally generated work dies with the node.
         sys.procs[victim.index()].enqueue(Work::Step(ThreadId(0)));

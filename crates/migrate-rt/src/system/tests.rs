@@ -1076,3 +1076,125 @@ fn malformed_migration_is_recorded_not_fatal() {
         1
     );
 }
+
+/// An operation that migrates to `target` and then, at the migration
+/// target, sleeps for `sleep` — or halts when `sleep` is `None`. Neither is
+/// something a detached group may do at home's expense.
+struct StrayOp {
+    target: Goid,
+    sleep: Option<Cycles>,
+    invoked: bool,
+}
+
+impl Frame for StrayOp {
+    fn step(&mut self, _ctx: &StepCtx) -> StepResult {
+        if !self.invoked {
+            self.invoked = true;
+            return StepResult::Invoke(Invoke::migrate(self.target, MethodId(0), []));
+        }
+        match self.sleep {
+            Some(d) => StepResult::Sleep(d),
+            None => StepResult::Halt,
+        }
+    }
+    fn on_result(&mut self, _results: &[Word]) {}
+    fn live_words(&self) -> u64 {
+        3
+    }
+    fn is_operation(&self) -> bool {
+        true
+    }
+    fn label(&self) -> &'static str {
+        "stray-op"
+    }
+}
+
+/// Driver: call one [`StrayOp`], then halt if it ever returns.
+struct OneShotDriver {
+    op: Option<StrayOp>,
+}
+
+impl Frame for OneShotDriver {
+    fn step(&mut self, _ctx: &StepCtx) -> StepResult {
+        match self.op.take() {
+            Some(op) => StepResult::Call(Box::new(op)),
+            None => StepResult::Halt,
+        }
+    }
+    fn on_result(&mut self, _results: &[Word]) {}
+    fn live_words(&self) -> u64 {
+        2
+    }
+}
+
+/// Run one [`StrayOp`] from P0 against a cell on P1 under computation
+/// migration with the audit on, until the machine quiesces. Returns the
+/// runner, the thread and the window's metrics.
+fn run_stray(sleep: Option<Cycles>) -> (Runner, ThreadId, RunMetrics) {
+    let mut cfg = MachineConfig::new(2, Scheme::computation_migration());
+    cfg.audit = true;
+    let mut runner = Runner::new(cfg);
+    let target = runner.system.create_object(
+        Box::new(Cell {
+            value: 0,
+            compute: 100,
+        }),
+        ProcId(1),
+        false,
+    );
+    let op = StrayOp {
+        target,
+        sleep,
+        invoked: false,
+    };
+    let tid = runner.spawn(ProcId(0), Box::new(OneShotDriver { op: Some(op) }));
+    let m = runner.run(Cycles::ZERO, Cycles(1_000_000));
+    assert!(runner.engine.queue_mut().is_empty(), "the engine drained");
+    let audit = m.audit.as_ref().expect("audit requested");
+    assert!(audit.tasks_checked > 0);
+    assert_eq!(audit.grand_total, audit.busy_total + audit.transit_total);
+    assert_eq!(m.message_kinds[&MessageKind::Migration], 1);
+    (runner, tid, m)
+}
+
+#[test]
+fn a_detached_frame_that_sleeps_terminates_its_thread() {
+    for sleep in [Cycles::ZERO, Cycles(5_000)] {
+        let (mut runner, tid, m) = run_stray(Some(sleep));
+        assert_eq!(m.runtime_errors, 1, "sleep {sleep:?}");
+        assert!(matches!(
+            runner.system.runtime_errors(),
+            [RuntimeError::DetachedFrameSlept { thread, at: ProcId(1) }] if *thread == tid
+        ));
+        assert_eq!(
+            runner.system.threads[tid.index()].status,
+            ThreadStatus::Done
+        );
+        assert!(!m.message_kinds.contains_key(&MessageKind::OperationReturn));
+        assert_eq!(m.ops, 0);
+        // A stray wake-up must not revive the terminated thread.
+        let now = runner.now();
+        runner.engine.queue_mut().schedule_at(now, Event::Wake(tid));
+        runner.run_until(now + Cycles(1_000_000));
+        assert!(runner.engine.queue_mut().is_empty());
+        assert_eq!(
+            runner.system.threads[tid.index()].status,
+            ThreadStatus::Done
+        );
+        assert_eq!(runner.system.ops_completed(), 0);
+        assert_eq!(runner.system.runtime_errors().len(), 1);
+    }
+}
+
+#[test]
+fn a_detached_group_that_halts_sends_no_return() {
+    let (runner, tid, m) = run_stray(None);
+    assert_eq!(
+        runner.system.threads[tid.index()].status,
+        ThreadStatus::Done
+    );
+    assert!(!m.message_kinds.contains_key(&MessageKind::OperationReturn));
+    assert_eq!(m.runtime_errors, 0);
+    assert!(runner.system.runtime_errors().is_empty());
+    assert_eq!(m.ops, 0);
+}

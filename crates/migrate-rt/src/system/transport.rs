@@ -34,7 +34,7 @@ use proteus::fault::{FaultInjector, FaultPlan};
 use proteus::trace::{TraceEvent, Tracer};
 use proteus::{Cycles, ProcId};
 
-use super::{recv_short, Core, DetachedFrame, Event, RecoveryConfig, System, ThreadStatus, Work};
+use super::{Core, Event, RecoveryConfig, RecvMeta, System, ThreadStatus, Work};
 use crate::cost::category_ids as cat;
 use crate::error::RuntimeError;
 use crate::mechanism::DispatchKind;
@@ -158,9 +158,7 @@ impl Faults {
         let seq = self.window.push(InFlight {
             src,
             dst,
-            kind: payload.kind(),
-            words: core.wire_words(&payload),
-            short: recv_short(&payload),
+            meta: core.recv_meta(&payload),
             payload: Some(payload),
             attempt: 1,
         });
@@ -228,25 +226,16 @@ impl Faults {
         queue: &mut EventQueue<Event>,
     ) {
         let entry = self.window.get(seq).expect("launching unknown envelope");
-        let (src, dst, kind, words, short, attempt) = (
-            entry.src,
-            entry.dst,
-            entry.kind,
-            entry.words,
-            entry.short,
-            entry.attempt,
-        );
+        let (src, dst, meta, attempt) = (entry.src, entry.dst, entry.meta, entry.attempt);
         let arrival = || Event::ArriveSeq {
             dst,
             src,
             seq,
-            words,
-            kind,
-            short,
+            meta,
         };
         if let Some(at) = self.schedule_copy(launch_time, latency, src, dst, arrival, queue) {
             // The duplicate envelope copy is real wire traffic and transit.
-            if let Ok(lat2) = core.net.send_at(at, src, dst, words) {
+            if let Ok(lat2) = core.net.send_at(at, src, dst, meta.words) {
                 core.charge(cat::NETWORK_TRANSIT, lat2);
             }
         }
@@ -266,7 +255,7 @@ impl Faults {
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
         let entry = self.window.get(seq).expect("relaunching unknown envelope");
-        let (src, dst, kind, words) = (entry.src, entry.dst, entry.kind, entry.words);
+        let (src, dst, RecvMeta { kind, words, .. }) = (entry.src, entry.dst, entry.meta);
         let (overhead, latency) = core.charge_send(src, dst, kind, words, now);
         // A rejected route was recorded and nothing went on the wire.
         if let Some(latency) = latency {
@@ -294,14 +283,14 @@ impl System {
 
     /// A copy of envelope `seq` lands at `dst`: queue its delivery — or,
     /// if a copy was already delivered, its suppression — with the ack
-    /// ticket. The tuple is the envelope's receive-path metadata.
+    /// ticket.
     pub(super) fn on_arrive_seq(
         &mut self,
         now: Cycles,
         dst: ProcId,
         src: ProcId,
         seq: u64,
-        (words, kind, short): (u64, MessageKind, bool),
+        meta: RecvMeta,
         queue: &mut EventQueue<Event>,
     ) {
         let Some(faults) = &mut self.faults else {
@@ -323,13 +312,7 @@ impl System {
             // Already processed (an injected duplicate, a retransmission
             // racing its own ack, or a tombstone left by a fallback):
             // suppress, but still charge the receive path and re-ack.
-            None => Work::DuplicateDrop {
-                src,
-                seq,
-                words,
-                kind,
-                short,
-            },
+            None => Work::DuplicateDrop { src, seq, meta },
         };
         self.enqueue(dst, work, now, queue);
     }
@@ -384,7 +367,7 @@ impl System {
         let Some(entry) = faults.window.get(seq) else {
             return acc; // acked between timer fire and task execution
         };
-        let (dst, kind, attempt) = (entry.dst, entry.kind, entry.attempt);
+        let (dst, kind, attempt) = (entry.dst, entry.meta.kind, entry.attempt);
         let max_migration_attempts = faults.cfg.max_migration_attempts;
         debug_assert_eq!(entry.src, proc, "retransmit task ran off the sender");
         let acc = acc + self.charge(cat::RECOVERY_TIMEOUT, self.core.cost.timeout_handler);
@@ -441,7 +424,7 @@ impl System {
             .window
             .get_mut(seq)
             .expect("rerouting unknown envelope");
-        let (from, kind) = (entry.dst, entry.kind);
+        let (from, kind) = (entry.dst, entry.meta.kind);
         entry.dst = to;
         entry.attempt = 1;
         let detail = || format!("seq={seq} kind={kind:?} {} -> {}", from.index(), to.index());
@@ -496,25 +479,11 @@ impl System {
         let site = frames.last().expect("migration carries frames").label();
         self.record_dispatch(now + acc, proc, site, DispatchKind::RpcFallback);
         let home = self.objects.home(invoke.target);
-        if reply_to == proc {
-            // First migration, leaving the thread's home: put the frames
-            // back on the home stack and wait for an RPC reply instead.
-            let mut frames = frames;
-            self.threads[t].stack.append(&mut frames);
-            self.recycle_frame_vec(frames);
-            self.threads[t].status = ThreadStatus::WaitingReply;
-        } else {
-            // Re-migration of an already-detached group: park the group
-            // here and route the reply back through the detached path.
-            self.park_detached(
-                thread,
-                DetachedFrame {
-                    stack: frames,
-                    at: proc,
-                    reply_to,
-                },
-            );
-        }
+        // A first migration left the thread's home: its frames go back on
+        // the home stack. A re-migrated group parks here, and the reply
+        // routes back to it.
+        let away = (reply_to != proc).then_some(reply_to);
+        self.park_for_reply(proc, thread, frames, away);
         let payload = Payload::RpcRequest {
             thread,
             reply_to: proc,
@@ -530,12 +499,9 @@ pub(crate) struct InFlight {
     pub(crate) src: ProcId,
     /// Current destination (rerouting may change it).
     pub(crate) dst: ProcId,
-    /// Kind of the buffered payload.
-    pub(crate) kind: MessageKind,
-    /// Wire words (receive-path charge uses the same figure).
-    pub(crate) words: u64,
-    /// Short-method receive path?
-    pub(crate) short: bool,
+    /// The buffered payload's kind, wire words (resends charge the same
+    /// figure) and receive path.
+    pub(crate) meta: RecvMeta,
     /// The buffered payload; taken by the first delivery, so a `Some` here
     /// means no copy has been delivered yet.
     pub(crate) payload: Option<Payload>,
@@ -723,15 +689,17 @@ mod tests {
 
     use super::*;
 
-    /// An entry whose `words` field carries a tag the reference also stores,
-    /// and whose payload is an ack carrying the same tag.
+    /// An entry whose `meta.words` field carries a tag the reference also
+    /// stores, and whose payload is an ack carrying the same tag.
     fn entry(tag: u64) -> InFlight {
         InFlight {
             src: ProcId(0),
             dst: ProcId(1),
-            kind: MessageKind::Heartbeat,
-            words: tag,
-            short: true,
+            meta: RecvMeta {
+                words: tag,
+                kind: MessageKind::Heartbeat,
+                short: true,
+            },
             payload: Some(Payload::Ack { seq: tag }),
             attempt: 1,
         }
@@ -833,7 +801,7 @@ mod tests {
             Op::AckRemove(pick) => {
                 // The ack handler: retire the entry, then advance.
                 let seq = pick_seq(r, pick);
-                let got = w.remove(seq).map(|e| e.words);
+                let got = w.remove(seq).map(|e| e.meta.words);
                 let want = r.in_flight.remove(&seq).map(|e| e.0);
                 prop_assert_eq!(got, want);
                 if want.is_some() {
@@ -849,7 +817,7 @@ mod tests {
             Op::FallbackTombstone(pick) => {
                 // A migration out of attempts: retire, tombstone, advance.
                 let seq = pick_seq(r, pick);
-                let got = w.remove(seq).map(|e| e.words);
+                let got = w.remove(seq).map(|e| e.meta.words);
                 let want = r.in_flight.remove(&seq).map(|e| e.0);
                 prop_assert_eq!(got, want);
                 if want.is_some() {
@@ -882,7 +850,7 @@ mod tests {
         for seq in 0..r.next_seq + 2 {
             let got = w
                 .get(seq)
-                .map(|e| (e.words, e.payload.as_ref().map(payload_tag)));
+                .map(|e| (e.meta.words, e.payload.as_ref().map(payload_tag)));
             prop_assert_eq!(got, r.in_flight.get(&seq).copied(), "get({})", seq);
             prop_assert_eq!(
                 w.is_duplicate(seq),

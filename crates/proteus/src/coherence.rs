@@ -246,7 +246,7 @@ impl CoherenceSystem {
 
     /// Attach a tracer. One event is recorded per *missing* line access
     /// (hits are far too numerous to trace and are already counted in
-    /// [`CacheStats`](crate::stats::CacheStats)).
+    /// [`CacheStats`]).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
