@@ -485,7 +485,7 @@ fn table5(emit: Emit) {
     println!("{:<28} {:>10}", "category", "cycles");
     println!("{:<28} {:>10.1}", "TOTAL", total);
     for line in &lines {
-        println!("{:<28} {:>10.1}", line.category, line.cycles);
+        println!("{:<28} {:>10.1}", line.category.name(), line.cycles);
     }
     println!();
     emit("table5", breakdown_to_json(&lines, total, migrations));

@@ -10,7 +10,7 @@
 
 use migrate_apps::btree::BTreeExperiment;
 use migrate_apps::counting::{CountingExperiment, Topology};
-use migrate_rt::{categories as cat, Annotation, CostModel, RunMetrics, Runner, Scheme};
+use migrate_rt::{Accounting, Annotation, Category, CostModel, RunMetrics, Runner, Scheme};
 use proteus::{CoherenceCosts, Cycles, ProcId};
 
 pub mod json;
@@ -215,7 +215,8 @@ fn app_sweep(
 /// The eight scheme families the runtime implements (the paper's three plus
 /// hardware/replication variants and the DESIGN.md §7 extensions), used by
 /// the failover chaos sweep: a processor death must be survivable no matter
-/// which mechanism carries the traffic.
+/// which mechanism carries the traffic. The audit and fault-recovery tests
+/// sweep the same list.
 pub fn failover_schemes() -> Vec<(&'static str, Scheme)> {
     vec![
         ("SM", Scheme::shared_memory()),
@@ -747,7 +748,7 @@ pub fn ablation_topology() -> Vec<Row> {
 #[derive(Clone, Debug)]
 pub struct BreakdownLine {
     /// Category (Table 5 row).
-    pub category: &'static str,
+    pub category: Category,
     /// Mean cycles per migration.
     pub cycles: f64,
 }
@@ -770,39 +771,34 @@ pub fn migration_breakdown() -> (Vec<BreakdownLine>, f64, u64) {
 }
 
 /// The Table 5 categories in the paper's print order.
-pub const TABLE5_CATEGORIES: &[&str] = &[
-    cat::USER_CODE,
-    cat::NETWORK_TRANSIT,
-    cat::COPY_PACKET,
-    cat::THREAD_CREATION,
-    cat::LINKAGE_RECV,
-    cat::UNMARSHAL,
-    cat::GOID_TRANSLATION,
-    cat::SCHEDULER,
-    cat::FORWARDING_CHECK,
-    cat::ALLOC_PACKET_RECV,
-    cat::LINKAGE_SEND,
-    cat::ALLOC_PACKET_SEND,
-    cat::MESSAGE_SEND,
-    cat::MARSHAL,
+pub const TABLE5_CATEGORIES: &[Category] = &[
+    Category::UserCode,
+    Category::NetworkTransit,
+    Category::CopyPacket,
+    Category::ThreadCreation,
+    Category::LinkageRecv,
+    Category::Unmarshal,
+    Category::GoidTranslation,
+    Category::Scheduler,
+    Category::ForwardingCheck,
+    Category::AllocPacketRecv,
+    Category::LinkageSend,
+    Category::AllocPacketSend,
+    Category::MessageSend,
+    Category::Marshal,
 ];
 
 /// Serialize a [`RunMetrics`] to JSON (every field the text tables print,
 /// plus the observability extensions: dispatch counters, per-processor
 /// stats, audit summary, and the full accounting breakdown).
 pub fn metrics_to_json(m: &RunMetrics) -> Json {
-    let accounting = Json::Obj(
-        m.accounting
-            .totals()
-            .map(|(category, cycles)| (category.to_string(), Json::Int(cycles)))
-            .collect(),
-    );
-    let migration_accounting = Json::Obj(
-        m.migration_accounting
-            .totals()
-            .map(|(category, cycles)| (category.to_string(), Json::Int(cycles)))
-            .collect(),
-    );
+    let accounting = |a: &Accounting| {
+        Json::Obj(
+            a.totals()
+                .map(|(category, cycles)| (category.name().to_string(), Json::Int(cycles)))
+                .collect(),
+        )
+    };
     let dispatch = Json::Arr(
         m.dispatch
             .rows()
@@ -853,8 +849,8 @@ pub fn metrics_to_json(m: &RunMetrics) -> Json {
         ("mean_op_latency", Json::Num(m.mean_op_latency)),
         ("migrations", Json::Int(m.migrations)),
         ("max_proc_utilization", Json::Num(m.max_proc_utilization)),
-        ("accounting", accounting),
-        ("migration_accounting", migration_accounting),
+        ("accounting", accounting(&m.accounting)),
+        ("migration_accounting", accounting(&m.migration_accounting)),
         ("dispatch", dispatch),
         ("per_proc", per_proc),
         ("audit", audit),
@@ -971,7 +967,7 @@ pub fn breakdown_to_json(lines: &[BreakdownLine], total: f64, migrations: u64) -
             Json::Obj(
                 lines
                     .iter()
-                    .map(|l| (l.category.to_string(), Json::Num(l.cycles)))
+                    .map(|l| (l.category.name().to_string(), Json::Num(l.cycles)))
                     .collect(),
             ),
         ),
@@ -1026,7 +1022,7 @@ mod tests {
         assert!((450.0..900.0).contains(&total), "total {total}");
         let user = lines
             .iter()
-            .find(|l| l.category == cat::USER_CODE)
+            .find(|l| l.category == Category::UserCode)
             .unwrap()
             .cycles;
         assert!((100.0..220.0).contains(&user), "user code {user}");

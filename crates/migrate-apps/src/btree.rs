@@ -334,12 +334,6 @@ impl Behavior for BTreeNode {
         // lock + header + key array + child array.
         HDR + (self.fanout as u64 + 1) * 8 * 2
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -264,12 +264,6 @@ impl Behavior for Balancer {
     fn size_bytes(&self) -> u64 {
         32
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// An output-wire counter: hands out `width·count + position`, where
@@ -297,12 +291,6 @@ impl Behavior for OutputCounter {
     }
     fn size_bytes(&self) -> u64 {
         16
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -46,8 +46,6 @@
 //!         [self.0].into()
 //!     }
 //!     fn size_bytes(&self) -> u64 { 16 }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //! }
 //!
 //! // A driver that bumps the counter once and halts.
@@ -83,7 +81,7 @@ pub mod rng;
 pub mod system;
 pub mod types;
 
-pub use cost::{categories, category_ids, CategoryId, CategoryTable, CostModel, DenseAccounting};
+pub use cost::{Accounting, Category, CostModel};
 pub use error::RuntimeError;
 pub use frame::{Frame, Invoke, StepCtx, StepResult};
 pub use mechanism::{Annotation, DataAccess, DispatchKind, DispatchStats, Scheme};

@@ -105,19 +105,6 @@ impl DispatchKind {
             DispatchKind::RpcFallback => "rpc_fallback",
         }
     }
-
-    /// All kinds, in label order.
-    pub const ALL: &'static [DispatchKind] = &[
-        DispatchKind::LocalInline,
-        DispatchKind::ReplicaRead,
-        DispatchKind::Rpc,
-        DispatchKind::Migration,
-        DispatchKind::Remigration,
-        DispatchKind::ThreadMove,
-        DispatchKind::ObjectPull,
-        DispatchKind::SharedMemory,
-        DispatchKind::RpcFallback,
-    ];
 }
 
 /// Per-call-site dispatch counters: how many invocations each source frame

@@ -290,12 +290,6 @@ mod tests {
             fn size_bytes(&self) -> u64 {
                 100
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let pull = Payload::ObjectPull {
             thread: ThreadId(0),

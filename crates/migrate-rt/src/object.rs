@@ -46,8 +46,10 @@ pub trait MethodEnv {
     fn rng(&mut self) -> u64;
 }
 
-/// Application object state + methods.
-pub trait Behavior: 'static {
+/// Application object state + methods. `Any` lets tests and app-side
+/// checks view an object's state by its concrete type
+/// ([`ObjectTable::state`]).
+pub trait Behavior: Any {
     /// Execute `method` with `args`, producing result words. All effects on
     /// the machine go through `env`. Up to four result words ride inline
     /// with no heap allocation (build them from an array: `[a, b].into()`).
@@ -56,12 +58,6 @@ pub trait Behavior: 'static {
     /// In-memory size of the object in bytes (determines how many cache
     /// lines it spans under shared memory).
     fn size_bytes(&self) -> u64;
-
-    /// Downcast support for tests and application-side inspection.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// Directory entry for one object.
@@ -191,7 +187,7 @@ impl ObjectTable {
         self.entry(goid)
             .behavior
             .as_ref()
-            .and_then(|b| b.as_any().downcast_ref::<T>())
+            .and_then(|b| (&**b as &dyn Any).downcast_ref::<T>())
     }
 
     /// Mutable typed view of an object's state, for setup-time adjustments
@@ -200,7 +196,7 @@ impl ObjectTable {
         self.entry_mut(goid)
             .behavior
             .as_mut()
-            .and_then(|b| b.as_any_mut().downcast_mut::<T>())
+            .and_then(|b| (&mut **b as &mut dyn Any).downcast_mut::<T>())
     }
 
     /// GOIDs of all objects, in creation order.
@@ -227,12 +223,6 @@ mod tests {
         }
         fn size_bytes(&self) -> u64 {
             self.size
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -293,6 +283,9 @@ mod tests {
         let g = t.create(Box::new(Dummy { size: 8, hits: 5 }), ProcId(0));
         assert_eq!(t.state::<Dummy>(g).unwrap().hits, 5);
         assert!(t.state::<u32>(g).is_none());
+        t.state_mut::<Dummy>(g).unwrap().hits = 9;
+        assert_eq!(t.state::<Dummy>(g).unwrap().hits, 9);
+        assert!(t.state_mut::<u32>(g).is_none());
     }
 
     #[test]

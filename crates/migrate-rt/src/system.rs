@@ -41,7 +41,7 @@ use proteus::{
     Processor, ProcessorStats,
 };
 
-use crate::cost::{category_ids as cat, CategoryId, CostModel, DenseAccounting};
+use crate::cost::{Accounting, Category, CostModel};
 use crate::error::RuntimeError;
 use crate::frame::Frame;
 use crate::mechanism::{DispatchStats, Scheme};
@@ -92,10 +92,10 @@ pub struct MachineConfig {
     pub cost_override: Option<CostModel>,
     /// Cycle-accounting audit mode: cross-check, for every executed task,
     /// that the processor-busy duration equals the cycles charged to busy
-    /// accounting categories, and at metrics extraction that every charged
-    /// cycle belongs to a registered [`crate::cost::categories::ALL`]
-    /// category. Costs nothing
-    /// when off; when on, [`System::metrics`] panics on any discrepancy.
+    /// accounting categories, and at metrics extraction that the grand
+    /// total is the sum over [`Category::ALL`] and the migration accounting
+    /// is a sub-accounting of the full one. Costs nothing when off; when
+    /// on, [`System::metrics`] panics on any discrepancy.
     pub audit: bool,
     /// Deterministic fault injection (`None` = fail-free, the default).
     /// When set, every remote runtime message travels in a sequence-numbered
@@ -285,15 +285,10 @@ enum Work {
 
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum ThreadStatus {
-    /// Runnable or running at home.
-    Active,
-    /// Blocked in think time.
-    Sleeping,
-    /// Waiting for an RPC reply (frame parked where it called from).
-    WaitingReply,
-    /// Top activation group migrated away; waiting for its short-circuited
-    /// return.
-    Detached,
+    /// Running or runnable, in think time, waiting for an RPC reply, or
+    /// waiting for a migrated group's short-circuited return: nothing reads
+    /// which.
+    Live,
     /// The whole thread is in flight to a new home (thread migration).
     Moving,
     /// Terminated.
@@ -350,8 +345,8 @@ struct Core {
     cost: CostModel,
     net: Network,
     tracer: Tracer,
-    acct: DenseAccounting,
-    migration_acct: DenseAccounting,
+    acct: Accounting,
+    migration_acct: Accounting,
     migration_ctx: bool,
     /// Monotone count of cycles charged to busy (non-transit) categories;
     /// the audit compares per-task deltas of this against execute()'s
@@ -367,7 +362,7 @@ impl Core {
     /// Charge `cycles` to `category`; returns `cycles`, so a caller adds
     /// what it charged to its busy accumulator in the same expression.
     #[inline]
-    fn charge(&mut self, category: CategoryId, cycles: Cycles) -> Cycles {
+    fn charge(&mut self, category: Category, cycles: Cycles) -> Cycles {
         self.acct.charge(category, cycles);
         if self.migration_ctx {
             self.migration_acct.charge(category, cycles);
@@ -375,7 +370,7 @@ impl Core {
         // Network transit is wire time, not processor time; every other
         // category must show up in some task's busy duration (audited per
         // task in the Poll handler).
-        if category != cat::NETWORK_TRANSIT {
+        if category != Category::NetworkTransit {
             self.busy_charged += cycles.get();
         }
         cycles
@@ -383,7 +378,7 @@ impl Core {
 
     #[inline]
     fn charge_user(&mut self, cycles: Cycles) -> Cycles {
-        self.charge(cat::USER_CODE, cycles)
+        self.charge(Category::UserCode, cycles)
     }
 
     /// Record a protocol error instead of aborting the simulation: the
@@ -446,10 +441,10 @@ impl Core {
         // Charges for a migration *message* always count toward Table 5,
         // wherever they happen.
         self.migration_ctx = was_migration_ctx || kind == MessageKind::Migration;
-        let overhead = self.charge(cat::LINKAGE_SEND, self.cost.linkage_send)
-            + self.charge(cat::ALLOC_PACKET_SEND, self.cost.alloc_packet_send)
-            + self.charge(cat::MARSHAL, self.cost.marshal(words))
-            + self.charge(cat::MESSAGE_SEND, self.cost.message_send);
+        let overhead = self.charge(Category::LinkageSend, self.cost.linkage_send)
+            + self.charge(Category::AllocPacketSend, self.cost.alloc_packet_send)
+            + self.charge(Category::Marshal, self.cost.marshal(words))
+            + self.charge(Category::MessageSend, self.cost.message_send);
         let latency = match self.net.send_at(send_time, src, dst, words) {
             Ok(l) => l,
             Err(_) => {
@@ -458,7 +453,7 @@ impl Core {
                 return (overhead, None);
             }
         };
-        self.charge(cat::NETWORK_TRANSIT, latency);
+        self.charge(Category::NetworkTransit, latency);
         self.migration_ctx = was_migration_ctx;
         (overhead, Some(latency))
     }
@@ -494,14 +489,14 @@ impl Core {
         } else {
             self.cost.thread_creation
         };
-        let overhead = self.charge(cat::COPY_PACKET, self.cost.copy_packet)
-            + self.charge(cat::THREAD_CREATION, thread)
-            + self.charge(cat::LINKAGE_RECV, self.cost.linkage_recv)
-            + self.charge(cat::UNMARSHAL, self.cost.unmarshal(words))
-            + self.charge(cat::GOID_TRANSLATION, self.cost.goid_translation)
-            + self.charge(cat::SCHEDULER, self.cost.scheduler)
-            + self.charge(cat::FORWARDING_CHECK, self.cost.forwarding_check)
-            + self.charge(cat::ALLOC_PACKET_RECV, self.cost.alloc_packet_recv);
+        let overhead = self.charge(Category::CopyPacket, self.cost.copy_packet)
+            + self.charge(Category::ThreadCreation, thread)
+            + self.charge(Category::LinkageRecv, self.cost.linkage_recv)
+            + self.charge(Category::Unmarshal, self.cost.unmarshal(words))
+            + self.charge(Category::GoidTranslation, self.cost.goid_translation)
+            + self.charge(Category::Scheduler, self.cost.scheduler)
+            + self.charge(Category::ForwardingCheck, self.cost.forwarding_check)
+            + self.charge(Category::AllocPacketRecv, self.cost.alloc_packet_recv);
         self.migration_ctx = was;
         overhead
     }
@@ -561,8 +556,8 @@ impl System {
                     .unwrap_or_else(|| cfg.scheme.cost_model()),
                 net: Network::new(n, cfg.network.clone()),
                 tracer: Tracer::disabled(),
-                acct: DenseAccounting::default(),
-                migration_acct: DenseAccounting::default(),
+                acct: Accounting::default(),
+                migration_acct: Accounting::default(),
                 migration_ctx: false,
                 busy_charged: 0,
                 msg_counts: [0; MessageKind::ALL.len()],
@@ -715,7 +710,7 @@ impl System {
         self.threads.push(ThreadState {
             home,
             stack: vec![driver],
-            status: ThreadStatus::Active,
+            status: ThreadStatus::Live,
             op_started: None,
             auto_site: None,
             auto_remote: 0,
@@ -743,10 +738,10 @@ impl System {
     // ------------------------------------------------------------------
 
     /// Put `group` back on top of `tid`'s home stack (the whole stack, while
-    /// the thread's own group runs) and set the thread's status.
-    fn park_home(&mut self, tid: ThreadId, mut group: Vec<Box<dyn Frame>>, status: ThreadStatus) {
+    /// the thread's own group runs); the thread is live.
+    fn park_home(&mut self, tid: ThreadId, mut group: Vec<Box<dyn Frame>>) {
         let thread = &mut self.threads[tid.index()];
-        thread.status = status;
+        thread.status = ThreadStatus::Live;
         // An empty stack takes over the group's buffer instead of
         // allocating one to append into.
         if thread.stack.is_empty() {
@@ -768,7 +763,7 @@ impl System {
         away: Option<ProcId>,
     ) {
         let Some(reply_to) = away else {
-            return self.park_home(tid, stack, ThreadStatus::WaitingReply);
+            return self.park_home(tid, stack);
         };
         let t = tid.index();
         if t >= self.detached.len() {
@@ -795,7 +790,7 @@ impl System {
 
     /// [`Core::charge`], for layers that hold all of `System`.
     #[inline]
-    fn charge(&mut self, category: CategoryId, cycles: Cycles) -> Cycles {
+    fn charge(&mut self, category: Category, cycles: Cycles) -> Cycles {
         self.core.charge(category, cycles)
     }
 
@@ -907,7 +902,7 @@ impl Simulation for System {
                     return;
                 }
                 let home = self.threads[tid.index()].home;
-                self.threads[tid.index()].status = ThreadStatus::Active;
+                self.threads[tid.index()].status = ThreadStatus::Live;
                 self.enqueue(home, Work::Step(tid), now, queue);
             }
             Event::Poll(proc) => {

@@ -9,7 +9,7 @@ use proteus::{Cycles, ProcId};
 
 use super::env::{MpEnv, SmEnv};
 use super::{DetachedFrame, Event, ResumingGroup, System, ThreadStatus, Work};
-use crate::cost::category_ids as cat;
+use crate::cost::Category;
 use crate::error::RuntimeError;
 use crate::frame::{Frame, Invoke, StepCtx, StepResult};
 use crate::mechanism::{Annotation, DataAccess, DispatchKind};
@@ -49,7 +49,7 @@ impl System {
                 self.transport().stats.duplicates_suppressed += 1;
                 let error = RuntimeError::DuplicateDelivery { seq, at: proc };
                 self.core.record_error(now + acc, error);
-                acc + self.charge(cat::RECOVERY_DEDUP, self.core.cost.dedup_check)
+                acc + self.charge(Category::RecoveryDedup, self.core.cost.dedup_check)
             }
             Work::Retransmit { seq } => self.retransmit(seq, now, proc, acc, queue),
             Work::HeartbeatProbe { to } => self.probe(now, proc, to, acc, queue),
@@ -57,9 +57,9 @@ impl System {
                 // The injected disruption occupies the processor for its
                 // duration; charge it so the audit identity holds.
                 let category = if crash {
-                    cat::FAULT_CRASH
+                    Category::FaultCrash
                 } else {
-                    cat::FAULT_STALL
+                    Category::FaultStall
                 };
                 acc + self.charge(category, duration)
             }
@@ -73,7 +73,7 @@ impl System {
     fn charge_delivery(&mut self, proc: ProcId, src: ProcId, payload: &Payload) -> Cycles {
         match payload {
             Payload::ReplicaUpdate { .. } => {
-                self.charge(cat::REPLICA_APPLY, self.core.cost.replica_apply)
+                self.charge(Category::ReplicaApply, self.core.cost.replica_apply)
             }
             Payload::ObjectPull { .. } if src == proc => Cycles::ZERO,
             _ => self.core.charge_recv(self.core.recv_meta(payload)),
@@ -97,7 +97,7 @@ impl System {
             } => {
                 // General-purpose stub dispatch: thread set-up/tear-down via
                 // the scheduler plus the second argument copy (§4.3).
-                let acc = acc + self.charge(cat::RPC_DISPATCH, self.core.cost.rpc_dispatch);
+                let acc = acc + self.charge(Category::RpcDispatch, self.core.cost.rpc_dispatch);
                 let (lat, results) = self.invoke_inline(proc, &invoke, now + acc, queue);
                 let acc = acc + lat;
                 let payload = Payload::RpcReply { thread, results };
@@ -182,7 +182,8 @@ impl System {
                 // install the state and let the thread retry its invoke,
                 // which is now local.
                 debug_assert_eq!(self.objects.home(target), proc, "object landed off-home");
-                let acc = acc + self.charge(cat::GOID_TRANSLATION, self.core.cost.goid_translation);
+                let acc =
+                    acc + self.charge(Category::GoidTranslation, self.core.cost.goid_translation);
                 self.objects.put_behavior(target, behavior);
                 if self.threads[thread.index()].status == ThreadStatus::Done {
                     // The puller died with its processor; the object was
@@ -203,7 +204,7 @@ impl System {
                 self.threads[t].home = proc;
                 let old = std::mem::replace(&mut self.threads[t].stack, frames);
                 self.recycle_frame_vec(old);
-                self.threads[t].status = ThreadStatus::Active;
+                self.threads[t].status = ThreadStatus::Live;
                 let (lat, results) = self.invoke_inline(proc, &invoke, now + acc, queue);
                 self.run_thread_slice(now, proc, thread, Some((results, false)), acc + lat, queue)
             }
@@ -213,7 +214,7 @@ impl System {
                 acc
             }
             Payload::BackupDelta { .. } => {
-                acc + self.charge(cat::REPLICATION_DELTA_APPLY, self.core.cost.delta_apply)
+                acc + self.charge(Category::ReplicationDeltaApply, self.core.cost.delta_apply)
             }
             // The receive path was the whole job: a replica update is
             // applied by its charge, and the ack a heartbeat's receive path
@@ -364,8 +365,8 @@ impl System {
         let wrote_bytes = env.wrote_bytes;
         self.objects.put_behavior(goid, behavior);
         self.core.charge_user(user);
-        self.charge(cat::MEMORY_STALL, mem);
-        self.charge(cat::LOCK_STALL, lock);
+        self.charge(Category::MemoryStall, mem);
+        self.charge(Category::LockStall, lock);
         let mut busy = elapsed;
         // Under shared memory the mutation happened in the home node's
         // memory; replication still ships the written footprint to the
@@ -426,7 +427,7 @@ impl System {
         };
         let remote = std::mem::take(&mut self.threads[t].auto_remote);
         self.policy().record_episode(site, remote);
-        self.charge(cat::POLICY_UPDATE, self.core.cost.policy_update)
+        self.charge(Category::PolicyUpdate, self.core.cost.policy_update)
     }
 
     /// Track one `Auto` invoke for the thread's open policy episode: open
@@ -475,7 +476,7 @@ impl System {
             Annotation::Migrate | Annotation::MigrateAll => true,
             Annotation::Rpc => false,
             Annotation::Auto => {
-                *acc += self.charge(cat::POLICY_DECIDE, self.core.cost.policy_decide);
+                *acc += self.charge(Category::PolicyDecide, self.core.cost.policy_decide);
                 let d = self.policy().decide(site);
                 if d.flipped {
                     let at = now + *acc;
@@ -511,7 +512,7 @@ impl System {
         acc: &mut Cycles,
         queue: &mut EventQueue<Event>,
     ) -> Result<WordVec, ProcId> {
-        *acc += self.charge(cat::LOCALITY_CHECK, self.core.cost.locality_check);
+        *acc += self.charge(Category::LocalityCheck, self.core.cost.locality_check);
         let home = self.objects.home(inv.target);
         let replica_served = home != proc && self.replica_readable(proc, inv);
         if inv.annotation == Annotation::Auto && self.cfg.scheme.migration {
@@ -557,7 +558,7 @@ impl System {
         let Some(mut frame) = self.threads[t].stack.pop() else {
             return acc;
         };
-        self.threads[t].status = ThreadStatus::Active;
+        self.threads[t].status = ThreadStatus::Live;
         if let Some((results, completes_op)) = deliver {
             if completes_op {
                 acc += self.complete_op(tid, now + acc);
@@ -605,7 +606,7 @@ impl System {
                     continue;
                 }
                 StepResult::Call(child) => {
-                    acc += self.charge(cat::LOCAL_LINKAGE, self.core.cost.local_call);
+                    acc += self.charge(Category::LocalLinkage, self.core.cost.local_call);
                     if child.is_operation() {
                         self.threads[t].op_started = Some(now + acc);
                     }
@@ -628,7 +629,7 @@ impl System {
                 StepResult::Sleep(d) if d.is_zero() => continue,
                 StepResult::Sleep(d) => {
                     lower.push(frame);
-                    self.park_home(tid, lower, ThreadStatus::Sleeping);
+                    self.park_home(tid, lower);
                     queue.schedule_at(now + acc + d, Event::Wake(tid));
                     return acc;
                 }
@@ -653,7 +654,7 @@ impl System {
                         self.threads[t].status = ThreadStatus::Done;
                         return acc;
                     };
-                    acc += self.charge(cat::LOCAL_LINKAGE, self.core.cost.local_call);
+                    acc += self.charge(Category::LocalLinkage, self.core.cost.local_call);
                     parent.on_result(&vals);
                     frame = parent;
                     continue;
@@ -678,7 +679,7 @@ impl System {
                 // Yield so lock windows interleave near the correct global
                 // time (DESIGN.md §6.2).
                 lower.push(frame);
-                self.park_home(tid, lower, ThreadStatus::Active);
+                self.park_home(tid, lower);
                 self.procs[proc.index()].enqueue(Work::Step(tid));
                 return acc;
             }
@@ -689,9 +690,9 @@ impl System {
                 // Rehomed to us but still in flight (another thread on this
                 // processor pulled it): retry once it has had time to
                 // arrive.
-                acc += self.charge(cat::LOCALITY_CHECK, self.core.cost.locality_check);
+                acc += self.charge(Category::LocalityCheck, self.core.cost.locality_check);
                 lower.push(frame);
-                self.park_home(tid, lower, ThreadStatus::Sleeping);
+                self.park_home(tid, lower);
                 queue.schedule_at(now + acc + Cycles(200), Event::Wake(tid));
                 return acc;
             }
@@ -752,7 +753,7 @@ impl System {
                             let mut frames = self.frame_pool.pop().unwrap_or_default();
                             frames.extend(lower.drain(keep..));
                             frames.push(frame);
-                            self.park_home(tid, lower, ThreadStatus::Detached);
+                            self.park_home(tid, lower);
                             (DispatchKind::Migration, proc, frames)
                         }
                     };
@@ -804,13 +805,13 @@ impl System {
         if home != proc {
             // The object moved away: forward the pull (forwarding check +
             // chase message).
-            acc += self.charge(cat::FORWARDING_CHECK, self.core.cost.forwarding_check);
+            acc += self.charge(Category::ForwardingCheck, self.core.cost.forwarding_check);
             acc += self.send_message(proc, home, pull, now + acc, queue);
             return acc;
         }
         if self.objects.entry(target).behavior.is_none() {
             // In flight towards us: retry after a short delay.
-            acc += self.charge(cat::SCHEDULER, self.core.cost.scheduler);
+            acc += self.charge(Category::Scheduler, self.core.cost.scheduler);
             let retry = Message {
                 src: proc,
                 payload: pull,
@@ -822,7 +823,7 @@ impl System {
         // pulls chase it to its new location.
         let behavior = self.objects.take_behavior(target);
         self.objects.entry_mut(target).home = reply_to;
-        acc += self.charge(cat::GOID_TRANSLATION, self.core.cost.goid_translation);
+        acc += self.charge(Category::GoidTranslation, self.core.cost.goid_translation);
         let payload = Payload::ObjectMove {
             thread,
             target,

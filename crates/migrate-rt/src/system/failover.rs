@@ -15,7 +15,7 @@ use proteus::trace::TraceEvent;
 use proteus::{Cycles, ProcId};
 
 use super::{Event, FailoverConfig, System, ThreadStatus, Work};
-use crate::cost::category_ids as cat;
+use crate::cost::Category;
 use crate::error::RuntimeError;
 use crate::message::{MessageKind, Payload};
 use crate::types::{Goid, ThreadId};
@@ -135,7 +135,7 @@ impl System {
         let words = wrote_bytes.div_ceil(8).max(1);
         failover.stats.replication_deltas += 1;
         failover.stats.replication_words += words;
-        let cost = self.charge(cat::REPLICATION_DELTA_SEND, self.core.cost.delta_send);
+        let cost = self.charge(Category::ReplicationDeltaSend, self.core.cost.delta_send);
         let payload = Payload::BackupDelta {
             target,
             delta_seq,
@@ -179,7 +179,7 @@ impl System {
             return acc; // nothing left to probe
         }
         failover.stats.heartbeats_sent += 1;
-        let acc = acc + self.charge(cat::RECOVERY_HEARTBEAT, self.core.cost.heartbeat_probe);
+        let acc = acc + self.charge(Category::RecoveryHeartbeat, self.core.cost.heartbeat_probe);
         acc + self.send_message(proc, to, Payload::Heartbeat, now + acc, queue)
     }
 
@@ -214,7 +214,7 @@ impl System {
         failover.stats.promotions += 1;
         failover.stats.rehomed_objects += dead_objects.len() as u64;
         let rehomed_total = failover.stats.rehomed_objects;
-        let mut acc = acc + self.charge(cat::RECOVERY_SUSPICION, self.core.cost.suspicion);
+        let mut acc = acc + self.charge(Category::RecoverySuspicion, self.core.cost.suspicion);
         self.core.tracer.emit_with(|| TraceEvent {
             at: now + acc,
             source: "runtime",
@@ -222,10 +222,10 @@ impl System {
             proc: Some(proc),
             detail: format!("declared {} dead (heartbeat silence)", victim.index()),
         });
-        acc += self.charge(cat::RECOVERY_PROMOTION, self.core.cost.promotion);
+        acc += self.charge(Category::RecoveryPromotion, self.core.cost.promotion);
         for g in dead_objects {
             self.objects.rehome(g, backup);
-            acc += self.charge(cat::RECOVERY_REHOME, self.core.cost.rehome_per_object);
+            acc += self.charge(Category::RecoveryRehome, self.core.cost.rehome_per_object);
         }
         self.core.tracer.emit_with(|| TraceEvent {
             at: now + acc,
@@ -297,7 +297,7 @@ impl System {
             if let Some(failover) = &mut self.failover {
                 failover.stats.rerouted_calls += 1;
             }
-            let acc = acc + self.charge(cat::RECOVERY_REROUTE, self.core.cost.reroute);
+            let acc = acc + self.charge(Category::RecoveryReroute, self.core.cost.reroute);
             return acc + self.redirect(seq, to, now + acc, queue);
         }
         // No live destination (or the work already happened): retire the

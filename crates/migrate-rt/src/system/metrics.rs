@@ -5,11 +5,11 @@
 use std::collections::BTreeMap;
 
 use proteus::fault::FaultStats;
-use proteus::stats::{CycleAccounting, Histogram};
+use proteus::stats::Histogram;
 use proteus::Cycles;
 
 use super::{FailoverStats, RecoveryStats, System};
-use crate::cost::{category_ids as cat, CategoryTable, DenseAccounting};
+use crate::cost::{Accounting, Category};
 use crate::mechanism::DispatchStats;
 use crate::message::MessageKind;
 use crate::policy::PolicyStats;
@@ -39,7 +39,7 @@ pub struct AuditSummary {
     /// Cycles charged to processor-busy categories (everything except
     /// network transit).
     pub busy_total: u64,
-    /// Cycles charged to [`crate::cost::categories::NETWORK_TRANSIT`].
+    /// Cycles charged to [`Category::NetworkTransit`].
     pub transit_total: u64,
 }
 
@@ -69,10 +69,10 @@ pub struct RunMetrics {
     /// Utilization of the busiest processor (bottleneck indicator).
     pub max_proc_utilization: f64,
     /// Full cycle accounting for the window.
-    pub accounting: CycleAccounting,
+    pub accounting: Accounting,
     /// Accounting restricted to migration messages + migrated user code
     /// (regenerates Table 5 when divided by `migrations`).
-    pub migration_accounting: CycleAccounting,
+    pub migration_accounting: Accounting,
     /// Message counts by kind (kinds never sent in the window are absent).
     pub message_kinds: BTreeMap<MessageKind, u64>,
     /// Per-call-site mechanism-dispatch counters for the window.
@@ -114,8 +114,8 @@ impl System {
         for p in &mut self.procs {
             p.reset_stats();
         }
-        self.core.acct = DenseAccounting::default();
-        self.core.migration_acct = DenseAccounting::default();
+        self.core.acct = Accounting::default();
+        self.core.migration_acct = Accounting::default();
         self.core.migrations = 0;
         self.core.msg_counts = [0; MessageKind::ALL.len()];
         self.ops_completed = 0;
@@ -141,12 +141,10 @@ impl System {
 
     /// Cross-check the window's cycle accounting (see
     /// [`super::MachineConfig::audit`]): every per-task busy duration
-    /// matched its charges, the grand total equals the sum over registered
-    /// categories, and the migration accounting is a sub-accounting of the
-    /// full one. (Registry closure — every charged category being
-    /// registered — holds by construction: charges are keyed by
-    /// [`crate::CategoryId`], which only exists for entries of
-    /// [`crate::cost::categories::ALL`].)
+    /// matched its charges, the grand total equals the sum over
+    /// [`Category::ALL`], and the migration accounting is a sub-accounting
+    /// of the full one. (Every charged category is listed by construction:
+    /// a charge names a [`Category`].)
     pub fn audit(&self) -> Result<AuditSummary, String> {
         if let Some(v) = self.audit_violations.first() {
             return Err(format!(
@@ -155,25 +153,25 @@ impl System {
             ));
         }
         let acct = &self.core.acct;
-        let registered_total: u64 = CategoryTable::iter().map(|id| acct.total(id)).sum();
+        let registered_total: u64 = Category::ALL.iter().map(|&c| acct.total(c)).sum();
         if registered_total != acct.grand_total() {
             return Err(format!(
                 "grand total {} != sum over registered categories {registered_total}",
                 acct.grand_total()
             ));
         }
-        for id in CategoryTable::iter() {
-            let total = self.core.migration_acct.total(id);
-            if acct.total(id) < total {
+        for &c in Category::ALL {
+            let total = self.core.migration_acct.total(c);
+            if acct.total(c) < total {
                 return Err(format!(
                     "migration accounting charges {total} cycles of {:?} \
                      but the full accounting only has {}",
-                    id.name(),
-                    acct.total(id)
+                    c.name(),
+                    acct.total(c)
                 ));
             }
         }
-        let transit_total = acct.total(cat::NETWORK_TRANSIT);
+        let transit_total = acct.total(Category::NetworkTransit);
         Ok(AuditSummary {
             tasks_checked: self.audit_tasks,
             grand_total: acct.grand_total(),
@@ -226,8 +224,8 @@ impl System {
             mean_op_latency: self.op_latency.mean(),
             migrations: self.core.migrations,
             max_proc_utilization: max_util,
-            accounting: self.core.acct.to_cycle_accounting(),
-            migration_accounting: self.core.migration_acct.to_cycle_accounting(),
+            accounting: self.core.acct.clone(),
+            migration_accounting: self.core.migration_acct.clone(),
             message_kinds: MessageKind::ALL
                 .into_iter()
                 .zip(self.core.msg_counts)

@@ -1,5 +1,5 @@
 use super::*;
-use crate::cost::categories;
+use crate::cost::Category;
 use crate::frame::{Invoke, StepCtx, StepResult};
 use crate::mechanism::{Annotation, DispatchKind};
 use crate::object::MethodEnv;
@@ -24,12 +24,6 @@ impl Behavior for Cell {
     }
     fn size_bytes(&self) -> u64 {
         64
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -56,12 +50,6 @@ impl Behavior for ReadCell {
     }
     fn size_bytes(&self) -> u64 {
         16
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -374,7 +362,7 @@ fn sm_lock_contention_accounted() {
     let m = runner.run(Cycles::ZERO, Cycles(2_000_000));
     assert_eq!(m.ops, 200);
     assert!(
-        m.accounting.total(cat::LOCK_STALL.name()) > 0,
+        m.accounting.total(Category::LockStall) > 0,
         "contending writers must stall on the object lock"
     );
 }
@@ -532,7 +520,7 @@ fn migration_accounting_sums_to_total_charges() {
     for (k, v) in m.migration_accounting.totals() {
         assert!(
             m.accounting.total(k) >= v,
-            "category {k}: migration {v} > total {}",
+            "{k:?}: migration {v} > total {}",
             m.accounting.total(k)
         );
     }
@@ -936,8 +924,8 @@ fn auto_learns_to_migrate_a_hot_site() {
     assert_eq!(p.decisions, p.migrate_decisions + p.rpc_decisions);
     assert!(p.migrate_decisions >= 9);
     // Policy bookkeeping is visible in the audited accounting.
-    let decide = m.accounting.total(categories::POLICY_DECIDE);
-    let update = m.accounting.total(categories::POLICY_UPDATE);
+    let decide = m.accounting.total(Category::PolicyDecide);
+    let update = m.accounting.total(Category::PolicyUpdate);
     assert_eq!(decide, p.decisions * 6, "policy.decide = decisions × cost");
     assert_eq!(update, p.episodes * 12, "policy.update = episodes × cost");
 }
@@ -955,8 +943,8 @@ fn auto_is_inert_under_a_migration_disabled_scheme() {
     assert_eq!(m.dispatch.count(DispatchKind::Remigration), 0);
     assert_eq!(m.dispatch.site_count("chain-op", DispatchKind::Rpc), 15);
     assert!(m.policy.is_none(), "engine never consulted");
-    assert_eq!(m.accounting.total(categories::POLICY_DECIDE), 0);
-    assert_eq!(m.accounting.total(categories::POLICY_UPDATE), 0);
+    assert_eq!(m.accounting.total(Category::PolicyDecide), 0);
+    assert_eq!(m.accounting.total(Category::PolicyUpdate), 0);
 }
 
 #[test]
@@ -995,7 +983,7 @@ fn auto_under_audit_keeps_busy_equal_to_charged() {
     assert!(audit.tasks_checked > 0);
     assert_eq!(audit.grand_total, audit.busy_total + audit.transit_total);
     assert!(m.policy.is_some(), "Auto was dispatched remotely");
-    assert!(m.accounting.total(categories::POLICY_UPDATE) > 0);
+    assert!(m.accounting.total(Category::PolicyUpdate) > 0);
 }
 
 #[test]

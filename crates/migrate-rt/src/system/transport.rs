@@ -35,7 +35,7 @@ use proteus::trace::{TraceEvent, Tracer};
 use proteus::{Cycles, ProcId};
 
 use super::{Core, Event, RecoveryConfig, RecvMeta, System, ThreadStatus, Work};
-use crate::cost::category_ids as cat;
+use crate::cost::Category;
 use crate::error::RuntimeError;
 use crate::mechanism::DispatchKind;
 use crate::message::{Message, MessageKind, Payload};
@@ -236,7 +236,7 @@ impl Faults {
         if let Some(at) = self.schedule_copy(launch_time, latency, src, dst, arrival, queue) {
             // The duplicate envelope copy is real wire traffic and transit.
             if let Ok(lat2) = core.net.send_at(at, src, dst, meta.words) {
-                core.charge(cat::NETWORK_TRANSIT, lat2);
+                core.charge(Category::NetworkTransit, lat2);
             }
         }
         queue.schedule_at(launch_time + self.rto(attempt), Event::Timeout(seq));
@@ -370,7 +370,7 @@ impl System {
         let (dst, kind, attempt) = (entry.dst, entry.meta.kind, entry.attempt);
         let max_migration_attempts = faults.cfg.max_migration_attempts;
         debug_assert_eq!(entry.src, proc, "retransmit task ran off the sender");
-        let acc = acc + self.charge(cat::RECOVERY_TIMEOUT, self.core.cost.timeout_handler);
+        let acc = acc + self.charge(Category::RecoveryTimeout, self.core.cost.timeout_handler);
         if let Some(failover) = &self.failover {
             if failover.is_declared_dead(dst) {
                 // The destination was declared dead (by this processor or
@@ -463,7 +463,7 @@ impl System {
         else {
             return acc; // tombstone — a copy was delivered after all
         };
-        let acc = acc + self.charge(cat::RECOVERY_RECLAIM, self.core.cost.frame_reclaim);
+        let acc = acc + self.charge(Category::RecoveryReclaim, self.core.cost.frame_reclaim);
         self.transport().stats.fallbacks += 1;
         self.core.record_error(
             now + acc,

@@ -14,8 +14,8 @@
 //! * a 64 KB / 16-byte-line [`cache::Cache`] per processor under a full-map
 //!   directory MSI protocol ([`coherence::CoherenceSystem`]) — the paper's
 //!   "data migration" mechanism,
-//! * cycle/traffic [`stats`] down to the per-category accounting that
-//!   regenerates the paper's Table 5.
+//! * traffic, cache and latency [`stats`]; the per-category cycle
+//!   accounting that regenerates the paper's Table 5 lives in the runtime.
 //!
 //! Everything is single-threaded and seeded: identical configurations replay
 //! identical histories, which the experiment harness and property tests rely
@@ -45,7 +45,7 @@ pub use fault::{FaultInjector, FaultPlan, FaultStats, MessageFate};
 pub use ids::ProcId;
 pub use network::{Network, NetworkConfig, SendError};
 pub use processor::{Processor, ProcessorStats};
-pub use stats::{CacheStats, CycleAccounting, Histogram, TrafficStats};
+pub use stats::{CacheStats, Histogram, TrafficStats};
 pub use time::Cycles;
 pub use topology::Mesh;
 pub use trace::{JsonlSink, RingBufferSink, TraceEvent, TraceSink, Tracer};

@@ -1,6 +1,4 @@
-//! Simulation statistics: network traffic, caches, and cycle accounting.
-
-use std::collections::BTreeMap;
+//! Simulation statistics: network traffic, caches and latency histograms.
 
 use crate::time::Cycles;
 
@@ -83,72 +81,6 @@ impl CacheStats {
         self.misses += other.misses;
         self.invalidations_received += other.invalidations_received;
         self.writebacks += other.writebacks;
-    }
-}
-
-/// Cycle accounting by category name: the mechanism behind the Table 5
-/// cost-breakdown reproduction. Every cycle the runtime charges is attributed
-/// to exactly one category, so the breakdown always sums to the total.
-#[derive(Clone, Debug, Default)]
-pub struct CycleAccounting {
-    by_category: BTreeMap<&'static str, u64>,
-    events: BTreeMap<&'static str, u64>,
-}
-
-impl CycleAccounting {
-    /// Charge `cycles` to `category` and count one occurrence.
-    pub fn charge(&mut self, category: &'static str, cycles: Cycles) {
-        *self.by_category.entry(category).or_insert(0) += cycles.get();
-        *self.events.entry(category).or_insert(0) += 1;
-    }
-
-    /// Charge `total` cycles to `category` as `count` occurrences, as if
-    /// `charge` had been called `count` times summing to `total`. Lets dense
-    /// per-id accumulators expand into the name-keyed report form without
-    /// replaying individual charges.
-    pub fn charge_n(&mut self, category: &'static str, total: Cycles, count: u64) {
-        *self.by_category.entry(category).or_insert(0) += total.get();
-        *self.events.entry(category).or_insert(0) += count;
-    }
-
-    /// Total cycles charged to `category`.
-    pub fn total(&self, category: &str) -> u64 {
-        self.by_category.get(category).copied().unwrap_or(0)
-    }
-
-    /// Number of charges made to `category`.
-    pub fn count(&self, category: &str) -> u64 {
-        self.events.get(category).copied().unwrap_or(0)
-    }
-
-    /// Mean cycles per charge for `category`; zero if never charged.
-    pub fn mean(&self, category: &str) -> f64 {
-        let n = self.count(category);
-        if n == 0 {
-            0.0
-        } else {
-            self.total(category) as f64 / n as f64
-        }
-    }
-
-    /// All categories with their cycle totals, in category-name order.
-    pub fn totals(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.by_category.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Grand total across all categories.
-    pub fn grand_total(&self) -> u64 {
-        self.by_category.values().sum()
-    }
-
-    /// Merge another accounting into this one.
-    pub fn merge(&mut self, other: &CycleAccounting) {
-        for (k, v) in &other.by_category {
-            *self.by_category.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in &other.events {
-            *self.events.entry(k).or_insert(0) += v;
-        }
     }
 }
 
@@ -283,32 +215,6 @@ mod tests {
         c.hits = 3;
         c.misses = 1;
         assert!((c.hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accounting_sums_and_counts() {
-        let mut a = CycleAccounting::default();
-        a.charge("marshal", Cycles(22));
-        a.charge("marshal", Cycles(22));
-        a.charge("linkage", Cycles(44));
-        assert_eq!(a.total("marshal"), 44);
-        assert_eq!(a.count("marshal"), 2);
-        assert!((a.mean("marshal") - 22.0).abs() < 1e-12);
-        assert_eq!(a.grand_total(), 88);
-        assert_eq!(a.total("missing"), 0);
-    }
-
-    #[test]
-    fn accounting_merge() {
-        let mut a = CycleAccounting::default();
-        a.charge("x", Cycles(10));
-        let mut b = CycleAccounting::default();
-        b.charge("x", Cycles(5));
-        b.charge("y", Cycles(1));
-        a.merge(&b);
-        assert_eq!(a.total("x"), 15);
-        assert_eq!(a.count("x"), 2);
-        assert_eq!(a.total("y"), 1);
     }
 
     #[test]

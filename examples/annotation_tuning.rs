@@ -31,12 +31,6 @@ impl Behavior for Item {
     fn size_bytes(&self) -> u64 {
         16
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// The §2.5 scenario: `n` consecutive accesses to each of `m` items.

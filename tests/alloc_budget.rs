@@ -83,12 +83,6 @@ impl Behavior for Quad {
     fn size_bytes(&self) -> u64 {
         32
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A thread that invokes its target forever.

@@ -10,30 +10,11 @@
 //! is the one crate that depends on both applications and the JSON codec.
 
 use bench::json::{parse, Json};
-use bench::{metrics_to_json, rows_to_json, Row};
+use bench::{failover_schemes, metrics_to_json, rows_to_json, Row};
 use migrate_apps::btree::BTreeExperiment;
 use migrate_apps::counting::CountingExperiment;
-use migrate_rt::{RunMetrics, Scheme};
+use migrate_rt::{Category, MessageKind, RunMetrics, Scheme};
 use proteus::Cycles;
-
-/// Every scheme family the runtime implements: the paper's three (shared
-/// memory, RPC, computation migration — the latter two with and without
-/// hardware support), plus the two extension mechanisms.
-fn all_schemes() -> Vec<(&'static str, Scheme)> {
-    vec![
-        ("SM", Scheme::shared_memory()),
-        ("RPC", Scheme::rpc()),
-        ("RPC+HW", Scheme::rpc().with_hardware()),
-        ("CM", Scheme::computation_migration()),
-        ("CM+HW", Scheme::computation_migration().with_hardware()),
-        (
-            "CM+repl",
-            Scheme::computation_migration().with_replication(),
-        ),
-        ("OM", Scheme::object_migration()),
-        ("TM", Scheme::thread_migration()),
-    ]
-}
 
 fn audited_counting(scheme: Scheme) -> RunMetrics {
     let exp = CountingExperiment {
@@ -77,7 +58,7 @@ fn check_audited(name: &str, metrics: &RunMetrics) {
 
 #[test]
 fn audit_holds_for_counting_network_under_all_schemes() {
-    for (name, scheme) in all_schemes() {
+    for (name, scheme) in failover_schemes() {
         let metrics = audited_counting(scheme);
         check_audited(&format!("counting/{name}"), &metrics);
     }
@@ -85,7 +66,7 @@ fn audit_holds_for_counting_network_under_all_schemes() {
 
 #[test]
 fn audit_holds_for_btree_under_all_schemes() {
-    for (name, scheme) in all_schemes() {
+    for (name, scheme) in failover_schemes() {
         let metrics = audited_btree(scheme);
         check_audited(&format!("btree/{name}"), &metrics);
     }
@@ -151,5 +132,33 @@ fn json_artifacts_round_trip() {
     assert_eq!(
         alone.get("message_words").and_then(Json::as_u64),
         Some(metrics.message_words)
+    );
+}
+
+#[test]
+fn replica_apply_charges_are_replica_updates_times_their_cost() {
+    // Every replica update sent is applied once, at one charge site. A
+    // drained, fault-free run measured from time 0 has no update in
+    // flight at either end of the window; no golden B-tree cell sends one.
+    let per_thread = 20;
+    let exp = BTreeExperiment {
+        initial_keys: 8,
+        fanout: 4,
+        data_procs: 8,
+        requesters: 4,
+        insert_permille: 1000,
+        requests_per_thread: Some(per_thread),
+        audit: true,
+        ..BTreeExperiment::paper(0, Scheme::computation_migration().with_replication())
+    };
+    let (mut runner, _root) = exp.build();
+    let m = runner.run(Cycles::ZERO, Cycles(20_000_000));
+    assert_eq!(m.ops, u64::from(exp.requesters) * per_thread, "not drained");
+    let updates = m.message_kinds[&MessageKind::ReplicaUpdate];
+    assert!(updates > 0);
+    let cost = exp.scheme.cost_model();
+    assert_eq!(
+        m.accounting.total(Category::ReplicaApply),
+        updates * cost.replica_apply.get()
     );
 }

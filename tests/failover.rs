@@ -20,7 +20,7 @@
 
 use bench::{failover_cell_btree, failover_cell_counting, failover_schemes};
 use migrate_apps::counting::CountingExperiment;
-use migrate_rt::FailoverConfig;
+use migrate_rt::{Category, FailoverConfig};
 use proteus::{Cycles, FaultPlan, ProcId};
 
 /// A small fault-free counting run with the failure detector on.
@@ -167,13 +167,27 @@ fn replication_traffic_is_charged_and_audited() {
     assert!(f.heartbeats_sent > 0);
     let acct = &m.accounting;
     for cat in [
-        migrate_rt::categories::RECOVERY_HEARTBEAT,
-        migrate_rt::categories::RECOVERY_SUSPICION,
-        migrate_rt::categories::RECOVERY_PROMOTION,
-        migrate_rt::categories::RECOVERY_REHOME,
-        migrate_rt::categories::REPLICATION_DELTA_SEND,
-        migrate_rt::categories::REPLICATION_DELTA_APPLY,
+        Category::RecoveryHeartbeat,
+        Category::RecoverySuspicion,
+        Category::RecoveryPromotion,
+        Category::RecoveryRehome,
+        Category::ReplicationDeltaSend,
+        Category::ReplicationDeltaApply,
     ] {
-        assert!(acct.total(cat) > 0, "category {cat} never charged");
+        assert!(acct.total(cat) > 0, "{} never charged", cat.name());
     }
+}
+
+#[test]
+fn reroute_charges_are_rerouted_calls_times_their_cost() {
+    // One recovery.reroute charge per rerouted envelope; the failover
+    // golden's cells happen to reroute nothing.
+    let scheme = migrate_rt::Scheme::computation_migration();
+    let m = failover_cell_counting(1, scheme);
+    let rerouted = m.failover.as_ref().expect("failover stats").rerouted_calls;
+    assert!(rerouted > 0, "seed 1 reroutes no envelope");
+    assert_eq!(
+        m.accounting.total(Category::RecoveryReroute),
+        rerouted * scheme.cost_model().reroute.get()
+    );
 }

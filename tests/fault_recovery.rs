@@ -12,28 +12,11 @@
 //! like any other task.
 
 use bench::json::Json;
-use bench::metrics_to_json;
+use bench::{failover_schemes, metrics_to_json};
 use migrate_apps::btree::{verify_tree, BTreeExperiment};
 use migrate_apps::counting::{has_step_property, CountingExperiment, OutputCounter};
-use migrate_rt::{DispatchKind, RecoveryConfig, RunMetrics, Scheme};
+use migrate_rt::{Category, DispatchKind, RecoveryConfig, RunMetrics, Scheme};
 use proteus::{Cycles, FaultPlan};
-
-/// Every scheme family the runtime implements (mirrors `cost_audit.rs`).
-fn all_schemes() -> Vec<(&'static str, Scheme)> {
-    vec![
-        ("SM", Scheme::shared_memory()),
-        ("RPC", Scheme::rpc()),
-        ("RPC+HW", Scheme::rpc().with_hardware()),
-        ("CM", Scheme::computation_migration()),
-        ("CM+HW", Scheme::computation_migration().with_hardware()),
-        (
-            "CM+repl",
-            Scheme::computation_migration().with_replication(),
-        ),
-        ("OM", Scheme::object_migration()),
-        ("TM", Scheme::thread_migration()),
-    ]
-}
 
 /// Drained counting run under a fault plan: capped drivers, far horizon, so
 /// the machine quiesces and the exact token count is checkable.
@@ -77,7 +60,7 @@ fn faulted_counting_counts(
 fn counting_tokens_conserved_for_all_schemes_and_seeds() {
     let requesters = 4u32;
     let per_thread = 6u64;
-    for (name, scheme) in all_schemes() {
+    for (name, scheme) in failover_schemes() {
         for seed in 0..32u64 {
             let counts = faulted_counting_counts(
                 seed,
@@ -103,7 +86,7 @@ fn counting_tokens_conserved_for_all_schemes_and_seeds() {
 
 #[test]
 fn btree_stays_valid_for_all_schemes_and_seeds() {
-    for (name, scheme) in all_schemes() {
+    for (name, scheme) in failover_schemes() {
         for seed in 0..32u64 {
             let initial = 120u64;
             let requesters = 4u32;
@@ -216,6 +199,20 @@ fn fallback_metrics(seed: u64) -> RunMetrics {
     let (mut runner, _spec) = exp.build();
     runner.run_until(Cycles(200_000_000));
     runner.system.metrics(Cycles(200_000_000))
+}
+
+#[test]
+fn frame_reclaim_charges_are_fallbacks_times_their_cost() {
+    // One recovery.frame_reclaim charge per fallback, and no golden run
+    // takes a fallback.
+    let m = fallback_metrics(3);
+    let fallbacks = m.recovery.as_ref().expect("recovery stats").fallbacks;
+    assert!(fallbacks > 0);
+    let cost = Scheme::computation_migration().cost_model();
+    assert_eq!(
+        m.accounting.total(Category::RecoveryReclaim),
+        fallbacks * cost.frame_reclaim.get()
+    );
 }
 
 #[test]

@@ -29,12 +29,6 @@ impl Behavior for Item {
     fn size_bytes(&self) -> u64 {
         16
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 struct ChainOp {
