@@ -359,7 +359,9 @@ pub struct BTreeOp {
     insert: bool,
     current: Goid,
     /// Ancestors visited, nearest last — consumed when splits propagate up.
-    path: Vec<Goid>,
+    /// Paths in the paper's trees hold at most four ancestors, so they stay
+    /// in the `WordVec`'s inline words; a deeper tree spills to the heap.
+    path: WordVec,
     phase: OpPhase,
     annotation: Annotation,
 }
@@ -378,7 +380,7 @@ impl BTreeOp {
             key,
             insert,
             current: root,
-            path: Vec::new(),
+            path: WordVec::new(),
             phase: OpPhase::Descend,
             annotation,
         }
@@ -410,7 +412,7 @@ impl Frame for BTreeOp {
                 self.current = Goid(r[1]);
             }
             (OpPhase::Descend, R_CHILD) => {
-                self.path.push(self.current);
+                self.path.push(self.current.0);
                 self.current = Goid(r[1]);
             }
             (OpPhase::Descend, R_LEAF) => {
@@ -428,7 +430,7 @@ impl Frame for BTreeOp {
                     .path
                     .pop()
                     .expect("splits cannot escape the root (the root grows in place)");
-                self.current = parent;
+                self.current = Goid(parent);
                 self.phase = OpPhase::Ascend {
                     sep: r[2],
                     child: Goid(r[1]),

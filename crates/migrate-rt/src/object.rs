@@ -7,7 +7,6 @@
 //! runs unmodified under every scheme — the paper's portability argument.
 
 use std::any::Any;
-use std::collections::HashMap;
 
 use proteus::coherence::make_addr;
 use proteus::{Cycles, ProcId};
@@ -81,16 +80,38 @@ pub struct ObjectEntry {
 }
 
 /// The global object table (GOID → entry). GOIDs are dense indices.
-#[derive(Default)]
 pub struct ObjectTable {
     entries: Vec<ObjectEntry>,
-    next_offset: HashMap<ProcId, u64>,
+    /// Each home's bump-allocation offset, indexed by processor.
+    next_offset: Vec<u64>,
+    /// The cache line size objects are aligned to.
+    line_bytes: u64,
 }
 
 impl ObjectTable {
-    /// An empty table.
-    pub fn new() -> ObjectTable {
-        ObjectTable::default()
+    /// An empty table for a machine of `processors` homes whose caches have
+    /// `line_bytes`-byte lines.
+    pub fn new(processors: u32, line_bytes: u64) -> ObjectTable {
+        ObjectTable {
+            entries: Vec::new(),
+            next_offset: vec![0; processors as usize],
+            line_bytes,
+        }
+    }
+
+    /// Allocate `size` bytes of `home`'s memory, starting on a fresh line,
+    /// and return the base address. Panics if the home's 4 GB address space
+    /// is exhausted: past it, addresses would alias the next home's memory.
+    fn place(&mut self, home: ProcId, size: u64) -> u64 {
+        let offset = &mut self.next_offset[home.index()];
+        let base_addr = make_addr(home, *offset);
+        *offset += size.next_multiple_of(self.line_bytes);
+        assert!(
+            *offset <= 1 << 32,
+            "P{} has no memory left for a {size}-byte object",
+            home.0
+        );
+        base_addr
     }
 
     /// Number of objects created.
@@ -104,16 +125,13 @@ impl ObjectTable {
     }
 
     /// Create an object at `home`, returning its GOID. Memory is allocated
-    /// contiguously in the home node's address space, line-aligned so
-    /// distinct objects never share a cache line (no false sharing between
-    /// objects; fields within one object may share lines, as on the real
-    /// machine).
+    /// contiguously in the home node's address space, aligned to the cache
+    /// line so distinct objects never share a cache line (no false sharing
+    /// between objects; fields within one object may share lines, as on the
+    /// real machine).
     pub fn create(&mut self, behavior: Box<dyn Behavior>, home: ProcId) -> Goid {
-        const LINE: u64 = 16;
         let size = behavior.size_bytes().max(8);
-        let offset = self.next_offset.entry(home).or_insert(0);
-        let base_addr = make_addr(home, *offset);
-        *offset += size.div_ceil(LINE) * LINE;
+        let base_addr = self.place(home, size);
         let goid = Goid(self.entries.len() as u64);
         self.entries.push(ObjectEntry {
             home,
@@ -133,11 +151,8 @@ impl ObjectTable {
     /// and needs a real address there so shared-memory traffic stays
     /// realistic.
     pub fn rehome(&mut self, goid: Goid, new_home: ProcId) {
-        const LINE: u64 = 16;
         let size = self.entry(goid).size_bytes;
-        let offset = self.next_offset.entry(new_home).or_insert(0);
-        let base_addr = make_addr(new_home, *offset);
-        *offset += size.div_ceil(LINE) * LINE;
+        let base_addr = self.place(new_home, size);
         let entry = self.entry_mut(goid);
         entry.home = new_home;
         entry.base_addr = base_addr;
@@ -228,7 +243,7 @@ mod tests {
 
     #[test]
     fn create_assigns_dense_goids_and_homes() {
-        let mut t = ObjectTable::new();
+        let mut t = ObjectTable::new(4, 16);
         let a = t.create(Box::new(Dummy { size: 24, hits: 0 }), ProcId(1));
         let b = t.create(Box::new(Dummy { size: 8, hits: 0 }), ProcId(2));
         assert_eq!(a, Goid(0));
@@ -240,7 +255,7 @@ mod tests {
 
     #[test]
     fn addresses_are_line_aligned_and_home_encoded() {
-        let mut t = ObjectTable::new();
+        let mut t = ObjectTable::new(4, 16);
         let a = t.create(Box::new(Dummy { size: 24, hits: 0 }), ProcId(3));
         let b = t.create(Box::new(Dummy { size: 8, hits: 0 }), ProcId(3));
         let ea = t.entry(a);
@@ -252,8 +267,38 @@ mod tests {
     }
 
     #[test]
+    fn objects_align_to_the_configured_line_size() {
+        const LINE: u64 = 64;
+        let mut t = ObjectTable::new(4, LINE);
+        let objects: Vec<Goid> = (0..4)
+            .map(|_| t.create(Box::new(Dummy { size: 8, hits: 0 }), ProcId(1)))
+            .collect();
+        let lines: Vec<u64> = objects
+            .iter()
+            .map(|&g| t.entry(g).base_addr / LINE)
+            .collect();
+        assert_eq!(lines, [0, 1, 2, 3].map(|l| lines[0] + l));
+        let moved = t.create(Box::new(Dummy { size: 72, hits: 0 }), ProcId(2));
+        t.rehome(moved, ProcId(1));
+        assert_eq!(t.entry(moved).base_addr / LINE, lines[0] + 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "P2 has no memory left")]
+    fn a_home_past_its_address_space_is_rejected() {
+        let mut t = ObjectTable::new(4, 16);
+        t.create(
+            Box::new(Dummy {
+                size: (1 << 32) + 1,
+                hits: 0,
+            }),
+            ProcId(2),
+        );
+    }
+
+    #[test]
     fn objects_on_different_homes_do_not_collide() {
-        let mut t = ObjectTable::new();
+        let mut t = ObjectTable::new(4, 16);
         let a = t.create(Box::new(Dummy { size: 16, hits: 0 }), ProcId(0));
         let b = t.create(Box::new(Dummy { size: 16, hits: 0 }), ProcId(1));
         assert_ne!(t.entry(a).base_addr, t.entry(b).base_addr);
@@ -261,7 +306,7 @@ mod tests {
 
     #[test]
     fn take_put_round_trip() {
-        let mut t = ObjectTable::new();
+        let mut t = ObjectTable::new(4, 16);
         let g = t.create(Box::new(Dummy { size: 8, hits: 0 }), ProcId(0));
         let b = t.take_behavior(g);
         t.put_behavior(g, b);
@@ -271,7 +316,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "reentrant")]
     fn reentrant_take_panics() {
-        let mut t = ObjectTable::new();
+        let mut t = ObjectTable::new(4, 16);
         let g = t.create(Box::new(Dummy { size: 8, hits: 0 }), ProcId(0));
         let _b = t.take_behavior(g);
         let _ = t.take_behavior(g);
@@ -279,7 +324,7 @@ mod tests {
 
     #[test]
     fn typed_state_downcast() {
-        let mut t = ObjectTable::new();
+        let mut t = ObjectTable::new(4, 16);
         let g = t.create(Box::new(Dummy { size: 8, hits: 5 }), ProcId(0));
         assert_eq!(t.state::<Dummy>(g).unwrap().hits, 5);
         assert!(t.state::<u32>(g).is_none());
@@ -290,7 +335,7 @@ mod tests {
 
     #[test]
     fn replication_flag() {
-        let mut t = ObjectTable::new();
+        let mut t = ObjectTable::new(4, 16);
         let g = t.create(Box::new(Dummy { size: 8, hits: 0 }), ProcId(0));
         assert!(!t.entry(g).replicated);
         t.set_replicated(g, true);
@@ -299,7 +344,7 @@ mod tests {
 
     #[test]
     fn rehome_moves_home_and_reallocates_address() {
-        let mut t = ObjectTable::new();
+        let mut t = ObjectTable::new(4, 16);
         let g = t.create(Box::new(Dummy { size: 24, hits: 0 }), ProcId(0));
         // Pre-existing allocation at the new home; rehome must not collide.
         let other = t.create(Box::new(Dummy { size: 16, hits: 0 }), ProcId(2));
@@ -315,7 +360,7 @@ mod tests {
 
     #[test]
     fn minimum_size_is_one_word() {
-        let mut t = ObjectTable::new();
+        let mut t = ObjectTable::new(4, 16);
         let g = t.create(Box::new(Dummy { size: 0, hits: 0 }), ProcId(0));
         assert_eq!(t.entry(g).size_bytes, 8);
     }

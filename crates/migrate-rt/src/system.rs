@@ -568,7 +568,7 @@ impl System {
             procs: (0..n).map(|i| Processor::new(ProcId(i))).collect(),
             poll_pending: vec![false; n as usize],
             replica_at,
-            objects: ObjectTable::new(),
+            objects: ObjectTable::new(n, cfg.cache.line_bytes),
             threads: Vec::new(),
             detached: Vec::new(),
             frame_pool: Vec::new(),

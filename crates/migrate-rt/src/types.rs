@@ -65,6 +65,18 @@ impl WordVec {
             Repr::Heap(v) => v.push(w),
         }
     }
+
+    /// Remove and return the last word, if any. A spilled list stays on the
+    /// heap.
+    pub fn pop(&mut self) -> Option<Word> {
+        match &mut self.0 {
+            Repr::Inline { len, buf } => {
+                *len = len.checked_sub(1)?;
+                Some(buf[*len as usize])
+            }
+            Repr::Heap(v) => v.pop(),
+        }
+    }
 }
 
 impl Default for WordVec {
@@ -231,6 +243,24 @@ mod tests {
         wv.push(4);
         assert!(matches!(wv.0, Repr::Heap(_)));
         assert_eq!(&wv[..], &[0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn wordvec_pops_in_reverse_inline_and_spilled() {
+        let mut inline: WordVec = [1u64, 2].into();
+        assert_eq!(inline.pop(), Some(2));
+        inline.push(3);
+        assert_eq!(&inline[..], &[1, 3]);
+        assert_eq!(
+            (inline.pop(), inline.pop(), inline.pop()),
+            (Some(3), Some(1), None)
+        );
+        let mut spilled: WordVec = (0..6u64).collect();
+        for w in (0..6u64).rev() {
+            assert_eq!(spilled.pop(), Some(w));
+        }
+        assert_eq!(spilled.pop(), None);
+        assert!(matches!(spilled.0, Repr::Heap(_)));
     }
 
     #[test]

@@ -203,19 +203,23 @@ impl Cache {
         Some(state_of(tag))
     }
 
-    /// [`hit_read`](Self::hit_read) restricted to Modified lines: a write
-    /// hits only if this cache already holds the line exclusively. A Shared
-    /// copy must still take the upgrade path and is deliberately left
-    /// untouched (no LRU refresh, no hit counted).
-    pub fn hit_modified(&mut self, line: u64) -> bool {
-        let tag = key(line) | 1;
+    /// The write-hit test, in one scan of the set: returns the state `line`
+    /// is held in, if resident. A write hits only if this cache already
+    /// holds the line Modified; that copy becomes the most recently used and
+    /// counts a hit. A Shared copy must still take the upgrade path and is
+    /// deliberately left untouched (no LRU refresh, no hit counted), but is
+    /// reported so the protocol knows the requester holds the data.
+    pub fn hit_write(&mut self, line: u64) -> Option<LineState> {
+        let key = key(line);
         let set = self.set_mut(line);
-        let Some(pos) = set.iter().position(|&t| t == tag) else {
-            return false;
-        };
+        let pos = find(set, key)?;
+        let tag = set[pos];
+        if tag & 1 == 0 {
+            return Some(LineState::Shared);
+        }
         promote(set, pos, tag);
         self.stats.hits += 1;
-        true
+        Some(LineState::Modified)
     }
 
     /// Insert (or upgrade) `line` in `state` as the most recently used,

@@ -43,36 +43,53 @@ fn xfer(net: &mut Network, src: ProcId, dst: ProcId, payload_words: u64) -> Cycl
     net.send(src, dst, payload_words).expect(OUTSIDE_MACHINE)
 }
 
-/// The processors sharing a line, as a bitmask. The paper's machines top out
-/// at 88 processors, so 128 bits cover every configuration this simulator
-/// accepts (asserted in [`CoherenceSystem::new`]); membership updates are
-/// single bit operations with no per-entry heap churn.
+/// The processors sharing a line, as a 128-bit mask kept in two words. The
+/// paper's machines top out at 88 processors, so 128 bits cover every
+/// configuration this simulator accepts (asserted in
+/// [`CoherenceSystem::new`]); membership updates are single bit operations
+/// with no per-entry heap churn. Two `u64`s rather than one `u128` keep the
+/// set 8-byte aligned, so a [`DirEntry`] packs into 24 bytes.
 #[derive(Copy, Clone, Default, PartialEq, Eq)]
-struct SharerSet(u128);
+struct SharerSet([u64; 2]);
 
 impl SharerSet {
+    /// The word holding `p`'s bit, and that bit.
+    #[inline]
+    fn bit(p: ProcId) -> (usize, u64) {
+        ((p.0 >> 6) as usize, 1 << (p.0 & 63))
+    }
+
     fn insert(&mut self, p: ProcId) {
-        self.0 |= 1u128 << p.0;
+        let (word, bit) = Self::bit(p);
+        self.0[word] |= bit;
     }
 
     fn remove(&mut self, p: ProcId) {
-        self.0 &= !(1u128 << p.0);
+        let (word, bit) = Self::bit(p);
+        self.0[word] &= !bit;
     }
 
-    fn clear(&mut self) {
-        self.0 = 0;
+    /// The set holding only `p`.
+    fn only(p: ProcId) -> SharerSet {
+        let mut set = SharerSet::default();
+        set.insert(p);
+        set
     }
 
     fn contains(&self, p: ProcId) -> bool {
-        (self.0 >> p.0) & 1 == 1
+        let (word, bit) = Self::bit(p);
+        self.0[word] & bit != 0
     }
 
     fn len(&self) -> usize {
-        self.0.count_ones() as usize
+        (self.0[0].count_ones() + self.0[1].count_ones()) as usize
     }
 
     fn iter(&self) -> SharerIter {
-        SharerIter(self.0)
+        SharerIter {
+            words: self.0,
+            word: 0,
+        }
     }
 }
 
@@ -83,18 +100,25 @@ impl std::fmt::Debug for SharerSet {
 }
 
 /// Ascending-`ProcId` iterator over a [`SharerSet`].
-struct SharerIter(u128);
+struct SharerIter {
+    words: [u64; 2],
+    /// The word being drained; its lower neighbours are empty.
+    word: usize,
+}
 
 impl Iterator for SharerIter {
     type Item = ProcId;
 
     fn next(&mut self) -> Option<ProcId> {
-        if self.0 == 0 {
-            return None;
+        while let Some(bits) = self.words.get_mut(self.word) {
+            if *bits != 0 {
+                let i = bits.trailing_zeros();
+                *bits &= *bits - 1;
+                return Some(ProcId(self.word as u32 * 64 + i));
+            }
+            self.word += 1;
         }
-        let i = self.0.trailing_zeros();
-        self.0 &= self.0 - 1;
-        Some(ProcId(i))
+        None
     }
 }
 
@@ -176,16 +200,65 @@ pub struct ProtocolStats {
     pub eviction_writebacks: u64,
 }
 
-/// The home directory's state for one line.
+/// Bit 63 of [`DirEntry::busy`]: the line is dirty at its single sharer.
+const DIRTY: u64 = 1 << 63;
+
+/// The home directory's state for one line, in 24 bytes. A dirty line's
+/// Modified owner is its only sharer — the invariant
+/// [`CoherenceSystem::check_invariants`] enforces — so the owner is not
+/// stored apart from the sharers, only the dirty flag is.
 #[derive(Copy, Clone, Debug, Default)]
 struct DirEntry {
-    owner: Option<ProcId>,
     sharers: SharerSet,
-    /// Occupancy: a line in the middle of a protocol transaction cannot
-    /// serve the next request until this time — this is what serializes
-    /// bursts on hot (write-shared) lines.
-    busy_until: Cycles,
+    /// Occupancy in the low 63 bits: a line in the middle of a protocol
+    /// transaction cannot serve the next request until this time — this is
+    /// what serializes bursts on hot (write-shared) lines. Bit 63 is
+    /// [`DIRTY`].
+    busy: u64,
 }
+
+impl DirEntry {
+    fn dirty(&self) -> bool {
+        self.busy & DIRTY != 0
+    }
+
+    /// The Modified owner: the lowest sharer of a dirty line.
+    fn owner(&self) -> Option<ProcId> {
+        if !self.dirty() {
+            return None;
+        }
+        self.sharers.iter().next()
+    }
+
+    /// Make `p` the Modified owner and only sharer.
+    fn set_owner(&mut self, p: ProcId) {
+        self.sharers = SharerSet::only(p);
+        self.busy |= DIRTY;
+    }
+
+    fn clear_dirty(&mut self) {
+        self.busy &= !DIRTY;
+    }
+
+    fn busy_until(&self) -> Cycles {
+        Cycles(self.busy & !DIRTY)
+    }
+
+    fn set_busy_until(&mut self, t: Cycles) {
+        assert!(
+            t.get() < DIRTY,
+            "line occupancy {t:?} overflows the directory's 63-bit time"
+        );
+        self.busy = (self.busy & DIRTY) | t.get();
+    }
+}
+
+/// Directory entries per page. A home's directory is a table of pages, each
+/// allocated by the first miss on one of its lines.
+const PAGE_LINES: usize = 64;
+
+/// One page of a home's directory: 64 entries, 1.5 KB.
+type Page = [DirEntry; PAGE_LINES];
 
 /// Outcome of one shared-memory access.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -202,12 +275,12 @@ pub struct AccessOutcome {
 pub struct CoherenceSystem {
     caches: Vec<Cache>,
     /// The full-map directory, kept where Alewife keeps it: at each line's
-    /// home. `directory[home][offset]` is the entry of the line at
-    /// node-local line offset `offset` in `home`'s memory. Objects are
-    /// bump-allocated densely from offset 0 in each home's address space, so
-    /// a home's table is as long as the highest line ever missed there and
-    /// grows on demand; a miss indexes it instead of hashing.
-    directory: Vec<Vec<DirEntry>>,
+    /// home. `directory[home][offset / 64]` is the page holding the entry of
+    /// the line at node-local line offset `offset` in `home`'s memory, at
+    /// `offset % 64`. A page is allocated by the first miss on one of its
+    /// lines and never moves; only the page pointers grow with the highest
+    /// line missed. A miss indexes the table instead of hashing.
+    directory: Vec<Vec<Option<Box<Page>>>>,
     costs: CoherenceCosts,
     /// `line_bytes.trailing_zeros()`: line math is a shift, not a division.
     line_shift: u32,
@@ -282,31 +355,39 @@ impl CoherenceSystem {
         self.line_access(proc, line, kind, net, at)
     }
 
-    /// The directory coordinates `(home, node-local line offset)` of `line`.
+    /// The directory coordinates `(home, page, index in page)` of `line`.
     #[inline]
-    fn coords(&self, line: u64) -> (usize, usize) {
+    fn coords(&self, line: u64) -> (usize, usize, usize) {
         let home = self.home_of_line(line).index();
-        (home, (line & self.offset_mask) as usize)
+        let offset = (line & self.offset_mask) as usize;
+        (home, offset / PAGE_LINES, offset % PAGE_LINES)
     }
 
-    /// The directory slot of `line`, growing the home's table to cover it.
-    /// A home outside the machine is a model bug, the same one [`xfer`]
-    /// stops on.
-    fn slot(&mut self, line: u64) -> (usize, usize) {
-        let (home, offset) = self.coords(line);
-        let table = self.directory.get_mut(home).expect(OUTSIDE_MACHINE);
-        if offset >= table.len() {
-            table.resize(offset + 1, DirEntry::default());
+    /// The directory page `page` of `home`, allocating it on first use. A
+    /// home outside the machine is a model bug, the same one [`xfer`] stops
+    /// on.
+    fn page_mut(&mut self, home: usize, page: usize) -> &mut Page {
+        let pages = self.directory.get_mut(home).expect(OUTSIDE_MACHINE);
+        if page >= pages.len() {
+            pages.resize_with(page + 1, || None);
         }
-        (home, offset)
+        pages[page].get_or_insert_with(|| Box::new([DirEntry::default(); PAGE_LINES]))
     }
 
-    /// The directory entry of `line`, if the directory has ever seen it.
+    /// The directory entry of `line`, if its page has ever been allocated.
     fn entry_mut(&mut self, line: u64) -> Option<&mut DirEntry> {
-        let (home, offset) = self.coords(line);
-        self.directory.get_mut(home)?.get_mut(offset)
+        let (home, page, index) = self.coords(line);
+        let page = self
+            .directory
+            .get_mut(home)?
+            .get_mut(page)?
+            .as_deref_mut()?;
+        Some(&mut page[index])
     }
 
+    /// One line's access: the cache hit test here, inline in every caller;
+    /// a miss goes to the directory through [`Self::miss`].
+    #[inline]
     fn line_access(
         &mut self,
         proc: ProcId,
@@ -316,9 +397,12 @@ impl CoherenceSystem {
         at: Cycles,
     ) -> AccessOutcome {
         let cache = &mut self.caches[proc.index()];
-        let hit = match kind {
-            Access::Read => cache.hit_read(line).is_some(),
-            Access::Write => cache.hit_modified(line),
+        let (hit, upgrade) = match kind {
+            Access::Read => (cache.hit_read(line).is_some(), false),
+            Access::Write => match cache.hit_write(line) {
+                Some(LineState::Modified) => (true, false),
+                held => (false, held.is_some()),
+            },
         };
         if hit {
             return AccessOutcome {
@@ -326,26 +410,44 @@ impl CoherenceSystem {
                 hit: true,
             };
         }
-        // One directory touch per miss: copy the entry out, run the
-        // protocol against the copy, store it back before the fill (whose
-        // eviction may update another line's entry).
-        let (home, offset) = self.slot(line);
-        let mut entry = self.directory[home][offset];
+        AccessOutcome {
+            latency: self.miss(proc, line, kind, upgrade, net, at),
+            hit: false,
+        }
+    }
+
+    /// A miss on `line`, `upgrade` when it is a write to a Shared copy the
+    /// requester holds: runs the protocol and returns the requester's wait
+    /// plus latency. One directory touch: copy the entry out, run the
+    /// protocol against the copy, store it back before the fill (whose
+    /// eviction may update another line's entry).
+    #[inline(never)]
+    fn miss(
+        &mut self,
+        proc: ProcId,
+        line: u64,
+        kind: Access,
+        upgrade: bool,
+        net: &mut Network,
+        at: Cycles,
+    ) -> Cycles {
+        let (home, page, index) = self.coords(line);
+        let mut entry = self.page_mut(home, page)[index];
         let (latency, state) = match kind {
             Access::Read => (
                 self.read_miss(proc, line, &mut entry, net),
                 LineState::Shared,
             ),
             Access::Write => (
-                self.write_miss(proc, line, &mut entry, net),
+                self.write_miss(proc, line, upgrade, &mut entry, net),
                 LineState::Modified,
             ),
         };
         // Occupancy: queue behind the previous transaction on this line.
-        let start = at.max(entry.busy_until);
+        let start = at.max(entry.busy_until());
         let wait = start - at;
-        entry.busy_until = start + latency;
-        self.directory[home][offset] = entry;
+        entry.set_busy_until(start + latency);
+        self.page_mut(home, page)[index] = entry;
         self.fill(proc, line, state, net);
         self.tracer.emit_with(|| TraceEvent {
             at,
@@ -358,10 +460,7 @@ impl CoherenceSystem {
                 latency.get()
             ),
         });
-        AccessOutcome {
-            latency: wait + latency,
-            hit: false,
-        }
+        wait + latency
     }
 
     /// Access a `bytes`-long field starting at `addr`: one protocol
@@ -403,7 +502,7 @@ impl CoherenceSystem {
         let home = self.home_of_line(line);
         // Request to home directory (1 word: address).
         let mut latency = xfer(net, proc, home, 1) + self.costs.directory;
-        match entry.owner {
+        match entry.owner() {
             Some(o) if o != proc => {
                 // Intervention: home forwards to owner; owner downgrades,
                 // sends data to requester and a sharing writeback home.
@@ -412,7 +511,6 @@ impl CoherenceSystem {
                 latency += xfer(net, o, proc, self.words_per_line);
                 xfer(net, o, home, self.words_per_line); // writeback, off critical path
                 self.caches[o.index()].set_state(line, LineState::Shared);
-                entry.sharers.insert(o);
             }
             _ => {
                 // Clean at home (or we were the stale "owner" after eviction):
@@ -420,18 +518,20 @@ impl CoherenceSystem {
                 latency += self.costs.memory + xfer(net, home, proc, self.words_per_line);
             }
         }
-        entry.owner = None;
+        // A former owner stays on as a sharer.
+        entry.clear_dirty();
         entry.sharers.insert(proc);
         latency
     }
 
-    /// A write miss (or Shared→Modified upgrade) by `proc` against the
-    /// line's directory `entry`: books the protocol messages and returns the
-    /// requester's latency.
+    /// A write miss by `proc` against the line's directory `entry`, an
+    /// `upgrade` if the requester holds the line Shared: books the protocol
+    /// messages and returns the requester's latency.
     fn write_miss(
         &mut self,
         proc: ProcId,
         line: u64,
+        upgrade: bool,
         entry: &mut DirEntry,
         net: &mut Network,
     ) -> Cycles {
@@ -441,7 +541,7 @@ impl CoherenceSystem {
         sharers.remove(proc);
         // Exclusive request to home (1 word: address).
         let mut latency = xfer(net, proc, home, 1) + self.costs.directory;
-        if let Some(o) = entry.owner.filter(|&o| o != proc) {
+        if let Some(o) = entry.owner().filter(|&o| o != proc) {
             // Home forwards to the dirty owner; owner flushes to requester.
             self.stats.owner_forwards += 1;
             latency += xfer(net, home, o, 1) + self.costs.cache_op;
@@ -469,18 +569,15 @@ impl CoherenceSystem {
                     self.costs.limitless_trap + self.costs.limitless_per_sharer * overflow;
             }
             latency += inval_wait;
-            // An upgrade (requester already holds the line Shared) gets an
-            // exclusivity ack, not a second copy of the data; only a true
-            // miss reads memory and ships the line.
-            if self.caches[proc.index()].probe(line).is_some() {
+            // An upgrade gets an exclusivity ack, not a second copy of the
+            // data; only a true miss reads memory and ships the line.
+            if upgrade {
                 latency += xfer(net, home, proc, 1);
             } else {
                 latency += self.costs.memory + xfer(net, home, proc, self.words_per_line);
             }
         }
-        entry.owner = Some(proc);
-        entry.sharers.clear();
-        entry.sharers.insert(proc);
+        entry.set_owner(proc);
         latency
     }
 
@@ -489,10 +586,10 @@ impl CoherenceSystem {
         if let Some(ev) = self.caches[proc.index()].fill(line, state) {
             let ev_home = self.home_of_line(ev.line);
             if let Some(entry) = self.entry_mut(ev.line) {
-                entry.sharers.remove(proc);
-                if entry.owner == Some(proc) {
-                    entry.owner = None;
+                if entry.owner() == Some(proc) {
+                    entry.clear_dirty();
                 }
+                entry.sharers.remove(proc);
             }
             if ev.state == LineState::Modified {
                 self.stats.eviction_writebacks += 1;
@@ -535,27 +632,33 @@ impl CoherenceSystem {
     }
 
     /// Check the protocol invariant for every directory entry:
-    /// a Modified owner excludes all other sharers, and every recorded sharer
-    /// actually holds the line. Entries are visited home by home in line
-    /// order; that includes the never-missed lines below each home's highest
-    /// missed line, whose empty entries hold trivially (no cache can hold a
-    /// line that never missed). Used by property tests.
+    /// a dirty line has exactly one sharer, its Modified owner, and no other
+    /// cache holds it; every cached copy of a clean line is Shared and
+    /// recorded as a sharer. Entries are visited home by home in line order,
+    /// page by allocated page; that includes the never-missed lines of each
+    /// page, whose empty entries hold trivially (no cache can hold a line
+    /// that never missed). Used by property tests.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let lines = self.directory.iter().enumerate().flat_map(|(home, table)| {
+        let page_lines = PAGE_LINES as u64;
+        let lines = self.directory.iter().enumerate().flat_map(|(home, pages)| {
             let base = (home as u64) << (32 - self.line_shift);
-            table
-                .iter()
-                .enumerate()
-                .map(move |(offset, entry)| (base | offset as u64, entry))
+            pages.iter().enumerate().flat_map(move |(page, entries)| {
+                let first = base | (page as u64 * page_lines);
+                entries
+                    .iter()
+                    .flat_map(|entries| entries.iter())
+                    .zip(first..)
+                    .map(|(entry, line)| (line, entry))
+            })
         });
         for (line, entry) in lines {
-            if let Some(o) = entry.owner {
-                if entry.sharers.len() != 1 || !entry.sharers.contains(o) {
+            if entry.dirty() {
+                let Some(o) = entry.owner().filter(|_| entry.sharers.len() == 1) else {
                     return Err(format!(
-                        "line {line:#x}: owner {o:?} but sharers {:?}",
+                        "line {line:#x}: dirty but sharers {:?}",
                         entry.sharers
                     ));
-                }
+                };
                 match self.caches[o.index()].probe(line) {
                     Some(LineState::Modified) => {}
                     other => {
@@ -621,6 +724,54 @@ mod tests {
     fn access_homed_outside_the_machine_is_diagnosed() {
         let (mut sys, mut net) = system();
         sys.access(ProcId(0), addr(4, 0), Access::Read, &mut net, Cycles::ZERO);
+    }
+
+    #[test]
+    fn a_directory_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<DirEntry>(), 24);
+        assert_eq!(std::mem::size_of::<Page>(), 24 * 64);
+    }
+
+    #[test]
+    fn dirty_entry_decodes_its_single_sharer_as_owner() {
+        let mut entry = DirEntry::default();
+        entry.set_busy_until(Cycles(77));
+        entry.set_owner(ProcId(100));
+        assert_eq!(entry.owner(), Some(ProcId(100)));
+        assert_eq!(entry.busy_until(), Cycles(77));
+        entry.clear_dirty();
+        assert_eq!(entry.owner(), None);
+        assert!(entry.sharers.contains(ProcId(100)));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the directory's 63-bit time")]
+    fn occupancy_past_63_bits_is_rejected() {
+        DirEntry::default().set_busy_until(Cycles(DIRTY));
+    }
+
+    /// A system whose line at `addr(1, 0)` P2 holds Modified, with its
+    /// directory entry handed to `corrupt`.
+    fn corrupted(corrupt: impl FnOnce(&mut DirEntry)) -> Result<(), String> {
+        let (mut sys, mut net) = system();
+        let a = addr(1, 0);
+        sys.access(ProcId(2), a, Access::Write, &mut net, Cycles::ZERO);
+        sys.check_invariants().unwrap();
+        let line = sys.line_of(a);
+        corrupt(sys.entry_mut(line).expect("the line missed"));
+        sys.check_invariants()
+    }
+
+    #[test]
+    fn invariants_reject_a_dirty_entry_without_sharers() {
+        let err = corrupted(|entry| entry.sharers = SharerSet::default()).unwrap_err();
+        assert!(err.contains("dirty but sharers {}"), "{err}");
+    }
+
+    #[test]
+    fn invariants_reject_a_dirty_entry_with_two_sharers() {
+        let err = corrupted(|entry| entry.sharers.insert(ProcId(3))).unwrap_err();
+        assert!(err.contains("dirty but sharers {P2, P3}"), "{err}");
     }
 
     #[test]

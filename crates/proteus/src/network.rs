@@ -109,23 +109,6 @@ impl Network {
         self.processors
     }
 
-    /// Reject routes naming a processor the machine does not have.
-    fn check_route(&self, src: ProcId, dst: ProcId) -> Result<(), SendError> {
-        if src.0 >= self.processors {
-            return Err(SendError::SrcOutOfRange {
-                proc: src,
-                processors: self.processors,
-            });
-        }
-        if dst.0 >= self.processors {
-            return Err(SendError::DstOutOfRange {
-                proc: dst,
-                processors: self.processors,
-            });
-        }
-        Ok(())
-    }
-
     /// Attach a tracer; [`Network::send_at`] records one event per message.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
@@ -173,19 +156,32 @@ impl Network {
     /// checks locality before invoking any remote mechanism, matching the
     /// paper's "migration is conditional on the location of the computation".
     /// A route naming a processor outside the machine is rejected with a
-    /// typed [`SendError`] rather than a panic.
+    /// typed [`SendError`] rather than a panic: the coordinates table covers
+    /// exactly the configured processors, so its lookups are the check.
     pub fn send(
         &mut self,
         src: ProcId,
         dst: ProcId,
         payload_words: u64,
     ) -> Result<Cycles, SendError> {
-        self.check_route(src, dst)?;
+        let processors = self.processors;
+        let Some(&(ax, ay)) = self.coords.get(src.index()) else {
+            return Err(SendError::SrcOutOfRange {
+                proc: src,
+                processors,
+            });
+        };
+        let Some(&(bx, by)) = self.coords.get(dst.index()) else {
+            return Err(SendError::DstOutOfRange {
+                proc: dst,
+                processors,
+            });
+        };
         if src == dst {
             return Ok(Cycles::ZERO);
         }
         let words = self.config.header_words + payload_words;
-        let hops = self.hops(src, dst);
+        let hops = ax.abs_diff(bx) + ay.abs_diff(by);
         self.traffic.record(words, hops);
         Ok(self.config.launch + self.config.per_hop * u64::from(hops))
     }

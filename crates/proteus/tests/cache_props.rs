@@ -66,19 +66,16 @@ impl RefCache {
         Some(state)
     }
 
-    fn hit_modified(&mut self, line: u64) -> bool {
+    fn hit_write(&mut self, line: u64) -> Option<LineState> {
         let tick = self.tick + 1;
-        let Some(w) = self
-            .set(line)
-            .iter_mut()
-            .find(|w| w.line == line && w.state == LineState::Modified)
-        else {
-            return false;
-        };
-        w.lru = tick;
-        self.tick = tick;
-        self.stats.hits += 1;
-        true
+        let w = self.set(line).iter_mut().find(|w| w.line == line)?;
+        let state = w.state;
+        if state == LineState::Modified {
+            w.lru = tick;
+            self.tick = tick;
+            self.stats.hits += 1;
+        }
+        Some(state)
     }
 
     fn fill(&mut self, line: u64, state: LineState) -> Option<Evicted> {
@@ -142,7 +139,7 @@ enum Op {
     Probe(u64),
     Touch(u64),
     HitRead(u64),
-    HitModified(u64),
+    HitWrite(u64),
     Fill(u64, LineState),
     SetState(u64, LineState),
     Invalidate(u64),
@@ -179,7 +176,7 @@ fn op() -> impl Strategy<Value = Op> {
             0 => Op::Probe(line),
             1 => Op::Touch(line),
             2 | 3 => Op::HitRead(line),
-            4 | 5 => Op::HitModified(line),
+            4 | 5 => Op::HitWrite(line),
             6..=9 => Op::Fill(line, state),
             10 => Op::SetState(line, state),
             _ => Op::Invalidate(line),
@@ -192,7 +189,6 @@ fn op() -> impl Strategy<Value = Op> {
 enum Outcome {
     Nothing,
     State(Option<LineState>),
-    Hit(bool),
     Fill(Option<Evicted>),
 }
 
@@ -219,9 +215,9 @@ fn replay(ways: usize, sets: u64, tape: &[Op]) -> Result<(), TestCaseError> {
                 State(cache.hit_read(l % lines)),
                 State(reference.hit_read(l % lines)),
             ),
-            Op::HitModified(l) => (
-                Hit(cache.hit_modified(l % lines)),
-                Hit(reference.hit_modified(l % lines)),
+            Op::HitWrite(l) => (
+                State(cache.hit_write(l % lines)),
+                State(reference.hit_write(l % lines)),
             ),
             Op::Fill(l, s) => (
                 Fill(cache.fill(l % lines, s)),

@@ -1,8 +1,12 @@
-//! Differential property tests: the dense per-home directory must be
-//! observationally identical to the old hash-map directory — same access
-//! outcomes, protocol counters, per-cache counters and network traffic —
-//! under arbitrary reads, writes and multi-line range accesses over several
-//! homes, with caches small enough that evictions happen all the time.
+//! Differential property tests: the paged per-home directory, whose 24-byte
+//! entries keep the sharers in two words and a dirty line's owner as its
+//! single sharer, must be observationally identical to the old hash-map
+//! directory with an explicit owner — same access outcomes, protocol
+//! counters and network traffic after every access, and the same per-cache
+//! counters at the end — under arbitrary reads, writes and multi-line range
+//! accesses over several homes, with caches small enough that evictions
+//! happen all the time. A second property runs at 128 processors, so
+//! requesters, homes and owners land in both sharer words.
 
 use std::collections::HashMap;
 
@@ -13,7 +17,10 @@ use proteus::{
     NetworkConfig, ProcId,
 };
 
+/// Processors of the small machine.
 const PROCS: u32 = 6;
+/// Processors of the largest machine the sharer mask covers.
+const MAX_PROCS: u32 = 128;
 
 fn tiny_cache() -> CacheConfig {
     // 8 sets x 2 ways of 16-byte lines: evictions within a few accesses.
@@ -163,7 +170,7 @@ impl RefCoherence {
     }
 
     fn write(&mut self, proc: ProcId, line: u64, net: &mut Network) -> AccessOutcome {
-        if self.caches[proc.index()].hit_modified(line) {
+        if self.caches[proc.index()].hit_write(line) == Some(LineState::Modified) {
             return AccessOutcome {
                 latency: self.costs.hit,
                 hit: true,
@@ -181,7 +188,10 @@ impl RefCoherence {
             self.caches[o.index()].invalidate(line);
         } else {
             let mut inval_wait = Cycles::ZERO;
-            for s in (0..PROCS).filter(|&s| (sharers >> s) & 1 == 1).map(ProcId) {
+            for s in (0..MAX_PROCS)
+                .filter(|&s| (sharers >> s) & 1 == 1)
+                .map(ProcId)
+            {
                 self.stats.invalidations_sent += 1;
                 let there = xfer(net, home, s, 1);
                 let back = xfer(net, s, home, 1);
@@ -242,9 +252,11 @@ struct Op {
     advance: u64,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+/// Accesses by and to processors drawn from `procs`.
+fn op_strategy(procs: &'static [u32]) -> impl Strategy<Value = Op> {
+    let pick = 0..procs.len() as u32;
     (
-        (0..PROCS, 0..PROCS),
+        (pick.clone(), pick),
         0u64..96,
         0u64..4,
         0u64..64,
@@ -252,8 +264,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         0u64..120,
     )
         .prop_map(|((proc, home), slot, span, len, write, advance)| Op {
-            proc,
-            home,
+            proc: procs[proc as usize],
+            home: procs[home as usize],
             // A few far-out lines make home tables grow in big steps.
             offset: if slot >= 90 { slot * 1024 } else { slot * 8 },
             range: if span == 0 { 0 } else { len + 1 },
@@ -262,42 +274,73 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         })
 }
 
+/// Every processor of the small machine.
+const SMALL: [u32; PROCS as usize] = [0, 1, 2, 3, 4, 5];
+
+/// A dozen processors of the 128-processor machine: four at each end and
+/// four around P64, so lines gather sharers and owners in both sharer words
+/// and across their boundary.
+const WIDE: [u32; 12] = [0, 1, 2, 3, 62, 63, 64, 65, 124, 125, 126, 127];
+
+/// Replay `ops` on the paged directory and the reference on a machine of
+/// `processors`, comparing every outcome and the traffic after every access.
+fn replay(processors: u32, ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut paged = CoherenceSystem::new(processors, tiny_cache(), CoherenceCosts::default());
+    let mut paged_net = Network::new(processors, NetworkConfig::default());
+    let mut reference = RefCoherence::new(processors, tiny_cache(), CoherenceCosts::default());
+    let mut ref_net = Network::new(processors, NetworkConfig::default());
+    let mut at = Cycles::ZERO;
+    for (i, op) in ops.iter().enumerate() {
+        at += Cycles(op.advance);
+        let kind = if op.write {
+            Access::Write
+        } else {
+            Access::Read
+        };
+        let proc = ProcId(op.proc);
+        let addr = make_addr(ProcId(op.home), op.offset);
+        let (got, want) = if op.range == 0 {
+            (
+                paged.access(proc, addr, kind, &mut paged_net, at),
+                reference.access(proc, addr, kind, &mut ref_net, at),
+            )
+        } else {
+            (
+                paged.access_range(proc, addr, op.range, kind, &mut paged_net, at),
+                reference.access_range(proc, addr, op.range, kind, &mut ref_net, at),
+            )
+        };
+        prop_assert_eq!(got, want, "access {} ({:?})", i, op);
+        prop_assert_eq!(paged.stats(), &reference.stats, "access {} ({:?})", i, op);
+        prop_assert_eq!(
+            paged_net.traffic(),
+            ref_net.traffic(),
+            "access {} ({:?})",
+            i,
+            op
+        );
+    }
+    for p in 0..processors {
+        let want: &CacheStats = reference.caches[p as usize].stats();
+        prop_assert_eq!(paged.cache_stats(ProcId(p)), want, "cache of P{}", p);
+    }
+    paged.check_invariants().map_err(TestCaseError::fail)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn dense_directory_matches_hash_map_directory(
-        ops in proptest::collection::vec(op_strategy(), 1..300)
+        ops in proptest::collection::vec(op_strategy(&SMALL), 1..300)
     ) {
-        let mut dense = CoherenceSystem::new(PROCS, tiny_cache(), CoherenceCosts::default());
-        let mut dense_net = Network::new(PROCS, NetworkConfig::default());
-        let mut reference = RefCoherence::new(PROCS, tiny_cache(), CoherenceCosts::default());
-        let mut ref_net = Network::new(PROCS, NetworkConfig::default());
-        let mut at = Cycles::ZERO;
-        for (i, op) in ops.iter().enumerate() {
-            at += Cycles(op.advance);
-            let kind = if op.write { Access::Write } else { Access::Read };
-            let proc = ProcId(op.proc);
-            let addr = make_addr(ProcId(op.home), op.offset);
-            let (got, want) = if op.range == 0 {
-                (
-                    dense.access(proc, addr, kind, &mut dense_net, at),
-                    reference.access(proc, addr, kind, &mut ref_net, at),
-                )
-            } else {
-                (
-                    dense.access_range(proc, addr, op.range, kind, &mut dense_net, at),
-                    reference.access_range(proc, addr, op.range, kind, &mut ref_net, at),
-                )
-            };
-            prop_assert_eq!(got, want, "access {} ({:?})", i, op);
-        }
-        prop_assert_eq!(dense.stats(), &reference.stats);
-        for p in 0..PROCS {
-            let want: &CacheStats = reference.caches[p as usize].stats();
-            prop_assert_eq!(dense.cache_stats(ProcId(p)), want, "cache of P{}", p);
-        }
-        prop_assert_eq!(dense_net.traffic(), ref_net.traffic());
-        dense.check_invariants().map_err(TestCaseError::fail)?;
+        replay(PROCS, &ops)?;
+    }
+
+    #[test]
+    fn paged_directory_matches_at_128_processors_across_both_sharer_words(
+        ops in proptest::collection::vec(op_strategy(&WIDE), 1..300)
+    ) {
+        replay(MAX_PROCS, &ops)?;
     }
 }

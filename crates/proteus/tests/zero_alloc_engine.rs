@@ -2,15 +2,17 @@
 //! allocations per event: the queue reuses slab nodes from its free list,
 //! its far-future heap keeps its capacity, and the lazy `emit_with` closure
 //! never runs. The coherence caches own no storage until their first fill,
-//! and allocate nothing after it. Verified with a counting global allocator
-//! rather than inspection.
+//! and allocate nothing after it; the directory allocates one page per 64
+//! lines at the first miss on one of them, and nothing for the lines below.
+//! Verified with a counting global allocator rather than inspection.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use proteus::coherence::{make_addr, Access};
 use proteus::{
     Cache, CacheConfig, CoherenceCosts, CoherenceSystem, Cycles, Engine, EventQueue, LineState,
-    Simulation,
+    Network, NetworkConfig, ProcId, Simulation,
 };
 
 thread_local! {
@@ -163,7 +165,7 @@ fn a_cache_allocates_once_on_its_first_fill_and_never_after() {
 
     let ((), allocations, _) = allocations_in(|| {
         assert_eq!(cache.hit_read(7), None);
-        assert!(!cache.hit_modified(7));
+        assert_eq!(cache.hit_write(7), None);
         assert_eq!(cache.invalidate(7), None);
         cache.set_state(7, LineState::Modified);
         cache.touch(7);
@@ -184,7 +186,7 @@ fn a_cache_allocates_once_on_its_first_fill_and_never_after() {
         for group in 0..50_000u64 {
             let line = group.wrapping_mul(0x9e37_79b9) % 40_000;
             cache.fill(line, LineState::Shared);
-            if !cache.hit_modified(line) {
+            if cache.hit_write(line) != Some(LineState::Modified) {
                 cache.fill(line, LineState::Modified);
             }
             if group % 2 == 0 {
@@ -198,4 +200,66 @@ fn a_cache_allocates_once_on_its_first_fill_and_never_after() {
     });
     assert_eq!(allocations, 0, "a filled cache allocated again");
     assert!(cache.stats().writebacks > 0 && cache.stats().invalidations_received > 0);
+}
+
+/// A line this far into its home cost the dense directory, a 32-byte entry
+/// for every line up to it, 33.5 MB.
+const FAR_LINE: u64 = 1 << 20;
+
+/// Directory entries per page, and bytes per entry.
+const PAGE_LINES: u64 = 64;
+const ENTRY_BYTES: u64 = 24;
+
+#[test]
+fn a_far_miss_allocates_one_directory_page_and_misses_within_it_nothing() {
+    let config = CacheConfig::default();
+    let line_bytes = config.line_bytes;
+    let mut sys = CoherenceSystem::new(4, config, CoherenceCosts::default());
+    let mut net = Network::new(4, NetworkConfig::default());
+    // The requesters' first fills allocate their caches' tag arrays; make
+    // them on a line of another home, so only the directory is measured.
+    for p in [1, 2] {
+        sys.access(
+            ProcId(p),
+            make_addr(ProcId(3), 0),
+            Access::Read,
+            &mut net,
+            Cycles::ZERO,
+        );
+    }
+    let far = |line: u64| make_addr(ProcId(0), (FAR_LINE + line) * line_bytes);
+
+    let (out, allocations, bytes) =
+        allocations_in(|| sys.access(ProcId(1), far(0), Access::Write, &mut net, Cycles(100)));
+    assert!(!out.hit);
+    let page_bytes = PAGE_LINES * ENTRY_BYTES;
+    let pointer_bytes = (FAR_LINE / PAGE_LINES + 1) * 8;
+    assert!(
+        allocations <= 2 && bytes <= page_bytes + pointer_bytes,
+        "a miss {FAR_LINE} lines into a home allocated {allocations} times, {bytes} B; \
+         one {page_bytes} B page and {pointer_bytes} B of page pointers expected"
+    );
+
+    // The two requesters take the page's lines from each other, so every
+    // write misses and moves ownership; every fourth access is a read.
+    let before = sys.stats().read_misses + sys.stats().write_misses;
+    let ((), allocations, _) = allocations_in(|| {
+        for i in 0..10_000u64 {
+            let proc = ProcId(1 + (i % 2) as u32);
+            let kind = if i % 4 == 3 {
+                Access::Read
+            } else {
+                Access::Write
+            };
+            let line = (i / 2 * 7) % PAGE_LINES;
+            sys.access(proc, far(line), kind, &mut net, Cycles(200 + i));
+        }
+    });
+    let misses = sys.stats().read_misses + sys.stats().write_misses - before;
+    assert!(
+        misses >= 9_000,
+        "expected nearly every access to miss, got {misses}"
+    );
+    assert_eq!(allocations, 0, "{misses} misses within one page allocated");
+    sys.check_invariants().unwrap();
 }
