@@ -233,8 +233,8 @@ pub fn failover_schemes() -> Vec<(&'static str, Scheme)> {
     ]
 }
 
-/// Horizon for failover cells: long enough for the kill, the ~225k-cycle
-/// detection latency (heartbeat interval + exhausted retransmissions), the
+/// Horizon for failover cells: long enough for the kill, the detection
+/// latency (at most [`migrate_rt::system::DETECTION_LATENCY_BOUND`]), the
 /// promotion, and a full post-failover drain of every capped driver.
 pub const FAILOVER_HORIZON: Cycles = Cycles(8_000_000);
 
@@ -256,10 +256,7 @@ pub fn failover_cell_counting(seed: u64, scheme: Scheme) -> RunMetrics {
     let exp = CountingExperiment {
         requests_per_thread: Some(per_thread),
         faults: Some(proteus::FaultPlan::fail_stop(victim, at)),
-        failover: migrate_rt::FailoverConfig {
-            enabled: true,
-            ..Default::default()
-        },
+        failover: migrate_rt::FailoverConfig { enabled: true },
         audit: true,
         seed: 0xC0DE ^ seed,
         ..CountingExperiment::paper(requesters, 0, scheme)
@@ -333,10 +330,7 @@ pub fn failover_cell_btree(seed: u64, scheme: Scheme) -> RunMetrics {
         key_space: 1 << 16,
         requests_per_thread: Some(per_thread),
         faults: Some(proteus::FaultPlan::fail_stop(victim, at)),
-        failover: migrate_rt::FailoverConfig {
-            enabled: true,
-            ..Default::default()
-        },
+        failover: migrate_rt::FailoverConfig { enabled: true },
         audit: true,
         seed: 0xB7EE ^ seed,
         ..BTreeExperiment::paper(0, scheme)

@@ -545,8 +545,6 @@ pub struct BTreeExperiment {
     pub node_compute: u64,
     /// Override the scheme-derived runtime cost model (ablations).
     pub cost_override: Option<migrate_rt::CostModel>,
-    /// Override the coherence protocol constants (ablations).
-    pub coherence_override: Option<proteus::CoherenceCosts>,
     /// Optional cap on requests per thread (`None` = run to the horizon).
     pub requests_per_thread: Option<u64>,
     /// Placement/workload seed.
@@ -564,9 +562,6 @@ pub struct BTreeExperiment {
     /// Call-site annotation on every node visit (`Migrate` = the paper's
     /// static choice, the default; `Auto` = adaptive dispatch).
     pub annotation: Annotation,
-    /// Adaptive-policy tuning (only consulted when `annotation` is
-    /// `Annotation::Auto` under a migration-enabled scheme).
-    pub policy: migrate_rt::PolicyConfig,
 }
 
 impl BTreeExperiment {
@@ -584,7 +579,6 @@ impl BTreeExperiment {
             key_space: 1 << 32,
             node_compute: 120,
             cost_override: None,
-            coherence_override: None,
             requests_per_thread: None,
             seed: 0xB7EE,
             audit: false,
@@ -592,7 +586,6 @@ impl BTreeExperiment {
             recovery: migrate_rt::RecoveryConfig::default(),
             failover: migrate_rt::FailoverConfig::default(),
             annotation: Annotation::Migrate,
-            policy: migrate_rt::PolicyConfig::default(),
         }
     }
 
@@ -615,10 +608,6 @@ impl BTreeExperiment {
         cfg.faults = self.faults.clone();
         cfg.recovery = self.recovery.clone();
         cfg.failover = self.failover.clone();
-        cfg.policy = self.policy.clone();
-        if let Some(coh) = &self.coherence_override {
-            cfg.coherence = coh.clone();
-        }
         cfg.data_procs = (0..self.data_procs).map(ProcId).collect();
         // Replicas live at the requesters (the processors that read the
         // root), as in multi-version memory.
@@ -655,16 +644,6 @@ impl BTreeExperiment {
     pub fn run(&self, warmup: Cycles, window: Cycles) -> RunMetrics {
         let (mut runner, _root) = self.build();
         runner.run(warmup, window)
-    }
-
-    /// [`BTreeExperiment::run`], also reporting the event-loop profile.
-    pub fn run_profiled(
-        &self,
-        warmup: Cycles,
-        window: Cycles,
-    ) -> (RunMetrics, migrate_rt::EngineProfile) {
-        let (mut runner, _root) = self.build();
-        runner.run_profiled(warmup, window)
     }
 }
 
@@ -900,7 +879,6 @@ mod tests {
             key_space: 1 << 20,
             node_compute: 100,
             cost_override: None,
-            coherence_override: None,
             requests_per_thread: None,
             seed: 42,
             audit: false,
@@ -908,7 +886,6 @@ mod tests {
             recovery: migrate_rt::RecoveryConfig::default(),
             failover: migrate_rt::FailoverConfig::default(),
             annotation: Annotation::Migrate,
-            policy: migrate_rt::PolicyConfig::default(),
         }
     }
 

@@ -506,11 +506,16 @@ pub enum Topology {
     Periodic,
 }
 
+/// Network width: the paper's eight-by-eight network.
+const WIDTH: u32 = 8;
+/// Cycles of user code per balancer traversal.
+const BALANCER_COMPUTE: u64 = 140;
+/// Cycles of user code per counter draw.
+const COUNTER_COMPUTE: u64 = 60;
+
 /// Configuration of a counting-network experiment (one Figure 2/3 point).
 #[derive(Clone, Debug)]
 pub struct CountingExperiment {
-    /// Network width (8 in the paper).
-    pub width: u32,
     /// Network construction (the paper uses bitonic).
     pub topology: Topology,
     /// Number of requesting threads, each on its own processor.
@@ -519,16 +524,10 @@ pub struct CountingExperiment {
     pub think: Cycles,
     /// The scheme under test.
     pub scheme: Scheme,
-    /// Cycles of user code per balancer traversal.
-    pub balancer_compute: u64,
-    /// Cycles of user code per counter draw.
-    pub counter_compute: u64,
     /// Optional cap on requests per thread (`None` = run to the horizon).
     /// Capped drivers halt, letting the network drain to quiescence — the
     /// precondition for the exact step property.
     pub requests_per_thread: Option<u64>,
-    /// Override the scheme-derived runtime cost model (ablations).
-    pub cost_override: Option<migrate_rt::CostModel>,
     /// Override the coherence protocol constants (ablations).
     pub coherence_override: Option<proteus::CoherenceCosts>,
     /// Placement/workload seed.
@@ -546,9 +545,6 @@ pub struct CountingExperiment {
     /// Call-site annotation on every hop (`Migrate` = the paper's static
     /// choice, the default; `Auto` = adaptive dispatch).
     pub annotation: Annotation,
-    /// Adaptive-policy tuning (only consulted when `annotation` is
-    /// `Annotation::Auto` under a migration-enabled scheme).
-    pub policy: migrate_rt::PolicyConfig,
 }
 
 impl CountingExperiment {
@@ -556,15 +552,11 @@ impl CountingExperiment {
     /// processor, `requesters` threads on separate processors.
     pub fn paper(requesters: u32, think: u64, scheme: Scheme) -> CountingExperiment {
         CountingExperiment {
-            width: 8,
             topology: Topology::Bitonic,
             requesters,
             think: Cycles(think),
             scheme,
-            balancer_compute: 140,
-            counter_compute: 60,
             requests_per_thread: None,
-            cost_override: None,
             coherence_override: None,
             seed: 0xC0DE,
             audit: false,
@@ -572,7 +564,6 @@ impl CountingExperiment {
             recovery: migrate_rt::RecoveryConfig::default(),
             failover: migrate_rt::FailoverConfig::default(),
             annotation: Annotation::Migrate,
-            policy: migrate_rt::PolicyConfig::default(),
         }
     }
 
@@ -581,20 +572,18 @@ impl CountingExperiment {
     /// requesters on dedicated processors after the balancers.
     pub fn build(&self) -> (Runner, Arc<CountingSpec>) {
         let wiring = match self.topology {
-            Topology::Bitonic => Wiring::bitonic(self.width),
-            Topology::Periodic => Wiring::periodic(self.width),
+            Topology::Bitonic => Wiring::bitonic(WIDTH),
+            Topology::Periodic => Wiring::periodic(WIDTH),
         };
         let balancer_procs = wiring.balancers() as u32;
         let processors = balancer_procs + self.requesters;
         let mut cfg = MachineConfig::new(processors, self.scheme);
         cfg.seed = self.seed;
         cfg.data_procs = (0..balancer_procs).map(ProcId).collect();
-        cfg.cost_override = self.cost_override.clone();
         cfg.audit = self.audit;
         cfg.faults = self.faults.clone();
         cfg.recovery = self.recovery.clone();
         cfg.failover = self.failover.clone();
-        cfg.policy = self.policy.clone();
         if let Some(coh) = &self.coherence_override {
             cfg.coherence = coh.clone();
         }
@@ -613,7 +602,7 @@ impl CountingExperiment {
                         top,
                         bottom,
                         traversals: 0,
-                        compute: self.balancer_compute,
+                        compute: BALANCER_COMPUTE,
                     }),
                     ProcId(proc),
                     false,
@@ -628,16 +617,16 @@ impl CountingExperiment {
         // `counters[w]` is the counter for *physical* wire w, whose value
         // stream is determined by the wire's output position.
         let last = wiring.depth() - 1;
-        let counters = (0..self.width)
+        let counters = (0..WIDTH)
             .map(|wire| {
                 let feeder = wiring.balancer_of(last, wire);
-                let feeder_proc = ProcId((balancer_procs - self.width / 2) + feeder as u32);
+                let feeder_proc = ProcId((balancer_procs - WIDTH / 2) + feeder as u32);
                 runner.system.create_object(
                     Box::new(OutputCounter {
                         count: 0,
                         position: wiring.position_of(wire) as u32,
-                        width: self.width,
-                        compute: self.counter_compute,
+                        width: WIDTH,
+                        compute: COUNTER_COMPUTE,
                     }),
                     feeder_proc,
                     false,
@@ -652,7 +641,7 @@ impl CountingExperiment {
         });
 
         for r in 0..self.requesters {
-            let mut driver = RequestDriver::new(spec.clone(), r % self.width, self.think, 10);
+            let mut driver = RequestDriver::new(spec.clone(), r % WIDTH, self.think, 10);
             driver.annotation = self.annotation;
             if let Some(cap) = self.requests_per_thread {
                 driver.max_requests = cap;
@@ -667,16 +656,6 @@ impl CountingExperiment {
     pub fn run(&self, warmup: Cycles, window: Cycles) -> RunMetrics {
         let (mut runner, _spec) = self.build();
         runner.run(warmup, window)
-    }
-
-    /// [`CountingExperiment::run`], also reporting the event-loop profile.
-    pub fn run_profiled(
-        &self,
-        warmup: Cycles,
-        window: Cycles,
-    ) -> (RunMetrics, migrate_rt::EngineProfile) {
-        let (mut runner, _spec) = self.build();
-        runner.run_profiled(warmup, window)
     }
 }
 

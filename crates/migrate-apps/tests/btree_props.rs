@@ -131,7 +131,6 @@ proptest! {
             key_space: 10_000,
             node_compute: 40,
             cost_override: None,
-            coherence_override: None,
             requests_per_thread: None,
             seed,
             audit: true,
@@ -139,7 +138,6 @@ proptest! {
             recovery: migrate_rt::RecoveryConfig::default(),
             failover: migrate_rt::FailoverConfig::default(),
             annotation: migrate_rt::Annotation::Migrate,
-            policy: migrate_rt::PolicyConfig::default(),
         };
         let (mut runner, root) = exp.build();
         runner.run_until(Cycles(1_500_000));

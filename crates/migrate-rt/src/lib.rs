@@ -87,7 +87,7 @@ pub use frame::{Frame, Invoke, StepCtx, StepResult};
 pub use mechanism::{Annotation, DataAccess, DispatchKind, DispatchStats, Scheme};
 pub use message::{Message, MessageKind, Payload};
 pub use object::{Behavior, MethodEnv, ObjectEntry, ObjectTable};
-pub use policy::{PolicyConfig, PolicyDecision, PolicyEngine, PolicyStats};
+pub use policy::PolicyStats;
 pub use system::{
     AuditSummary, EngineProfile, Event, FailoverConfig, FailoverStats, MachineConfig,
     ProcWindowStats, RecoveryConfig, RecoveryStats, RunMetrics, Runner, System,

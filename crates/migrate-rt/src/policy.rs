@@ -21,14 +21,14 @@
 //! not erase the evidence that migration was right (no oscillation).
 //!
 //! At each remote `Auto` dispatch the engine compares the site's window
-//! mean against a threshold: migrate once the mean crosses
-//! [`PolicyConfig::migrate_at_milli`], fall back to RPC when it decays
-//! below [`PolicyConfig::rpc_below_milli`] (the gap is hysteresis so a
-//! borderline site does not flip every episode). An empty window chooses
-//! RPC — the paper's default mechanism. Decisions and window updates are
-//! charged to the audited `policy.decide` / `policy.update` cost
-//! categories, so the busy==charged accounting identity holds under the
-//! adaptive scheme exactly as it does under the static ones.
+//! mean against a threshold: migrate once the mean reaches
+//! `MIGRATE_AT_MILLI`, fall back to RPC when it decays below
+//! `RPC_BELOW_MILLI` (the gap is hysteresis so a borderline site does not
+//! flip every episode). An empty window chooses RPC — the paper's default
+//! mechanism. Decisions and window updates are charged to the audited
+//! `policy.decide` / `policy.update` cost categories, so the busy==charged
+//! accounting identity holds under the adaptive scheme exactly as it does
+//! under the static ones.
 //!
 //! The engine is deterministic: sites live in a [`BTreeMap`] keyed by the
 //! static site label, samples are integers, and the threshold compare is
@@ -38,31 +38,17 @@
 
 use std::collections::BTreeMap;
 
-/// Tuning of the adaptive dispatch policy (consulted only for
-/// [`crate::mechanism::Annotation::Auto`] call sites under a scheme with
-/// migration enabled).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PolicyConfig {
-    /// Episodes remembered per call site (the sliding window length).
-    pub window: u32,
-    /// Migrate once the window's mean remote-access count, in thousandths,
-    /// reaches this value. The default 1500 (mean ≥ 1.5) encodes the
-    /// paper's "multiple remote accesses ⇒ migrate" heuristic.
-    pub migrate_at_milli: u64,
-    /// Once migrating, fall back to RPC only when the mean decays below
-    /// this value (hysteresis; must be ≤ `migrate_at_milli`).
-    pub rpc_below_milli: u64,
-}
+/// Episodes remembered per call site (the sliding window length).
+const WINDOW: usize = 32;
 
-impl Default for PolicyConfig {
-    fn default() -> Self {
-        PolicyConfig {
-            window: 32,
-            migrate_at_milli: 1500,
-            rpc_below_milli: 1200,
-        }
-    }
-}
+/// Migrate once the window's mean remote-access count, in thousandths,
+/// reaches this value: mean ≥ 1.5 encodes the paper's "multiple remote
+/// accesses ⇒ migrate" heuristic.
+const MIGRATE_AT_MILLI: u64 = 1500;
+
+/// Once migrating, fall back to RPC only when the mean decays below this
+/// value (hysteresis; at most [`MIGRATE_AT_MILLI`]).
+const RPC_BELOW_MILLI: u64 = 1200;
 
 /// Counters of adaptive-dispatch activity in a measurement window (`Some`
 /// in [`crate::RunMetrics`] exactly when the policy engine was consulted
@@ -88,11 +74,11 @@ pub struct PolicyStats {
 /// One call site's sliding window plus its current mode.
 #[derive(Clone, Debug)]
 struct SiteState {
-    /// Ring buffer of the last `window` episode samples.
+    /// Ring buffer of the last [`WINDOW`] episode samples.
     ring: Vec<u32>,
     /// Next ring slot to overwrite.
     next: usize,
-    /// Samples currently held (`ring.len()` once the window has filled).
+    /// Samples currently held ([`WINDOW`] once the window has filled).
     filled: usize,
     /// Running sum of the held samples.
     sum: u64,
@@ -101,9 +87,9 @@ struct SiteState {
 }
 
 impl SiteState {
-    fn new(window: u32) -> SiteState {
+    fn new() -> SiteState {
         SiteState {
-            ring: vec![0; window.max(1) as usize],
+            ring: vec![0; WINDOW],
             next: 0,
             filled: 0,
             sum: 0,
@@ -112,14 +98,14 @@ impl SiteState {
     }
 
     fn push(&mut self, sample: u32) {
-        if self.filled == self.ring.len() {
+        if self.filled == WINDOW {
             self.sum -= u64::from(self.ring[self.next]);
         } else {
             self.filled += 1;
         }
         self.ring[self.next] = sample;
         self.sum += u64::from(sample);
-        self.next = (self.next + 1) % self.ring.len();
+        self.next = (self.next + 1) % WINDOW;
     }
 
     /// Window mean in thousandths (0 for an empty window).
@@ -134,11 +120,11 @@ impl SiteState {
 
 /// Outcome of one policy consultation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct PolicyDecision {
+pub(crate) struct PolicyDecision {
     /// `true`: migrate the activation; `false`: plain RPC.
-    pub migrate: bool,
+    pub(crate) migrate: bool,
     /// Whether this consultation changed the site's mode.
-    pub flipped: bool,
+    pub(crate) flipped: bool,
 }
 
 /// The per-call-site adaptive dispatch engine owned by a
@@ -147,35 +133,21 @@ pub struct PolicyDecision {
 /// carry no engine and no `policy` metrics. Sliding windows persist across
 /// [`crate::System::reset_window`] (the decision stream continues, like
 /// the fault injector's); only the [`PolicyStats`] counters reset.
-#[derive(Clone, Debug)]
-pub struct PolicyEngine {
-    cfg: PolicyConfig,
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PolicyEngine {
     sites: BTreeMap<&'static str, SiteState>,
     stats: PolicyStats,
 }
 
 impl PolicyEngine {
-    /// An engine with the given tuning.
-    pub fn new(cfg: PolicyConfig) -> PolicyEngine {
-        PolicyEngine {
-            cfg,
-            sites: BTreeMap::new(),
-            stats: PolicyStats::default(),
-        }
-    }
-
     /// Decide the mechanism for one remote `Auto` dispatch from `site`.
-    pub fn decide(&mut self, site: &'static str) -> PolicyDecision {
-        let window = self.cfg.window;
-        let s = self
-            .sites
-            .entry(site)
-            .or_insert_with(|| SiteState::new(window));
+    pub(crate) fn decide(&mut self, site: &'static str) -> PolicyDecision {
+        let s = self.sites.entry(site).or_insert_with(SiteState::new);
         let mean = s.mean_milli();
         let migrate = if s.migrating {
-            mean >= self.cfg.rpc_below_milli
+            mean >= RPC_BELOW_MILLI
         } else {
-            mean >= self.cfg.migrate_at_milli
+            mean >= MIGRATE_AT_MILLI
         };
         let flipped = migrate != s.migrating;
         s.migrating = migrate;
@@ -192,17 +164,16 @@ impl PolicyEngine {
     }
 
     /// Fold one finished episode's remote-access count into `site`'s window.
-    pub fn record_episode(&mut self, site: &'static str, remote_accesses: u32) {
-        let window = self.cfg.window;
+    pub(crate) fn record_episode(&mut self, site: &'static str, remote_accesses: u32) {
         self.sites
             .entry(site)
-            .or_insert_with(|| SiteState::new(window))
+            .or_insert_with(SiteState::new)
             .push(remote_accesses);
         self.stats.episodes += 1;
     }
 
     /// Window counters, with the lifetime occupancy figures filled in.
-    pub fn stats(&self) -> PolicyStats {
+    pub(crate) fn stats(&self) -> PolicyStats {
         let mut stats = self.stats.clone();
         stats.sites = self.sites.len() as u64;
         stats.window_occupancy = self.sites.values().map(|s| s.filled as u64).sum();
@@ -212,7 +183,7 @@ impl PolicyEngine {
     /// Reset the window counters; sliding windows and modes persist so the
     /// measurement window replays identically whether or not a warm-up
     /// preceded it.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = PolicyStats::default();
     }
 }
@@ -223,7 +194,7 @@ mod tests {
 
     #[test]
     fn empty_window_chooses_rpc() {
-        let mut e = PolicyEngine::new(PolicyConfig::default());
+        let mut e = PolicyEngine::default();
         let d = e.decide("site");
         assert!(!d.migrate, "no evidence yet: default to RPC");
         assert!(!d.flipped);
@@ -232,7 +203,7 @@ mod tests {
 
     #[test]
     fn multiple_remote_accesses_flip_to_migrate() {
-        let mut e = PolicyEngine::new(PolicyConfig::default());
+        let mut e = PolicyEngine::default();
         for _ in 0..4 {
             e.record_episode("site", 3);
         }
@@ -245,16 +216,13 @@ mod tests {
 
     #[test]
     fn locality_loss_decays_back_to_rpc() {
-        let mut e = PolicyEngine::new(PolicyConfig {
-            window: 4,
-            ..PolicyConfig::default()
-        });
-        for _ in 0..4 {
+        let mut e = PolicyEngine::default();
+        for _ in 0..WINDOW {
             e.record_episode("site", 3);
         }
         assert!(e.decide("site").migrate);
-        // Four local episodes push the old evidence out of the window.
-        for _ in 0..4 {
+        // A window of local episodes pushes the old evidence out.
+        for _ in 0..WINDOW {
             e.record_episode("site", 0);
         }
         let d = e.decide("site");
@@ -264,23 +232,20 @@ mod tests {
 
     #[test]
     fn hysteresis_holds_the_mode_between_thresholds() {
-        let cfg = PolicyConfig {
-            window: 4,
-            migrate_at_milli: 1500,
-            rpc_below_milli: 1200,
-        };
         // Mean 1.25 is inside the hysteresis band [1.2, 1.5).
         let band = |migrating: bool| {
-            let mut e = PolicyEngine::new(cfg.clone());
+            let mut e = PolicyEngine::default();
             if migrating {
-                for _ in 0..4 {
+                for _ in 0..WINDOW {
                     e.record_episode("s", 2);
                 }
                 assert!(e.decide("s").migrate);
             }
-            for sample in [1, 1, 2, 1] {
+            // A full window of the pattern 1, 1, 2, 1.
+            for sample in [1, 1, 2, 1].into_iter().cycle().take(WINDOW) {
                 e.record_episode("s", sample);
             }
+            assert_eq!(e.sites["s"].mean_milli(), 1250);
             e.decide("s").migrate
         };
         assert!(band(true), "a migrating site stays migrating at mean 1.25");
@@ -289,7 +254,7 @@ mod tests {
 
     #[test]
     fn sites_are_independent() {
-        let mut e = PolicyEngine::new(PolicyConfig::default());
+        let mut e = PolicyEngine::default();
         for _ in 0..4 {
             e.record_episode("hot", 5);
             e.record_episode("cold", 0);
@@ -307,7 +272,7 @@ mod tests {
 
     #[test]
     fn reset_stats_keeps_the_windows() {
-        let mut e = PolicyEngine::new(PolicyConfig::default());
+        let mut e = PolicyEngine::default();
         for _ in 0..8 {
             e.record_episode("site", 3);
         }
@@ -323,12 +288,14 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_sample() {
-        let mut s = SiteState::new(3);
-        for v in [1, 2, 3, 4] {
+        let mut s = SiteState::new();
+        for v in 1..=WINDOW as u32 + 1 {
             s.push(v);
         }
-        assert_eq!(s.filled, 3);
-        assert_eq!(s.sum, 2 + 3 + 4);
-        assert_eq!(s.mean_milli(), 3000);
+        assert_eq!(s.filled, WINDOW);
+        // 1 was pushed out: the window holds 2..=WINDOW + 1.
+        let held = (2..=WINDOW as u64 + 1).sum::<u64>();
+        assert_eq!(s.sum, held);
+        assert_eq!(s.mean_milli(), held * 1000 / WINDOW as u64);
     }
 }

@@ -31,15 +31,14 @@
 //!
 //! An off layer is `None`; nothing else checks a flag.
 
+use std::collections::BTreeMap;
+
 use proteus::engine::{Engine, Simulation};
 use proteus::event::EventQueue;
-use proteus::fault::{FaultPlan, FaultStats};
+use proteus::fault::FaultPlan;
 use proteus::stats::Histogram;
 use proteus::trace::{TraceEvent, Tracer};
-use proteus::{
-    CacheConfig, CoherenceCosts, CoherenceSystem, Cycles, Network, NetworkConfig, ProcId,
-    Processor, ProcessorStats,
-};
+use proteus::{CacheConfig, CoherenceCosts, CoherenceSystem, Cycles, Network, ProcId, Processor};
 
 use crate::cost::{Accounting, Category, CostModel};
 use crate::error::RuntimeError;
@@ -47,7 +46,7 @@ use crate::frame::Frame;
 use crate::mechanism::{DispatchStats, Scheme};
 use crate::message::{Message, MessageKind, Payload};
 use crate::object::{Behavior, ObjectTable};
-use crate::policy::{PolicyConfig, PolicyEngine};
+use crate::policy::PolicyEngine;
 use crate::rng::SplitMix64;
 use crate::types::{Goid, ThreadId};
 
@@ -59,7 +58,7 @@ mod metrics;
 mod tests;
 mod transport;
 
-pub use failover::FailoverStats;
+pub use failover::{FailoverStats, DETECTION_LATENCY_BOUND};
 pub use metrics::{AuditSummary, ProcWindowStats, RunMetrics};
 pub use transport::RecoveryStats;
 
@@ -73,10 +72,6 @@ pub struct MachineConfig {
     pub processors: u32,
     /// The remote-access scheme (one table row).
     pub scheme: Scheme,
-    /// Network constants.
-    pub network: NetworkConfig,
-    /// Cache geometry (shared-memory scheme).
-    pub cache: CacheConfig,
     /// Coherence protocol constants.
     pub coherence: CoherenceCosts,
     /// Seed for all runtime-internal randomness (object placement).
@@ -86,8 +81,6 @@ pub struct MachineConfig {
     pub data_procs: Vec<ProcId>,
     /// Processors holding software replicas of replicated objects.
     pub replica_procs: Vec<ProcId>,
-    /// Words carried by one replica-update message.
-    pub replica_update_words: u64,
     /// Override the scheme-derived cost model (ablation studies).
     pub cost_override: Option<CostModel>,
     /// Cycle-accounting audit mode: cross-check, for every executed task,
@@ -105,20 +98,14 @@ pub struct MachineConfig {
     /// with `None` the runtime's behaviour is bit-identical to a build
     /// without this feature.
     pub faults: Option<FaultPlan>,
-    /// Recovery-protocol tuning (timeouts, backoff, retry budget). Ignored
-    /// unless [`MachineConfig::faults`] is set.
+    /// Recovery-protocol retry budget. Ignored unless
+    /// [`MachineConfig::faults`] is set.
     pub recovery: RecoveryConfig,
     /// Fail-stop tolerance layer: heartbeat failure detection plus
     /// primary-backup object replication. Off by default; when off, the
     /// runtime's behaviour is bit-identical to a build without the feature
     /// (no probes, no deltas, no extra state consulted on the hot path).
     pub failover: FailoverConfig,
-    /// Tuning of the adaptive dispatch policy consulted for
-    /// [`crate::Annotation::Auto`] call sites (see [`crate::policy`]). Only
-    /// consulted when the scheme has migration enabled *and* an `Auto`
-    /// invoke reaches a remote dispatch point; otherwise the engine stays
-    /// inert and artifacts are byte-identical to a build without it.
-    pub policy: PolicyConfig,
 }
 
 /// Configuration of the fail-stop tolerance layer: a heartbeat-based failure
@@ -127,12 +114,13 @@ pub struct MachineConfig {
 /// The detector is a ring: each live processor periodically probes its
 /// successor (skipping processors already declared dead) with a
 /// [`Payload::Heartbeat`] envelope. The probe rides the same sequence-
-/// numbered ack/retry machinery as every other message, so "no ack after
-/// [`FailoverConfig::max_heartbeat_attempts`] sends" is the suspicion
-/// rule — deterministic, and safe against queueing delay because the
-/// retransmission timeouts are far above one service round-trip. Exactly one
-/// processor (the ring predecessor) probes each node, so a permanent crash
-/// produces exactly one suspicion and one promotion.
+/// numbered ack/retry machinery as every other message, so "no ack after a
+/// fixed number of sends" is the suspicion rule — deterministic, and safe
+/// against queueing delay because the retransmission timeouts are far above
+/// one service round-trip. A permanent crash is declared within
+/// [`DETECTION_LATENCY_BOUND`] cycles. Exactly one processor (the ring
+/// predecessor) probes each node, so a permanent crash produces exactly one
+/// suspicion and one promotion.
 ///
 /// Replication: every object gets a deterministic backup home (the next
 /// live processor after its primary, mod machine size). Mutating methods at
@@ -140,39 +128,17 @@ pub struct MachineConfig {
 /// backup, charged to `replication.*` categories. On declared death the
 /// backup already holds the state: the directory re-homes the victim's
 /// objects to their backups and in-flight traffic is rerouted.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FailoverConfig {
-    /// Master switch. When `false` nothing below is consulted.
+    /// Master switch. When `false` the layer does not exist.
     pub enabled: bool,
-    /// Period of the ring heartbeat probe.
-    pub heartbeat_interval: Cycles,
-    /// Send attempts a Heartbeat envelope gets before the prober declares
-    /// the destination dead (the suspicion threshold). With the default
-    /// recovery timeouts, 3 attempts ≈ 175k cycles of silence.
-    pub max_heartbeat_attempts: u32,
-}
-
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            enabled: false,
-            heartbeat_interval: Cycles(50_000),
-            max_heartbeat_attempts: 3,
-        }
-    }
 }
 
 /// Tuning of the ack/timeout/retry recovery protocol (only active under
-/// fault injection).
+/// fault injection). Retransmission timeouts back off exponentially from a
+/// fixed base up to a fixed cap.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Retransmission timeout for the first copy of an envelope. Chosen well
-    /// above one round-trip *plus service queueing*: the ack is sent when the
-    /// delivered task executes, not when the envelope lands, so tight
-    /// timeouts cause spurious (correct but wasteful) retransmissions.
-    pub base_timeout: Cycles,
-    /// Cap on the exponentially backed-off retransmission timeout.
-    pub backoff_cap: Cycles,
     /// Send attempts a Migration envelope gets before the sender gives up
     /// and degrades the call to plain RPC ([`crate::DispatchKind::RpcFallback`]).
     /// Non-migration envelopes retry indefinitely (with capped backoff) —
@@ -183,8 +149,6 @@ pub struct RecoveryConfig {
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            base_timeout: Cycles(25_000),
-            backoff_cap: Cycles(200_000),
             max_migration_attempts: 4,
         }
     }
@@ -197,19 +161,15 @@ impl MachineConfig {
         MachineConfig {
             processors,
             scheme,
-            network: NetworkConfig::default(),
-            cache: CacheConfig::default(),
             coherence: CoherenceCosts::default(),
             seed: 0x5EED,
             data_procs: Vec::new(),
             replica_procs: Vec::new(),
-            replica_update_words: 16,
             cost_override: None,
             audit: false,
             faults: None,
             recovery: RecoveryConfig::default(),
             failover: FailoverConfig::default(),
-            policy: PolicyConfig::default(),
         }
     }
 }
@@ -355,8 +315,16 @@ struct Core {
     /// Messages sent in the window, indexed by `MessageKind as usize`.
     msg_counts: [u64; MessageKind::ALL.len()],
     migrations: u64,
+    /// The first [`MAX_ERROR_DETAILS`] protocol errors, in full.
     runtime_errors: Vec<RuntimeError>,
+    /// Every protocol error ever recorded, counted by
+    /// [`RuntimeError::code`].
+    error_counts: BTreeMap<&'static str, u64>,
 }
+
+/// Protocol errors kept in full; later ones are only counted, so a
+/// malformed-message storm cannot grow memory without bound.
+const MAX_ERROR_DETAILS: usize = 1024;
 
 impl Core {
     /// Charge `cycles` to `category`; returns `cycles`, so a caller adds
@@ -382,8 +350,9 @@ impl Core {
     }
 
     /// Record a protocol error instead of aborting the simulation: the
-    /// offending task is dropped after its already-charged busy time and
-    /// the error is kept for [`System::runtime_errors`] / [`RunMetrics`].
+    /// offending task is dropped after its already-charged busy time, the
+    /// error is counted for [`RunMetrics`], and the first
+    /// [`MAX_ERROR_DETAILS`] are kept for [`System::runtime_errors`].
     fn record_error(&mut self, now: Cycles, error: RuntimeError) {
         self.tracer.emit_with(|| TraceEvent {
             at: now,
@@ -392,8 +361,8 @@ impl Core {
             proc: None,
             detail: error.to_string(),
         });
-        // Bounded: a malformed-message storm must not grow memory forever.
-        if self.runtime_errors.len() < 1024 {
+        *self.error_counts.entry(error.code()).or_insert(0) += 1;
+        if self.runtime_errors.len() < MAX_ERROR_DETAILS {
             self.runtime_errors.push(error);
         }
     }
@@ -544,6 +513,7 @@ impl System {
     pub fn new(cfg: MachineConfig) -> System {
         let n = cfg.processors;
         assert!(n > 0, "machine needs at least one processor");
+        let cache = CacheConfig::default();
         let mut replica_at = vec![false; n as usize];
         for p in &cfg.replica_procs {
             replica_at[p.index()] = true;
@@ -554,7 +524,7 @@ impl System {
                     .cost_override
                     .clone()
                     .unwrap_or_else(|| cfg.scheme.cost_model()),
-                net: Network::new(n, cfg.network.clone()),
+                net: Network::new(n),
                 tracer: Tracer::disabled(),
                 acct: Accounting::default(),
                 migration_acct: Accounting::default(),
@@ -563,12 +533,13 @@ impl System {
                 msg_counts: [0; MessageKind::ALL.len()],
                 migrations: 0,
                 runtime_errors: Vec::new(),
+                error_counts: BTreeMap::new(),
             },
-            coherence: CoherenceSystem::new(n, cfg.cache.clone(), cfg.coherence.clone()),
+            objects: ObjectTable::new(n, cache.line_bytes),
+            coherence: CoherenceSystem::new(n, cache, cfg.coherence.clone()),
             procs: (0..n).map(|i| Processor::new(ProcId(i))).collect(),
             poll_pending: vec![false; n as usize],
             replica_at,
-            objects: ObjectTable::new(n, cfg.cache.line_bytes),
             threads: Vec::new(),
             detached: Vec::new(),
             frame_pool: Vec::new(),
@@ -582,11 +553,8 @@ impl System {
             faults: cfg
                 .faults
                 .clone()
-                .map(|plan| Faults::new(plan, cfg.recovery.clone(), n)),
-            failover: cfg
-                .failover
-                .enabled
-                .then(|| Failover::new(cfg.failover.clone(), n)),
+                .map(|plan| Faults::new(plan, cfg.recovery.max_migration_attempts, n)),
+            failover: cfg.failover.enabled.then(|| Failover::new(n)),
             policy: None,
             cfg,
         }
@@ -605,20 +573,6 @@ impl System {
             f.injector.set_tracer(tracer.clone());
         }
         self.core.tracer = tracer;
-    }
-
-    /// Recovery-protocol activity since the window started (all zero when
-    /// fault injection is off).
-    pub fn recovery_stats(&self) -> &RecoveryStats {
-        self.faults
-            .as_ref()
-            .map_or(&*transport::NO_RECOVERY, |f| &f.stats)
-    }
-
-    /// Fault-injection decisions since the window started (`None` when fault
-    /// injection is off).
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.faults.as_ref().map(|f| f.injector.stats())
     }
 
     /// Failure-detection and replication activity since the window started
@@ -650,19 +604,10 @@ impl System {
             .is_some_and(|f| f.is_declared_dead(proc))
     }
 
-    /// Per-call-site mechanism-dispatch counters for the current window.
-    pub fn dispatch_stats(&self) -> &DispatchStats {
-        &self.dispatch
-    }
-
-    /// Protocol errors recorded since the system was built.
+    /// The protocol errors recorded since the system was built, in full.
+    /// The list is capped; [`RunMetrics::runtime_errors`] counts them all.
     pub fn runtime_errors(&self) -> &[RuntimeError] {
         &self.core.runtime_errors
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
     }
 
     /// The object table (for application setup and post-run verification).
@@ -716,21 +661,6 @@ impl System {
             auto_remote: 0,
         });
         tid
-    }
-
-    /// Operations completed since the window started.
-    pub fn ops_completed(&self) -> u64 {
-        self.ops_completed
-    }
-
-    /// Activation migrations performed since the window started.
-    pub fn migrations(&self) -> u64 {
-        self.core.migrations
-    }
-
-    /// Per-processor utilization stats.
-    pub fn proc_stats(&self, p: ProcId) -> &ProcessorStats {
-        self.procs[p.index()].stats()
     }
 
     // ------------------------------------------------------------------
@@ -971,7 +901,7 @@ impl Runner {
         if cfg.failover.enabled {
             engine
                 .queue_mut()
-                .schedule_at(cfg.failover.heartbeat_interval, Event::HeartbeatTick);
+                .schedule_at(failover::HEARTBEAT_INTERVAL, Event::HeartbeatTick);
         }
         Runner {
             system: System::new(cfg),

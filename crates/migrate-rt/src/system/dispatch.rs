@@ -17,6 +17,10 @@ use crate::message::{Message, Payload};
 use crate::policy::PolicyEngine;
 use crate::types::{Goid, ThreadId, WordVec};
 
+/// Words carried by one replica-update message (the replicated object's
+/// new state), on top of the target's id.
+const REPLICA_UPDATE_WORDS: u64 = 16;
+
 impl System {
     /// Execute one queued task at `proc`, returning its busy duration.
     pub(super) fn execute(
@@ -379,7 +383,8 @@ impl System {
         (busy, results)
     }
 
-    /// Broadcast a replica update after a write to a replicated object.
+    /// Broadcast a replica update after a write to a replicated object:
+    /// one [`REPLICA_UPDATE_WORDS`]-word message to every other replica.
     fn broadcast_replica_update(
         &mut self,
         src: ProcId,
@@ -395,7 +400,7 @@ impl System {
             }
             let payload = Payload::ReplicaUpdate {
                 target,
-                words: self.cfg.replica_update_words,
+                words: REPLICA_UPDATE_WORDS,
             };
             busy += self.send_message(src, p, payload, send_time + busy, queue);
         }
@@ -408,8 +413,7 @@ impl System {
 
     /// The policy engine, built on first use.
     fn policy(&mut self) -> &mut PolicyEngine {
-        self.policy
-            .get_or_insert_with(|| PolicyEngine::new(self.cfg.policy.clone()))
+        self.policy.get_or_insert_with(PolicyEngine::default)
     }
 
     /// Close one operation: count it, record its latency, and fold any open

@@ -14,7 +14,8 @@ use proteus::event::EventQueue;
 use proteus::trace::TraceEvent;
 use proteus::{Cycles, ProcId};
 
-use super::{Event, FailoverConfig, System, ThreadStatus, Work};
+use super::transport::rto;
+use super::{Event, System, ThreadStatus, Work};
 use crate::cost::Category;
 use crate::error::RuntimeError;
 use crate::message::{MessageKind, Payload};
@@ -49,12 +50,34 @@ pub struct FailoverStats {
     pub replication_words: u64,
 }
 
+/// Period of the ring heartbeat probe.
+pub(super) const HEARTBEAT_INTERVAL: Cycles = Cycles(50_000);
+
+/// Send attempts a heartbeat envelope gets before its prober declares the
+/// destination dead (the suspicion threshold).
+pub(super) const MAX_HEARTBEAT_ATTEMPTS: u32 = 3;
+
+/// Longest time from a permanent crash to its declaration, derived from
+/// the detector's constants: the victim's ring predecessor sends its next
+/// probe at most one heartbeat interval after the crash, and declares the
+/// victim dead when that probe's last retransmission timeout expires
+/// unacknowledged. Not counted: the few cycles the prober spends queueing
+/// for and running the probe and the timeout handler.
+pub const DETECTION_LATENCY_BOUND: Cycles = {
+    let mut bound = HEARTBEAT_INTERVAL.0;
+    let mut attempt = 1;
+    while attempt <= MAX_HEARTBEAT_ATTEMPTS {
+        bound += rto(attempt).0;
+        attempt += 1;
+    }
+    Cycles(bound)
+};
+
 /// What [`System::failover_stats`] reports with failover off.
 pub(super) static NO_FAILOVER: LazyLock<FailoverStats> = LazyLock::new(FailoverStats::default);
 
 /// The failover layer's state.
 pub(super) struct Failover {
-    cfg: FailoverConfig,
     /// Processors the failure detector has declared dead: dead protocol
     /// state. Lags the hardware failure by the detection latency.
     declared_dead: Vec<bool>,
@@ -65,9 +88,8 @@ pub(super) struct Failover {
 }
 
 impl Failover {
-    pub(super) fn new(cfg: FailoverConfig, processors: u32) -> Failover {
+    pub(super) fn new(processors: u32) -> Failover {
         Failover {
-            cfg,
             declared_dead: vec![false; processors as usize],
             delta_seqs: Vec::new(),
             stats: FailoverStats::default(),
@@ -76,10 +98,6 @@ impl Failover {
 
     pub(super) fn is_declared_dead(&self, proc: ProcId) -> bool {
         self.declared_dead[proc.index()]
-    }
-
-    pub(super) fn max_heartbeat_attempts(&self) -> u32 {
-        self.cfg.max_heartbeat_attempts
     }
 
     /// The next processor after `p` in ring order that is not declared
@@ -148,16 +166,16 @@ impl System {
     /// (skipping the declared dead, so a dead node's predecessor adopts the
     /// probe responsibility for the node after it).
     pub(super) fn heartbeat_tick(&mut self, now: Cycles, queue: &mut EventQueue<Event>) {
-        let Some(interval) = self.failover.as_ref().map(|f| f.cfg.heartbeat_interval) else {
+        if self.failover.is_none() {
             return;
-        };
+        }
         for p in (0..self.procs.len()).map(|p| ProcId(p as u32)) {
             let to = self.failover.as_ref().and_then(|f| f.probe_target(p));
             if let Some(to) = to.filter(|_| !self.is_failed(p)) {
                 self.enqueue(p, Work::HeartbeatProbe { to }, now, queue);
             }
         }
-        queue.schedule_at(now + interval, Event::HeartbeatTick);
+        queue.schedule_at(now + HEARTBEAT_INTERVAL, Event::HeartbeatTick);
     }
 
     /// Send one heartbeat probe from `proc` to `to`.
@@ -454,10 +472,7 @@ mod tests {
     fn kill_hands_queued_deliveries_back_to_the_senders() {
         let mut cfg = MachineConfig::new(4, Scheme::computation_migration());
         cfg.faults = Some(FaultPlan::disabled());
-        cfg.failover = FailoverConfig {
-            enabled: true,
-            ..FailoverConfig::default()
-        };
+        cfg.failover = FailoverConfig { enabled: true };
         let mut sys = System::new(cfg);
         let (src, victim) = (ProcId(0), ProcId(1));
         let target = Goid(0);

@@ -234,14 +234,13 @@ impl System {
             dispatch: self.dispatch.clone(),
             per_proc,
             audit,
-            runtime_errors: self.core.runtime_errors.len() as u64,
-            runtime_error_codes: {
-                let mut by_code: BTreeMap<&'static str, u64> = BTreeMap::new();
-                for e in &self.core.runtime_errors {
-                    *by_code.entry(e.code()).or_insert(0) += 1;
-                }
-                by_code.into_iter().collect()
-            },
+            runtime_errors: self.core.error_counts.values().sum(),
+            runtime_error_codes: self
+                .core
+                .error_counts
+                .iter()
+                .map(|(&code, &n)| (code, n))
+                .collect(),
             recovery: self.faults.as_ref().map(|f| f.stats.clone()),
             faults: self.faults.as_ref().map(|f| f.injector.stats().clone()),
             failover: self.failover.as_ref().map(|f| f.stats.clone()),

@@ -1169,7 +1169,7 @@ fn a_detached_frame_that_sleeps_terminates_its_thread() {
             runner.system.threads[tid.index()].status,
             ThreadStatus::Done
         );
-        assert_eq!(runner.system.ops_completed(), 0);
+        assert_eq!(runner.system.ops_completed, 0);
         assert_eq!(runner.system.runtime_errors().len(), 1);
     }
 }
@@ -1185,4 +1185,35 @@ fn a_detached_group_that_halts_sends_no_return() {
     assert_eq!(m.runtime_errors, 0);
     assert!(runner.system.runtime_errors().is_empty());
     assert_eq!(m.ops, 0);
+}
+
+#[test]
+fn error_counts_stay_exact_past_the_detail_cap() {
+    // Only the detail list is capped; the counts in the metrics keep going.
+    let mut sys = System::new(MachineConfig::new(2, Scheme::rpc()));
+    let recorded = MAX_ERROR_DETAILS as u64 + 476;
+    for i in 0..recorded {
+        let error = if i % 4 == 0 {
+            RuntimeError::NetworkRejected {
+                src: ProcId(0),
+                dst: ProcId(9),
+            }
+        } else {
+            RuntimeError::DuplicateDelivery {
+                seq: i,
+                at: ProcId(1),
+            }
+        };
+        sys.core.record_error(Cycles(i), error);
+    }
+    let m = sys.metrics(Cycles(recorded));
+    assert_eq!(m.runtime_errors, recorded);
+    assert_eq!(
+        m.runtime_error_codes,
+        vec![
+            ("duplicate_delivery", recorded - recorded.div_ceil(4)),
+            ("network_rejected", recorded.div_ceil(4)),
+        ]
+    );
+    assert_eq!(sys.runtime_errors().len(), MAX_ERROR_DETAILS);
 }

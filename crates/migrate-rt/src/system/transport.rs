@@ -27,14 +27,14 @@
 //! pops empty slots off the front.
 
 use std::collections::VecDeque;
-use std::sync::LazyLock;
 
 use proteus::event::EventQueue;
 use proteus::fault::{FaultInjector, FaultPlan};
 use proteus::trace::{TraceEvent, Tracer};
 use proteus::{Cycles, ProcId};
 
-use super::{Core, Event, RecoveryConfig, RecvMeta, System, ThreadStatus, Work};
+use super::failover::MAX_HEARTBEAT_ATTEMPTS;
+use super::{Core, Event, RecvMeta, System, ThreadStatus, Work};
 use crate::cost::Category;
 use crate::error::RuntimeError;
 use crate::mechanism::DispatchKind;
@@ -60,13 +60,32 @@ pub struct RecoveryStats {
     pub messages_lost: u64,
 }
 
-/// What [`System::recovery_stats`] reports without fault injection.
-pub(super) static NO_RECOVERY: LazyLock<RecoveryStats> = LazyLock::new(RecoveryStats::default);
+/// Retransmission timeout of an envelope's first copy. Chosen well above
+/// one round-trip *plus service queueing*: the ack is sent when the
+/// delivered task executes, not when the envelope lands, so tight timeouts
+/// cause spurious (correct but wasteful) retransmissions.
+const BASE_TIMEOUT: Cycles = Cycles(25_000);
+/// Cap on the exponentially backed-off retransmission timeout.
+const BACKOFF_CAP: Cycles = Cycles(200_000);
+
+/// Retransmission timeout for send attempt `attempt`: [`BASE_TIMEOUT`]
+/// doubled per earlier attempt, capped at [`BACKOFF_CAP`].
+pub(super) const fn rto(attempt: u32) -> Cycles {
+    let shift = attempt.saturating_sub(1);
+    let shift = if shift < 16 { shift } else { 16 };
+    let backed_off = BASE_TIMEOUT.0.saturating_mul(1 << shift);
+    Cycles(if backed_off < BACKOFF_CAP.0 {
+        backed_off
+    } else {
+        BACKOFF_CAP.0
+    })
+}
 
 /// The transport layer's state.
 pub(super) struct Faults {
     pub(super) injector: FaultInjector,
-    cfg: RecoveryConfig,
+    /// Send attempts a Migration envelope gets before it degrades to RPC.
+    max_migration_attempts: u32,
     /// Unacked envelopes and delivered flags, indexed by sequence number
     /// (global across processors; the *order* of allocation is
     /// deterministic, so fault decisions replay exactly).
@@ -81,11 +100,11 @@ pub(super) struct Faults {
 }
 
 impl Faults {
-    pub(super) fn new(plan: FaultPlan, cfg: RecoveryConfig, processors: u32) -> Faults {
+    pub(super) fn new(plan: FaultPlan, max_migration_attempts: u32, processors: u32) -> Faults {
         let n = processors as usize;
         Faults {
             injector: FaultInjector::new(plan),
-            cfg,
+            max_migration_attempts,
             window: Window::default(),
             crashed_until: vec![Cycles::ZERO; n],
             failed: vec![false; n],
@@ -166,14 +185,6 @@ impl Faults {
         overhead
     }
 
-    /// Retransmission timeout for send attempt `attempt` (exponential
-    /// backoff, capped).
-    fn rto(&self, attempt: u32) -> Cycles {
-        let shift = attempt.saturating_sub(1).min(16);
-        let backed_off = self.cfg.base_timeout.get().saturating_mul(1 << shift);
-        Cycles(backed_off.min(self.cfg.backoff_cap.get()))
-    }
-
     /// Draw the fault fate of one copy put on the wire at `sent` and
     /// schedule what survives: the stall or crash it triggers at the
     /// destination, its arrival after `transit` (plus any injected delay),
@@ -239,7 +250,7 @@ impl Faults {
                 core.charge(Category::NetworkTransit, lat2);
             }
         }
-        queue.schedule_at(launch_time + self.rto(attempt), Event::Timeout(seq));
+        queue.schedule_at(launch_time + rto(attempt), Event::Timeout(seq));
     }
 
     /// Send buffered envelope `seq` again, to its current destination, at
@@ -368,7 +379,7 @@ impl System {
             return acc; // acked between timer fire and task execution
         };
         let (dst, kind, attempt) = (entry.dst, entry.meta.kind, entry.attempt);
-        let max_migration_attempts = faults.cfg.max_migration_attempts;
+        let max_migration_attempts = faults.max_migration_attempts;
         debug_assert_eq!(entry.src, proc, "retransmit task ran off the sender");
         let acc = acc + self.charge(Category::RecoveryTimeout, self.core.cost.timeout_handler);
         if let Some(failover) = &self.failover {
@@ -378,7 +389,7 @@ impl System {
                 // resending into the void.
                 return self.reroute(seq, now, acc, queue);
             }
-            if kind == MessageKind::Heartbeat && attempt >= failover.max_heartbeat_attempts() {
+            if kind == MessageKind::Heartbeat && attempt >= MAX_HEARTBEAT_ATTEMPTS {
                 // Suspicion: the probe's retry budget is exhausted with no
                 // ack — the ring predecessor declares the destination dead.
                 self.transport().window.retire(seq);

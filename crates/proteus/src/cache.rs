@@ -155,11 +155,6 @@ impl Cache {
         }
     }
 
-    /// The geometry in force.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
     /// The index range of `line`'s set in `tags`.
     #[inline]
     fn set_range(&self, line: u64) -> Range<usize> {
@@ -185,14 +180,8 @@ impl Cache {
         find(set, key).map(|pos| state_of(set[pos]))
     }
 
-    /// Record a hit on `line`, refreshing LRU. The caller must have probed.
-    pub fn touch(&mut self, line: u64) {
-        self.hit_read(line);
-    }
-
-    /// [`probe`](Self::probe) + [`touch`](Self::touch) in one scan of the
-    /// set: if `line` is resident, make it the most recently used, count a
-    /// hit, and return its state.
+    /// The read-hit test, in one scan of the set: if `line` is resident,
+    /// make it the most recently used, count a hit, and return its state.
     pub fn hit_read(&mut self, line: u64) -> Option<LineState> {
         let key = key(line);
         let set = self.set_mut(line);
@@ -293,16 +282,16 @@ impl Cache {
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
-
-    /// Number of resident lines (for tests and invariant checks).
-    pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|&&tag| tag != 0).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lines below `limit` that `c` holds.
+    fn resident(c: &Cache, limit: u64) -> usize {
+        (0..limit).filter(|&line| c.probe(line).is_some()).count()
+    }
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways of 16-byte lines = 128 bytes.
@@ -328,7 +317,7 @@ mod tests {
         assert_eq!(c.probe(100), None);
         assert_eq!(c.fill(100, LineState::Shared), None);
         assert_eq!(c.probe(100), Some(LineState::Shared));
-        c.touch(100);
+        c.hit_read(100);
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
     }
@@ -339,7 +328,7 @@ mod tests {
         // Lines 0, 4, 8 all map to set 0 (4 sets).
         c.fill(0, LineState::Shared);
         c.fill(4, LineState::Shared);
-        c.touch(0); // 4 is now LRU
+        c.hit_read(0); // 4 is now LRU
         let ev = c.fill(8, LineState::Shared).expect("eviction");
         assert_eq!(ev.line, 4);
         assert_eq!(c.probe(0), Some(LineState::Shared));
@@ -362,7 +351,7 @@ mod tests {
         c.fill(0, LineState::Shared);
         assert_eq!(c.fill(0, LineState::Modified), None);
         assert_eq!(c.probe(0), Some(LineState::Modified));
-        assert_eq!(c.resident_lines(), 1);
+        assert_eq!(resident(&c, 16), 1);
     }
 
     #[test]
@@ -390,7 +379,7 @@ mod tests {
         for line in 0..4 {
             c.fill(line, LineState::Shared);
         }
-        assert_eq!(c.resident_lines(), 4);
+        assert_eq!(resident(&c, 16), 4);
         for line in 0..4 {
             assert!(c.probe(line).is_some());
         }
@@ -435,6 +424,6 @@ mod tests {
         for line in 0..100 {
             c.fill(line, LineState::Shared);
         }
-        assert!(c.resident_lines() <= 8);
+        assert!(resident(&c, 100) <= 8);
     }
 }

@@ -699,12 +699,11 @@ impl CoherenceSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::NetworkConfig;
 
     fn system() -> (CoherenceSystem, Network) {
         (
             CoherenceSystem::new(4, CacheConfig::default(), CoherenceCosts::default()),
-            Network::new(4, NetworkConfig::default()),
+            Network::new(4),
         )
     }
 

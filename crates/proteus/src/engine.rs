@@ -28,8 +28,6 @@ pub enum StopReason {
     Quiescent,
     /// The time horizon was reached (next event lies beyond it).
     Horizon,
-    /// The safety event-count limit fired (likely a livelock in the model).
-    EventLimit,
 }
 
 /// Outcome of a run.
@@ -46,8 +44,6 @@ pub struct RunOutcome {
 /// The event-loop driver.
 pub struct Engine<S: Simulation> {
     queue: EventQueue<S::Event>,
-    /// Safety valve: maximum events per `run_until` call.
-    pub event_limit: u64,
     tracer: Tracer,
 }
 
@@ -62,7 +58,6 @@ impl<S: Simulation> Engine<S> {
     pub fn new() -> Engine<S> {
         Engine {
             queue: EventQueue::new(),
-            event_limit: u64::MAX,
             tracer: Tracer::disabled(),
         }
     }
@@ -87,39 +82,15 @@ impl<S: Simulation> Engine<S> {
         self.queue.peak_len()
     }
 
-    /// Run until the queue empties, the time `horizon` is passed, or the
-    /// event limit trips. Events stamped exactly at the horizon still run.
+    /// Run until the queue empties or the time `horizon` is passed. Events
+    /// stamped exactly at the horizon still run.
     ///
     /// The loop touches the queue once per event: `pop_before` fuses the
     /// peek/pop pair, and the stop classification happens only on the cold
-    /// exit paths. Stop-reason priority (Quiescent over Horizon over
-    /// EventLimit) is unchanged: the limit only fires when a pending event
-    /// within the horizon exists.
+    /// exit path.
     pub fn run_until(&mut self, sim: &mut S, horizon: Cycles) -> RunOutcome {
         let mut events = 0u64;
         loop {
-            if events >= self.event_limit {
-                return match self.queue.peek_time() {
-                    None => RunOutcome {
-                        reason: StopReason::Quiescent,
-                        ended_at: self.queue.now(),
-                        events,
-                    },
-                    Some(t) if t > horizon => {
-                        self.queue.advance_to(horizon);
-                        RunOutcome {
-                            reason: StopReason::Horizon,
-                            ended_at: horizon,
-                            events,
-                        }
-                    }
-                    Some(_) => RunOutcome {
-                        reason: StopReason::EventLimit,
-                        ended_at: self.queue.now(),
-                        events,
-                    },
-                };
-            }
             let Some((now, ev)) = self.queue.pop_before(horizon) else {
                 return if self.queue.is_empty() {
                     RunOutcome {
@@ -208,20 +179,6 @@ mod tests {
         let out = eng.run_until(&mut sim, Cycles(100));
         assert_eq!(out.reason, StopReason::Quiescent);
         assert_eq!(sim.handled, vec![(100, 0)]);
-    }
-
-    #[test]
-    fn event_limit_guards_livelock() {
-        let mut sim = PingPong {
-            handled: vec![],
-            cap: u32::MAX,
-        };
-        let mut eng = Engine::new();
-        eng.event_limit = 50;
-        eng.queue_mut().schedule_at(Cycles(0), 0);
-        let out = eng.run_until(&mut sim, Cycles::MAX);
-        assert_eq!(out.reason, StopReason::EventLimit);
-        assert_eq!(out.events, 50);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use engine::{Engine, RunOutcome, Simulation, StopReason};
 pub use event::EventQueue;
 pub use fault::{FaultInjector, FaultPlan, FaultStats, MessageFate};
 pub use ids::ProcId;
-pub use network::{Network, NetworkConfig, SendError};
+pub use network::{Network, SendError};
 pub use processor::{Processor, ProcessorStats};
 pub use stats::{CacheStats, Histogram, TrafficStats};
 pub use time::Cycles;

@@ -1,9 +1,10 @@
 //! Interconnection network model: latency and bandwidth accounting.
 //!
-//! Latency of a message is `launch + per_hop × hops(src, dst)`. The constants
-//! default so that a typical cross-machine message on the paper's 24–88
-//! processor meshes costs about the 17 cycles of "network transit" reported
-//! in Table 5. Bandwidth is accounted in word-hops (see [`TrafficStats`]).
+//! Latency of a message is `LAUNCH + PER_HOP × hops(src, dst)`, with the
+//! constants chosen so that a typical cross-machine message on the paper's
+//! 24–88 processor meshes costs about the 17 cycles of "network transit"
+//! reported in Table 5. Every message carries a `HEADER_WORDS` header.
+//! Bandwidth is accounted in word-hops (see [`TrafficStats`]).
 
 use crate::ids::ProcId;
 use crate::stats::TrafficStats;
@@ -11,27 +12,14 @@ use crate::time::Cycles;
 use crate::topology::Mesh;
 use crate::trace::{TraceEvent, Tracer};
 
-/// Tunable network parameters.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NetworkConfig {
-    /// Fixed cost to launch a message onto the wire, in cycles.
-    pub launch: Cycles,
-    /// Per-hop propagation cost, in cycles.
-    pub per_hop: Cycles,
-    /// Words of header prepended to every message payload.
-    pub header_words: u64,
-}
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        // launch 10 + ~5-7 mean hops × 1 ≈ the paper's 17-cycle transit.
-        NetworkConfig {
-            launch: Cycles(10),
-            per_hop: Cycles(1),
-            header_words: 2,
-        }
-    }
-}
+/// Fixed cost to launch a message onto the wire. With the mean hop count
+/// of the paper's 24–88 processor meshes (about 5–7) this lands a typical
+/// transit near Table 5's 17 cycles.
+const LAUNCH: Cycles = Cycles(10);
+/// Propagation cost per mesh hop.
+const PER_HOP: Cycles = Cycles(1);
+/// Words of header prepended to every message payload.
+const HEADER_WORDS: u64 = 2;
 
 /// A send addressed a processor the machine does not have.
 ///
@@ -78,35 +66,26 @@ impl std::error::Error for SendError {}
 /// The machine interconnect: topology + cost model + traffic accounting.
 #[derive(Clone, Debug)]
 pub struct Network {
-    mesh: Mesh,
     processors: u32,
     /// Grid coordinates of every processor, precomputed: hop counts are on
     /// the critical path of every message and coherence transaction, and the
     /// mesh's division-based coordinate math would dominate them.
     coords: Vec<(u32, u32)>,
-    config: NetworkConfig,
     traffic: TrafficStats,
     tracer: Tracer,
 }
 
 impl Network {
     /// A network over the most-square mesh for `processors` nodes.
-    pub fn new(processors: u32, config: NetworkConfig) -> Network {
+    pub fn new(processors: u32) -> Network {
         let mesh = Mesh::for_processors(processors);
         let coords = (0..processors).map(|p| mesh.coords(ProcId(p))).collect();
         Network {
-            mesh,
             processors,
             coords,
-            config,
             traffic: TrafficStats::default(),
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// The configured processor count (may be less than the mesh capacity).
-    pub fn processors(&self) -> u32 {
-        self.processors
     }
 
     /// Attach a tracer; [`Network::send_at`] records one event per message.
@@ -114,42 +93,11 @@ impl Network {
         self.tracer = tracer;
     }
 
-    /// The underlying mesh.
-    pub fn mesh(&self) -> &Mesh {
-        &self.mesh
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.config
-    }
-
-    /// Hop count between two processors.
-    pub fn hops(&self, src: ProcId, dst: ProcId) -> u32 {
-        match (
-            self.coords.get(src.0 as usize),
-            self.coords.get(dst.0 as usize),
-        ) {
-            (Some(&(ax, ay)), Some(&(bx, by))) => ax.abs_diff(bx) + ay.abs_diff(by),
-            // Processors outside the machine still get mesh geometry (the
-            // precomputed table only covers configured processors).
-            _ => self.mesh.hops(src, dst),
-        }
-    }
-
-    /// Transit latency for a message from `src` to `dst` (independent of
-    /// size: the paper's model charges marshalling separately and treats the
-    /// network as pipelined).
-    pub fn latency(&self, src: ProcId, dst: ProcId) -> Cycles {
-        if src == dst {
-            return Cycles::ZERO;
-        }
-        self.config.launch + self.config.per_hop * u64::from(self.hops(src, dst))
-    }
-
     /// Send a message of `payload_words` words: books traffic (header +
     /// payload, times hops) and returns the transit latency the caller should
-    /// use to schedule the arrival event.
+    /// use to schedule the arrival event. The latency does not depend on the
+    /// size: the paper's model charges marshalling separately and treats the
+    /// network as pipelined.
     ///
     /// A message to self is *defined* to cost nothing and take no time (no
     /// traffic is booked, `Ok(Cycles::ZERO)` is returned) — the runtime
@@ -180,10 +128,10 @@ impl Network {
         if src == dst {
             return Ok(Cycles::ZERO);
         }
-        let words = self.config.header_words + payload_words;
+        let words = HEADER_WORDS + payload_words;
         let hops = ax.abs_diff(bx) + ay.abs_diff(by);
         self.traffic.record(words, hops);
-        Ok(self.config.launch + self.config.per_hop * u64::from(hops))
+        Ok(LAUNCH + PER_HOP * u64::from(hops))
     }
 
     /// [`Network::send`] plus a trace record stamped `at` — for callers that
@@ -206,7 +154,7 @@ impl Network {
                 detail: format!(
                     "dst={} words={} latency={}",
                     dst.0,
-                    self.config.header_words + payload_words,
+                    HEADER_WORDS + payload_words,
                     latency.get()
                 ),
             });
@@ -231,15 +179,15 @@ mod tests {
     use super::*;
 
     fn net() -> Network {
-        Network::new(25, NetworkConfig::default())
+        Network::new(25)
     }
 
     #[test]
     fn latency_scales_with_hops() {
-        let n = net();
+        let mut n = net();
         // P0=(0,0), P24=(4,4) on a 5x5 mesh: 8 hops.
-        assert_eq!(n.latency(ProcId(0), ProcId(24)), Cycles(10 + 8));
-        assert_eq!(n.latency(ProcId(0), ProcId(1)), Cycles(11));
+        assert_eq!(n.send(ProcId(0), ProcId(24), 0), Ok(Cycles(10 + 8)));
+        assert_eq!(n.send(ProcId(0), ProcId(1), 0), Ok(Cycles(11)));
     }
 
     #[test]
@@ -271,7 +219,7 @@ mod tests {
     fn out_of_range_routes_are_rejected_not_booked() {
         // 24 processors sit on a 5×5 mesh: P24 has mesh coordinates but is
         // outside the machine, so sends naming it must fail.
-        let mut n = Network::new(24, NetworkConfig::default());
+        let mut n = Network::new(24);
         assert_eq!(
             n.send(ProcId(0), ProcId(24), 4),
             Err(SendError::DstOutOfRange {
@@ -300,12 +248,12 @@ mod tests {
 
     #[test]
     fn latency_symmetric() {
-        let n = net();
+        let mut n = net();
         for a in 0..25u32 {
             for b in 0..25u32 {
                 assert_eq!(
-                    n.latency(ProcId(a), ProcId(b)),
-                    n.latency(ProcId(b), ProcId(a))
+                    n.send(ProcId(a), ProcId(b), 0),
+                    n.send(ProcId(b), ProcId(a), 0)
                 );
             }
         }
@@ -315,13 +263,13 @@ mod tests {
     fn mean_transit_near_paper_constant() {
         // On the 88-processor machine of the counting-network experiments the
         // mean message transit should land near Table 5's 17 cycles.
-        let n = Network::new(88, NetworkConfig::default());
+        let mut n = Network::new(88);
         let mut total = 0u64;
         let mut count = 0u64;
         for a in 0..88u32 {
             for b in 0..88u32 {
                 if a != b {
-                    total += n.latency(ProcId(a), ProcId(b)).get();
+                    total += n.send(ProcId(a), ProcId(b), 0).unwrap().get();
                     count += 1;
                 }
             }

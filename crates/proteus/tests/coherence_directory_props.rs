@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use proteus::coherence::{make_addr, Access, AccessOutcome, ProtocolStats};
 use proteus::{
     Cache, CacheConfig, CacheStats, CoherenceCosts, CoherenceSystem, Cycles, LineState, Network,
-    NetworkConfig, ProcId,
+    ProcId,
 };
 
 /// Processors of the small machine.
@@ -286,9 +286,9 @@ const WIDE: [u32; 12] = [0, 1, 2, 3, 62, 63, 64, 65, 124, 125, 126, 127];
 /// `processors`, comparing every outcome and the traffic after every access.
 fn replay(processors: u32, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut paged = CoherenceSystem::new(processors, tiny_cache(), CoherenceCosts::default());
-    let mut paged_net = Network::new(processors, NetworkConfig::default());
+    let mut paged_net = Network::new(processors);
     let mut reference = RefCoherence::new(processors, tiny_cache(), CoherenceCosts::default());
-    let mut ref_net = Network::new(processors, NetworkConfig::default());
+    let mut ref_net = Network::new(processors);
     let mut at = Cycles::ZERO;
     for (i, op) in ops.iter().enumerate() {
         at += Cycles(op.advance);

@@ -7,9 +7,7 @@
 
 use proptest::prelude::*;
 use proteus::coherence::{make_addr, Access};
-use proteus::{
-    CacheConfig, CoherenceCosts, CoherenceSystem, Cycles, Network, NetworkConfig, ProcId,
-};
+use proteus::{CacheConfig, CoherenceCosts, CoherenceSystem, Cycles, Network, ProcId};
 
 const PROCS: u32 = 6;
 
@@ -22,7 +20,7 @@ fn system() -> (CoherenceSystem, Network) {
     };
     (
         CoherenceSystem::new(PROCS, cache, CoherenceCosts::default()),
-        Network::new(PROCS, NetworkConfig::default()),
+        Network::new(PROCS),
     )
 }
 

@@ -12,7 +12,7 @@ use std::cell::Cell;
 use proteus::coherence::{make_addr, Access};
 use proteus::{
     Cache, CacheConfig, CoherenceCosts, CoherenceSystem, Cycles, Engine, EventQueue, LineState,
-    Network, NetworkConfig, ProcId, Simulation,
+    Network, ProcId, Simulation,
 };
 
 thread_local! {
@@ -168,7 +168,6 @@ fn a_cache_allocates_once_on_its_first_fill_and_never_after() {
         assert_eq!(cache.hit_write(7), None);
         assert_eq!(cache.invalidate(7), None);
         cache.set_state(7, LineState::Modified);
-        cache.touch(7);
     });
     assert_eq!(allocations, 0, "accesses to an empty cache allocated");
 
@@ -215,7 +214,7 @@ fn a_far_miss_allocates_one_directory_page_and_misses_within_it_nothing() {
     let config = CacheConfig::default();
     let line_bytes = config.line_bytes;
     let mut sys = CoherenceSystem::new(4, config, CoherenceCosts::default());
-    let mut net = Network::new(4, NetworkConfig::default());
+    let mut net = Network::new(4);
     // The requesters' first fills allocate their caches' tag arrays; make
     // them on a line of another home, so only the directory is measured.
     for p in [1, 2] {

@@ -20,17 +20,19 @@
 
 use bench::{failover_cell_btree, failover_cell_counting, failover_schemes};
 use migrate_apps::counting::CountingExperiment;
+use migrate_rt::system::DETECTION_LATENCY_BOUND;
 use migrate_rt::{Category, FailoverConfig};
-use proteus::{Cycles, FaultPlan, ProcId};
+use proteus::{Cycles, FaultPlan, ProcId, Tracer};
+
+/// Trace events a crash run keeps: every event of the run fits, so the
+/// kill and its declaration are both still there at the end.
+const TRACE_CAPACITY: usize = 1 << 16;
 
 /// A small fault-free counting run with the failure detector on.
 fn fault_free_failover_run(seed: u64, scheme: migrate_rt::Scheme) -> migrate_rt::Runner {
     let exp = CountingExperiment {
         requests_per_thread: Some(4),
-        failover: FailoverConfig {
-            enabled: true,
-            ..Default::default()
-        },
+        failover: FailoverConfig { enabled: true },
         audit: true,
         seed: 0xC0DE ^ seed,
         ..CountingExperiment::paper(4, 0, scheme)
@@ -67,6 +69,7 @@ fn fault_free_detector_never_suspects() {
 #[test]
 fn permanent_crash_is_always_declared() {
     let scheme = migrate_rt::Scheme::computation_migration();
+    let mut largest_gap = Cycles::ZERO;
     for seed in 0..64u64 {
         // Vary both the victim and the kill time across seeds.
         let victim = ProcId((seed % 24) as u32);
@@ -74,15 +77,14 @@ fn permanent_crash_is_always_declared() {
         let exp = CountingExperiment {
             requests_per_thread: Some(4),
             faults: Some(FaultPlan::fail_stop(victim, at)),
-            failover: FailoverConfig {
-                enabled: true,
-                ..Default::default()
-            },
+            failover: FailoverConfig { enabled: true },
             audit: true,
             seed: 0xC0DE ^ seed,
             ..CountingExperiment::paper(4, 0, scheme)
         };
         let (mut runner, _spec) = exp.build();
+        let (tracer, sink) = Tracer::ring(TRACE_CAPACITY);
+        runner.set_tracer(tracer);
         runner.run_until(Cycles(2_000_000));
         assert!(
             runner.system.is_failed(victim),
@@ -99,7 +101,30 @@ fn permanent_crash_is_always_declared() {
             .system
             .audit()
             .unwrap_or_else(|e| panic!("seed {seed}: audit failed: {e}"));
+
+        let sink = sink.borrow();
+        assert!(
+            sink.recorded() <= TRACE_CAPACITY as u64,
+            "seed {seed}: the ring dropped events"
+        );
+        let declared = sink
+            .events()
+            .find(|e| e.kind == "suspect")
+            .unwrap_or_else(|| panic!("seed {seed}: no suspect event traced"))
+            .at;
+        let gap = declared - at;
+        assert!(
+            gap <= DETECTION_LATENCY_BOUND,
+            "seed {seed}: {victim:?} killed at {at:?} was declared at {declared:?}, \
+             {gap:?} later, past the {DETECTION_LATENCY_BOUND:?} bound"
+        );
+        largest_gap = largest_gap.max(gap);
     }
+    println!(
+        "largest kill-to-declaration gap: {} cycles (bound {})",
+        largest_gap.get(),
+        DETECTION_LATENCY_BOUND.get()
+    );
 }
 
 #[test]

@@ -191,7 +191,6 @@ fn fallback_metrics(seed: u64) -> RunMetrics {
         }),
         recovery: RecoveryConfig {
             max_migration_attempts: 1,
-            ..RecoveryConfig::default()
         },
         audit: true,
         ..CountingExperiment::paper(8, 0, Scheme::computation_migration())
@@ -323,7 +322,6 @@ fn crash_during_frame_transfer_completes_migration_exactly_once() {
             faults: Some(plan),
             recovery: RecoveryConfig {
                 max_migration_attempts: 1,
-                ..RecoveryConfig::default()
             },
             audit: true,
             seed: 0xC0DE ^ seed,
