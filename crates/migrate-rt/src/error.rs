@@ -1,4 +1,5 @@
-//! Typed runtime errors for malformed protocol state.
+//! Typed runtime errors for malformed protocol state, and typed errors for
+//! machine configurations the simulator cannot model ([`ConfigError`]).
 //!
 //! The migration protocol has invariants a well-formed simulation never
 //! violates (a `Migration` message always carries frames; a reply for a
@@ -17,6 +18,7 @@
 //! recovery layer did. Each variant has a stable snake_case [`RuntimeError::code`]
 //! used as the JSON key.
 
+use proteus::coherence::MAX_PROCESSORS;
 use proteus::ProcId;
 
 use crate::types::ThreadId;
@@ -161,6 +163,67 @@ impl std::fmt::Display for RuntimeError {
 }
 
 impl std::error::Error for RuntimeError {}
+
+/// A machine configuration the simulator cannot model, reported by
+/// [`MachineConfig::validate`](crate::MachineConfig::validate).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The machine has no processors.
+    NoProcessors,
+    /// More processors than a directory's sharer set covers
+    /// ([`MAX_PROCESSORS`]).
+    TooManyProcessors {
+        /// Processors configured.
+        processors: u32,
+    },
+    /// A processor eligible for object placement is outside the machine.
+    DataProcOutside {
+        /// The offending processor.
+        proc: ProcId,
+        /// Processors the machine has.
+        processors: u32,
+    },
+    /// A software-replica processor is outside the machine.
+    ReplicaProcOutside {
+        /// The offending processor.
+        proc: ProcId,
+        /// Processors the machine has.
+        processors: u32,
+    },
+    /// The fault plan kills a processor outside the machine.
+    KillVictimOutside {
+        /// The offending processor.
+        proc: ProcId,
+        /// Processors the machine has.
+        processors: u32,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::NoProcessors => write!(f, "machine needs at least one processor"),
+            ConfigError::TooManyProcessors { processors } => write!(
+                f,
+                "{processors} processors: the sharer bitmask covers at most {MAX_PROCESSORS}"
+            ),
+            ConfigError::DataProcOutside { proc, processors } => write!(
+                f,
+                "data processor {proc:?} outside the machine of {processors} processors"
+            ),
+            ConfigError::ReplicaProcOutside { proc, processors } => write!(
+                f,
+                "replica processor {proc:?} outside the machine of {processors} processors"
+            ),
+            ConfigError::KillVictimOutside { proc, processors } => write!(
+                f,
+                "kill victim {proc:?} outside the machine of {processors} processors"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {

@@ -82,7 +82,7 @@ pub mod system;
 pub mod types;
 
 pub use cost::{Accounting, Category, CostModel};
-pub use error::RuntimeError;
+pub use error::{ConfigError, RuntimeError};
 pub use frame::{Frame, Invoke, StepCtx, StepResult};
 pub use mechanism::{Annotation, DataAccess, DispatchKind, DispatchStats, Scheme};
 pub use message::{Message, MessageKind, Payload};

@@ -33,6 +33,7 @@
 
 use std::collections::BTreeMap;
 
+use proteus::coherence::MAX_PROCESSORS;
 use proteus::engine::{Engine, Simulation};
 use proteus::event::EventQueue;
 use proteus::fault::FaultPlan;
@@ -41,7 +42,7 @@ use proteus::trace::{TraceEvent, Tracer};
 use proteus::{CacheConfig, CoherenceCosts, CoherenceSystem, Cycles, Network, ProcId, Processor};
 
 use crate::cost::{Accounting, Category, CostModel};
-use crate::error::RuntimeError;
+use crate::error::{ConfigError, RuntimeError};
 use crate::frame::Frame;
 use crate::mechanism::{DispatchStats, Scheme};
 use crate::message::{Message, MessageKind, Payload};
@@ -171,6 +172,34 @@ impl MachineConfig {
             recovery: RecoveryConfig::default(),
             failover: FailoverConfig::default(),
         }
+    }
+
+    /// Check that the machine can be modelled: it has at least one and at
+    /// most [`MAX_PROCESSORS`] processors, and every processor the
+    /// configuration names (data and replica processors, the fault plan's
+    /// kill victim) is inside it. [`System::new`] panics with the error's
+    /// message.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let processors = self.processors;
+        if processors == 0 {
+            return Err(ConfigError::NoProcessors);
+        }
+        if processors > MAX_PROCESSORS {
+            return Err(ConfigError::TooManyProcessors { processors });
+        }
+        let outside = |p: &ProcId| p.0 >= processors;
+        if let Some(&proc) = self.data_procs.iter().find(|p| outside(p)) {
+            return Err(ConfigError::DataProcOutside { proc, processors });
+        }
+        if let Some(&proc) = self.replica_procs.iter().find(|p| outside(p)) {
+            return Err(ConfigError::ReplicaProcOutside { proc, processors });
+        }
+        if let Some((proc, _)) = self.faults.as_ref().and_then(|f| f.kill) {
+            if outside(&proc) {
+                return Err(ConfigError::KillVictimOutside { proc, processors });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -509,10 +538,13 @@ pub struct System {
 }
 
 impl System {
-    /// Build a machine from a configuration.
+    /// Build a machine from a configuration. Panics with the message of
+    /// [`MachineConfig::validate`]'s error if the machine cannot be modelled.
     pub fn new(cfg: MachineConfig) -> System {
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let n = cfg.processors;
-        assert!(n > 0, "machine needs at least one processor");
         let cache = CacheConfig::default();
         let mut replica_at = vec![false; n as usize];
         for p in &cfg.replica_procs {
@@ -888,14 +920,11 @@ impl Runner {
     /// Build a runner for a configuration. A permanent-crash fault
     /// ([`FaultPlan::kill`]) and the failure detector's probe tick are
     /// scheduled here, before the first event runs; with neither configured
-    /// the event stream is untouched.
+    /// the event stream is untouched. Panics like [`System::new`] on a
+    /// machine that cannot be modelled.
     pub fn new(cfg: MachineConfig) -> Runner {
         let mut engine: Engine<System> = Engine::new();
         if let Some((victim, at)) = cfg.faults.as_ref().and_then(|f| f.kill) {
-            assert!(
-                victim.index() < cfg.processors as usize,
-                "kill victim outside the machine"
-            );
             engine.queue_mut().schedule_at(at, Event::Kill(victim));
         }
         if cfg.failover.enabled {

@@ -1217,3 +1217,80 @@ fn error_counts_stay_exact_past_the_detail_cap() {
     );
     assert_eq!(sys.runtime_errors().len(), MAX_ERROR_DETAILS);
 }
+
+/// A machine of `processors` that [`MachineConfig::validate`] checks after
+/// `edit`.
+fn validated(processors: u32, edit: impl FnOnce(&mut MachineConfig)) -> Result<(), ConfigError> {
+    let mut cfg = MachineConfig::new(processors, Scheme::computation_migration());
+    edit(&mut cfg);
+    cfg.validate()
+}
+
+#[test]
+fn a_machine_of_one_to_max_processors_naming_its_own_processors_is_valid() {
+    for processors in [1, 64, MAX_PROCESSORS] {
+        let last = ProcId(processors - 1);
+        let ok = validated(processors, |cfg| {
+            cfg.data_procs = vec![ProcId(0), last];
+            cfg.replica_procs = vec![last];
+            cfg.faults = Some(FaultPlan::fail_stop(last, Cycles(10)));
+        });
+        assert_eq!(ok, Ok(()), "{processors} processors");
+    }
+}
+
+#[test]
+fn a_machine_without_processors_is_rejected() {
+    assert_eq!(validated(0, |_| {}), Err(ConfigError::NoProcessors));
+}
+
+#[test]
+fn a_machine_past_the_sharer_mask_is_rejected() {
+    let processors = MAX_PROCESSORS + 1;
+    assert_eq!(
+        validated(processors, |_| {}),
+        Err(ConfigError::TooManyProcessors { processors })
+    );
+}
+
+#[test]
+fn a_data_processor_outside_the_machine_is_rejected() {
+    assert_eq!(
+        validated(4, |cfg| cfg.data_procs = vec![ProcId(1), ProcId(4)]),
+        Err(ConfigError::DataProcOutside {
+            proc: ProcId(4),
+            processors: 4
+        })
+    );
+}
+
+#[test]
+fn a_replica_processor_outside_the_machine_is_rejected() {
+    assert_eq!(
+        validated(4, |cfg| cfg.replica_procs = vec![ProcId(9)]),
+        Err(ConfigError::ReplicaProcOutside {
+            proc: ProcId(9),
+            processors: 4
+        })
+    );
+}
+
+#[test]
+fn a_kill_victim_outside_the_machine_is_rejected() {
+    assert_eq!(
+        validated(4, |cfg| cfg.faults =
+            Some(FaultPlan::fail_stop(ProcId(4), Cycles(10)))),
+        Err(ConfigError::KillVictimOutside {
+            proc: ProcId(4),
+            processors: 4
+        })
+    );
+}
+
+#[test]
+#[should_panic(expected = "replica processor P9 outside the machine of 4 processors")]
+fn runner_new_panics_with_the_configuration_error() {
+    let mut cfg = MachineConfig::new(4, Scheme::computation_migration());
+    cfg.replica_procs = vec![ProcId(9)];
+    Runner::new(cfg);
+}

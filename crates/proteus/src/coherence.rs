@@ -43,12 +43,17 @@ fn xfer(net: &mut Network, src: ProcId, dst: ProcId, payload_words: u64) -> Cycl
     net.send(src, dst, payload_words).expect(OUTSIDE_MACHINE)
 }
 
-/// The processors sharing a line, as a 128-bit mask kept in two words. The
-/// paper's machines top out at 88 processors, so 128 bits cover every
-/// configuration this simulator accepts (asserted in
-/// [`CoherenceSystem::new`]); membership updates are single bit operations
-/// with no per-entry heap churn. Two `u64`s rather than one `u128` keep the
-/// set 8-byte aligned, so a [`DirEntry`] packs into 24 bytes.
+/// The most processors a machine may have: the width of the directory's
+/// sharer sets. The paper's machines top out at 88 processors.
+pub const MAX_PROCESSORS: u32 = 128;
+
+/// The processors sharing a line, as a 128-bit mask in two words: P0–P63 in
+/// the first, P64–P127 in the second. [`MAX_PROCESSORS`] bits cover every
+/// machine this simulator accepts (asserted in [`CoherenceSystem::new`]);
+/// membership updates are single bit operations. The protocol reads and
+/// writes the whole set; a [`Page`] stores the first word in the line's
+/// entry and the second in a side array that only lines with a sharer above
+/// P63 ever need.
 #[derive(Copy, Clone, Default, PartialEq, Eq)]
 struct SharerSet([u64; 2]);
 
@@ -203,8 +208,10 @@ pub struct ProtocolStats {
 /// Bit 63 of [`DirEntry::busy`]: the line is dirty at its single sharer.
 const DIRTY: u64 = 1 << 63;
 
-/// The home directory's state for one line, in 24 bytes. A dirty line's
-/// Modified owner is its only sharer — the invariant
+/// The home directory's state for one line, as the protocol reads and
+/// writes it: the full sharer set and the occupancy word. A [`Page`] stores
+/// it in 16 bytes plus, on lines with a sharer above P63, one side-array
+/// word. A dirty line's Modified owner is its only sharer — the invariant
 /// [`CoherenceSystem::check_invariants`] enforces — so the owner is not
 /// stored apart from the sharers, only the dirty flag is.
 #[derive(Copy, Clone, Debug, Default)]
@@ -253,12 +260,60 @@ impl DirEntry {
     }
 }
 
+/// A [`DirEntry`] as its page stores it, in 16 bytes: the sharer word for
+/// P0–P63 and the occupancy word.
+#[derive(Copy, Clone, Debug, Default)]
+struct StoredEntry {
+    sharers: u64,
+    busy: u64,
+}
+
 /// Directory entries per page. A home's directory is a table of pages, each
 /// allocated by the first miss on one of its lines.
 const PAGE_LINES: usize = 64;
 
-/// One page of a home's directory: 64 entries, 1.5 KB.
-type Page = [DirEntry; PAGE_LINES];
+/// One page of a home's directory: its 64 lines' stored entries in 1 KB,
+/// and their P64–P127 sharer words in a 512-byte side array. The side array
+/// is allocated when a processor above P63 first joins a sharer set on the
+/// page, so it never exists on machines of 64 processors or fewer; once
+/// allocated it stays, and a word whose high sharers all left is 0.
+#[derive(Clone, Debug)]
+struct Page {
+    entries: Box<[StoredEntry; PAGE_LINES]>,
+    high: Option<Box<[u64; PAGE_LINES]>>,
+}
+
+impl Page {
+    fn new() -> Page {
+        Page {
+            entries: Box::new([StoredEntry::default(); PAGE_LINES]),
+            high: None,
+        }
+    }
+
+    /// The entry of the page's line `index`, with its full sharer set.
+    fn load(&self, index: usize) -> DirEntry {
+        let stored = self.entries[index];
+        let high = self.high.as_ref().map_or(0, |words| words[index]);
+        DirEntry {
+            sharers: SharerSet([stored.sharers, high]),
+            busy: stored.busy,
+        }
+    }
+
+    /// Store `entry` as the page's line `index`, allocating the side array
+    /// if the entry is the page's first with a sharer above P63.
+    fn store(&mut self, index: usize, entry: DirEntry) {
+        let [low, high] = entry.sharers.0;
+        self.entries[index] = StoredEntry {
+            sharers: low,
+            busy: entry.busy,
+        };
+        if high != 0 || self.high.is_some() {
+            self.high.get_or_insert_with(|| Box::new([0; PAGE_LINES]))[index] = high;
+        }
+    }
+}
 
 /// Outcome of one shared-memory access.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -278,9 +333,10 @@ pub struct CoherenceSystem {
     /// home. `directory[home][offset / 64]` is the page holding the entry of
     /// the line at node-local line offset `offset` in `home`'s memory, at
     /// `offset % 64`. A page is allocated by the first miss on one of its
-    /// lines and never moves; only the page pointers grow with the highest
-    /// line missed. A miss indexes the table instead of hashing.
-    directory: Vec<Vec<Option<Box<Page>>>>,
+    /// lines and never moves; only the page table, 16 bytes a page, grows
+    /// with the highest line missed. A miss indexes the table instead of
+    /// hashing.
+    directory: Vec<Vec<Option<Page>>>,
     costs: CoherenceCosts,
     /// `line_bytes.trailing_zeros()`: line math is a shift, not a division.
     line_shift: u32,
@@ -300,8 +356,8 @@ impl CoherenceSystem {
             "line size must be a power of two"
         );
         assert!(
-            processors <= 128,
-            "the sharer bitmask covers at most 128 processors"
+            processors <= MAX_PROCESSORS,
+            "the sharer bitmask covers at most {MAX_PROCESSORS} processors"
         );
         let line_shift = cache.line_bytes.trailing_zeros();
         let words_per_line = cache.words_per_line();
@@ -371,18 +427,24 @@ impl CoherenceSystem {
         if page >= pages.len() {
             pages.resize_with(page + 1, || None);
         }
-        pages[page].get_or_insert_with(|| Box::new([DirEntry::default(); PAGE_LINES]))
+        pages[page].get_or_insert_with(Page::new)
     }
 
-    /// The directory entry of `line`, if its page has ever been allocated.
-    fn entry_mut(&mut self, line: u64) -> Option<&mut DirEntry> {
+    /// Apply `update` to the directory entry of `line`, if its page has ever
+    /// been allocated.
+    fn update_entry(&mut self, line: u64, update: impl FnOnce(&mut DirEntry)) {
         let (home, page, index) = self.coords(line);
-        let page = self
+        let Some(page) = self
             .directory
-            .get_mut(home)?
-            .get_mut(page)?
-            .as_deref_mut()?;
-        Some(&mut page[index])
+            .get_mut(home)
+            .and_then(|pages| pages.get_mut(page))
+            .and_then(Option::as_mut)
+        else {
+            return;
+        };
+        let mut entry = page.load(index);
+        update(&mut entry);
+        page.store(index, entry);
     }
 
     /// One line's access: the cache hit test here, inline in every caller;
@@ -432,7 +494,7 @@ impl CoherenceSystem {
         at: Cycles,
     ) -> Cycles {
         let (home, page, index) = self.coords(line);
-        let mut entry = self.page_mut(home, page)[index];
+        let mut entry = self.page_mut(home, page).load(index);
         let (latency, state) = match kind {
             Access::Read => (
                 self.read_miss(proc, line, &mut entry, net),
@@ -447,7 +509,7 @@ impl CoherenceSystem {
         let start = at.max(entry.busy_until());
         let wait = start - at;
         entry.set_busy_until(start + latency);
-        self.page_mut(home, page)[index] = entry;
+        self.page_mut(home, page).store(index, entry);
         self.fill(proc, line, state, net);
         self.tracer.emit_with(|| TraceEvent {
             at,
@@ -585,12 +647,12 @@ impl CoherenceSystem {
     fn fill(&mut self, proc: ProcId, line: u64, state: LineState, net: &mut Network) {
         if let Some(ev) = self.caches[proc.index()].fill(line, state) {
             let ev_home = self.home_of_line(ev.line);
-            if let Some(entry) = self.entry_mut(ev.line) {
+            self.update_entry(ev.line, |entry| {
                 if entry.owner() == Some(proc) {
                     entry.clear_dirty();
                 }
                 entry.sharers.remove(proc);
-            }
+            });
             if ev.state == LineState::Modified {
                 self.stats.eviction_writebacks += 1;
                 xfer(net, proc, ev_home, self.words_per_line);
@@ -633,20 +695,18 @@ impl CoherenceSystem {
 
     /// Check the protocol invariant for every directory entry:
     /// a dirty line has exactly one sharer, its Modified owner, and no other
-    /// cache holds it; every cached copy of a clean line is Shared and
-    /// recorded as a sharer. Entries are visited home by home in line order,
-    /// page by allocated page; that includes the never-missed lines of each
-    /// page, whose empty entries hold trivially (no cache can hold a line
-    /// that never missed). Used by property tests.
+    /// cache holds it; the sharers of a clean line are exactly the caches
+    /// holding it, each Shared. Entries are visited home by home in line
+    /// order, page by allocated page; that includes the never-missed lines
+    /// of each page, whose empty entries hold trivially (no cache can hold a
+    /// line that never missed). Used by property tests.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let page_lines = PAGE_LINES as u64;
         let lines = self.directory.iter().enumerate().flat_map(|(home, pages)| {
             let base = (home as u64) << (32 - self.line_shift);
-            pages.iter().enumerate().flat_map(move |(page, entries)| {
-                let first = base | (page as u64 * page_lines);
-                entries
-                    .iter()
-                    .flat_map(|entries| entries.iter())
+            pages.iter().enumerate().flat_map(move |(number, page)| {
+                let first = base | (number * PAGE_LINES) as u64;
+                page.iter()
+                    .flat_map(|page| (0..PAGE_LINES).map(|index| page.load(index)))
                     .zip(first..)
                     .map(|(entry, line)| (line, entry))
             })
@@ -690,6 +750,12 @@ impl CoherenceSystem {
                         _ => {}
                     }
                 }
+                let holds = |s: &ProcId| self.caches.get(s.index()).and_then(|c| c.probe(line));
+                if let Some(s) = entry.sharers.iter().find(|s| holds(s).is_none()) {
+                    return Err(format!(
+                        "line {line:#x}: sharer {s:?} does not hold the line"
+                    ));
+                }
             }
         }
         Ok(())
@@ -726,9 +792,46 @@ mod tests {
     }
 
     #[test]
-    fn a_directory_entry_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<DirEntry>(), 24);
-        assert_eq!(std::mem::size_of::<Page>(), 24 * 64);
+    fn a_stored_entry_is_16_bytes_and_a_page_1_kb() {
+        assert_eq!(std::mem::size_of::<StoredEntry>(), 16);
+        assert_eq!(std::mem::size_of::<[StoredEntry; PAGE_LINES]>(), 1024);
+        assert_eq!(std::mem::size_of::<[u64; PAGE_LINES]>(), 512);
+        // A page-table slot is the two pointers, with no tag word.
+        assert_eq!(std::mem::size_of::<Option<Page>>(), 16);
+    }
+
+    /// The side array of the page holding line `a`, if it has one.
+    fn side_array(sys: &CoherenceSystem, a: u64) -> Option<[u64; PAGE_LINES]> {
+        let (home, page, _) = sys.coords(sys.line_of(a));
+        let page = sys.directory[home][page].as_ref().expect("the page missed");
+        page.high.as_deref().copied()
+    }
+
+    #[test]
+    fn a_side_array_appears_with_the_first_sharer_above_p63_and_empties_when_it_leaves() {
+        let mut sys = CoherenceSystem::new(128, CacheConfig::default(), CoherenceCosts::default());
+        let mut net = Network::new(128);
+        let a = addr(5, 0);
+        let b = addr(5, 16 * 9);
+        for p in [0, 63] {
+            sys.access(ProcId(p), a, Access::Read, &mut net, Cycles::ZERO);
+        }
+        assert_eq!(
+            side_array(&sys, a),
+            None,
+            "P0-P63 sharers need no side array"
+        );
+        sys.access(ProcId(64), a, Access::Read, &mut net, Cycles::ZERO);
+        sys.access(ProcId(127), b, Access::Write, &mut net, Cycles::ZERO);
+        let words = side_array(&sys, a).expect("P64 joined");
+        assert_eq!((words[0], words[9]), (1, 1 << 63));
+        assert_eq!(words.iter().filter(|&&w| w != 0).count(), 2);
+        sys.check_invariants().unwrap();
+        // P1 takes both lines: every high sharer leaves, the words go to 0.
+        sys.access(ProcId(1), a, Access::Write, &mut net, Cycles::ZERO);
+        sys.access(ProcId(1), b, Access::Write, &mut net, Cycles::ZERO);
+        assert_eq!(side_array(&sys, a), Some([0; PAGE_LINES]));
+        sys.check_invariants().unwrap();
     }
 
     #[test]
@@ -757,7 +860,7 @@ mod tests {
         sys.access(ProcId(2), a, Access::Write, &mut net, Cycles::ZERO);
         sys.check_invariants().unwrap();
         let line = sys.line_of(a);
-        corrupt(sys.entry_mut(line).expect("the line missed"));
+        sys.update_entry(line, corrupt);
         sys.check_invariants()
     }
 
@@ -771,6 +874,17 @@ mod tests {
     fn invariants_reject_a_dirty_entry_with_two_sharers() {
         let err = corrupted(|entry| entry.sharers.insert(ProcId(3))).unwrap_err();
         assert!(err.contains("dirty but sharers {P2, P3}"), "{err}");
+    }
+
+    #[test]
+    fn invariants_reject_a_clean_sharer_that_does_not_hold_the_line() {
+        let (mut sys, mut net) = system();
+        let a = addr(1, 0);
+        sys.access(ProcId(2), a, Access::Read, &mut net, Cycles::ZERO);
+        sys.check_invariants().unwrap();
+        sys.update_entry(sys.line_of(a), |entry| entry.sharers.insert(ProcId(3)));
+        let err = sys.check_invariants().unwrap_err();
+        assert!(err.contains("sharer P3 does not hold the line"), "{err}");
     }
 
     #[test]

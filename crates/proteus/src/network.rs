@@ -15,9 +15,9 @@ use crate::trace::{TraceEvent, Tracer};
 /// Fixed cost to launch a message onto the wire. With the mean hop count
 /// of the paper's 24–88 processor meshes (about 5–7) this lands a typical
 /// transit near Table 5's 17 cycles.
-const LAUNCH: Cycles = Cycles(10);
+pub(crate) const LAUNCH: Cycles = Cycles(10);
 /// Propagation cost per mesh hop.
-const PER_HOP: Cycles = Cycles(1);
+pub(crate) const PER_HOP: Cycles = Cycles(1);
 /// Words of header prepended to every message payload.
 const HEADER_WORDS: u64 = 2;
 

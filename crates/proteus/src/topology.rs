@@ -35,59 +35,27 @@ impl Mesh {
         Mesh::new(w, h)
     }
 
-    /// Mesh width (columns).
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Mesh height (rows).
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Total number of grid positions (may exceed the processor count the
-    /// machine actually uses).
-    pub fn capacity(&self) -> u32 {
-        self.width * self.height
-    }
-
     /// Grid coordinates of a processor.
     pub fn coords(&self, p: ProcId) -> (u32, u32) {
         (p.0 % self.width, p.0 / self.width)
-    }
-
-    /// Number of network hops between two processors under dimension-order
-    /// routing (Manhattan distance); zero for a processor talking to itself.
-    pub fn hops(&self, a: ProcId, b: ProcId) -> u32 {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        ax.abs_diff(bx) + ay.abs_diff(by)
-    }
-
-    /// Mean hop distance over all ordered pairs of `n` processors; useful for
-    /// calibrating latency constants against the paper's 17-cycle transit.
-    pub fn mean_hops(&self, n: u32) -> f64 {
-        assert!(n > 0);
-        if n == 1 {
-            return 0.0;
-        }
-        let mut total = 0u64;
-        let mut pairs = 0u64;
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    total += u64::from(self.hops(ProcId(a), ProcId(b)));
-                    pairs += 1;
-                }
-            }
-        }
-        total as f64 / pairs as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::{Network, LAUNCH, PER_HOP};
+    use crate::time::Cycles;
+
+    /// Hops from `a` to `b` on `net`, read off an empty message's latency.
+    fn hops(net: &mut Network, a: u32, b: u32) -> u64 {
+        let latency = net.send(ProcId(a), ProcId(b), 0).unwrap();
+        if a == b {
+            assert_eq!(latency, Cycles::ZERO, "a message to self is free");
+            return 0;
+        }
+        (latency - LAUNCH).get() / PER_HOP.get()
+    }
 
     #[test]
     fn for_processors_is_square_ish() {
@@ -100,7 +68,9 @@ mod tests {
     #[test]
     fn capacity_covers_request() {
         for n in 1..200 {
-            assert!(Mesh::for_processors(n).capacity() >= n, "n={n}");
+            let m = Mesh::for_processors(n);
+            let (x, y) = m.coords(ProcId(n - 1));
+            assert!(x < m.width && y < m.height, "n={n}");
         }
     }
 
@@ -115,19 +85,20 @@ mod tests {
 
     #[test]
     fn hops_is_manhattan() {
-        let m = Mesh::new(4, 4);
-        assert_eq!(m.hops(ProcId(0), ProcId(0)), 0);
-        assert_eq!(m.hops(ProcId(0), ProcId(3)), 3);
-        assert_eq!(m.hops(ProcId(0), ProcId(15)), 6);
-        assert_eq!(m.hops(ProcId(5), ProcId(10)), 2);
+        // 16 processors sit on a 4x4 mesh.
+        let mut net = Network::new(16);
+        assert_eq!(hops(&mut net, 0, 0), 0);
+        assert_eq!(hops(&mut net, 0, 3), 3);
+        assert_eq!(hops(&mut net, 0, 15), 6);
+        assert_eq!(hops(&mut net, 5, 10), 2);
     }
 
     #[test]
     fn hops_symmetric() {
-        let m = Mesh::new(5, 5);
+        let mut net = Network::new(25);
         for a in 0..25 {
             for b in 0..25 {
-                assert_eq!(m.hops(ProcId(a), ProcId(b)), m.hops(ProcId(b), ProcId(a)));
+                assert_eq!(hops(&mut net, a, b), hops(&mut net, b, a));
             }
         }
     }
@@ -135,15 +106,20 @@ mod tests {
     #[test]
     fn mean_hops_reasonable() {
         // For an 8x8 mesh the mean pairwise Manhattan distance is 16/3 ~ 5.33.
-        let m = Mesh::new(8, 8);
-        let mean = m.mean_hops(64);
+        let mut net = Network::new(64);
+        let mut total = 0;
+        for a in 0..64 {
+            for b in (0..64).filter(|&b| b != a) {
+                total += hops(&mut net, a, b);
+            }
+        }
+        let mean = total as f64 / (64 * 63) as f64;
         assert!((mean - 16.0 / 3.0).abs() < 0.2, "mean={mean}");
     }
 
     #[test]
     fn single_processor_mesh() {
-        let m = Mesh::for_processors(1);
-        assert_eq!(m.mean_hops(1), 0.0);
-        assert_eq!(m.hops(ProcId(0), ProcId(0)), 0);
+        assert_eq!(Mesh::for_processors(1), Mesh::new(1, 1));
+        assert_eq!(hops(&mut Network::new(1), 0, 0), 0);
     }
 }

@@ -1,12 +1,14 @@
-//! Differential property tests: the paged per-home directory, whose 24-byte
-//! entries keep the sharers in two words and a dirty line's owner as its
-//! single sharer, must be observationally identical to the old hash-map
-//! directory with an explicit owner — same access outcomes, protocol
-//! counters and network traffic after every access, and the same per-cache
-//! counters at the end — under arbitrary reads, writes and multi-line range
-//! accesses over several homes, with caches small enough that evictions
-//! happen all the time. A second property runs at 128 processors, so
-//! requesters, homes and owners land in both sharer words.
+//! Differential property tests: the paged per-home directory, whose 16-byte
+//! entries keep the P0–P63 sharer word (P64–P127 go to a page's side array)
+//! and a dirty line's owner as its single sharer, must be observationally
+//! identical to the old hash-map directory with an explicit owner — same
+//! access outcomes, protocol counters and network traffic after every
+//! access, and the same per-cache counters at the end — under arbitrary
+//! reads, writes and multi-line range accesses over several homes, with
+//! caches small enough that evictions happen all the time. A second
+//! property runs at 128 processors, so requesters, homes and owners land in
+//! both sharer words, and sharers above P63 join and leave pages that
+//! P0–P63 allocated.
 
 use std::collections::HashMap;
 
@@ -252,20 +254,19 @@ struct Op {
     advance: u64,
 }
 
-/// Accesses by and to processors drawn from `procs`.
-fn op_strategy(procs: &'static [u32]) -> impl Strategy<Value = Op> {
-    let pick = 0..procs.len() as u32;
+/// Accesses by processors drawn from `procs` to homes drawn from `homes`.
+fn op_strategy(procs: &'static [u32], homes: &'static [u32]) -> impl Strategy<Value = Op> {
     (
-        (pick.clone(), pick),
+        (0..procs.len(), 0..homes.len()),
         0u64..96,
         0u64..4,
         0u64..64,
         any::<bool>(),
         0u64..120,
     )
-        .prop_map(|((proc, home), slot, span, len, write, advance)| Op {
-            proc: procs[proc as usize],
-            home: procs[home as usize],
+        .prop_map(move |((proc, home), slot, span, len, write, advance)| Op {
+            proc: procs[proc],
+            home: homes[home],
             // A few far-out lines make home tables grow in big steps.
             offset: if slot >= 90 { slot * 1024 } else { slot * 8 },
             range: if span == 0 { 0 } else { len + 1 },
@@ -281,6 +282,30 @@ const SMALL: [u32; PROCS as usize] = [0, 1, 2, 3, 4, 5];
 /// four around P64, so lines gather sharers and owners in both sharer words
 /// and across their boundary.
 const WIDE: [u32; 12] = [0, 1, 2, 3, 62, 63, 64, 65, 124, 125, 126, 127];
+
+/// The processors of [`WIDE`] whose sharer bits sit in the first word.
+const LOW: [u32; 6] = [0, 1, 2, 3, 62, 63];
+
+/// A run on the 128-processor machine in three phases: P0–P63 requesters
+/// allocate the pages (`first`); requesters from the whole machine join
+/// and leave sharer sets on them (`mixed`), so side arrays appear partway
+/// through the run; then P0–P63 requesters write every line the run
+/// touched, so every sharer above P63 leaves and the side-array words must
+/// all go back to 0 (a stale bit fails `check_invariants`, whose sharer
+/// sets must equal the caches holding each line).
+fn phased(first: Vec<Op>, mixed: Vec<Op>) -> Vec<Op> {
+    let sweep: Vec<Op> = first
+        .iter()
+        .chain(&mixed)
+        .enumerate()
+        .map(|(i, op)| Op {
+            proc: LOW[i % LOW.len()],
+            write: true,
+            ..op.clone()
+        })
+        .collect();
+    [first, mixed, sweep].concat()
+}
 
 /// Replay `ops` on the paged directory and the reference on a machine of
 /// `processors`, comparing every outcome and the traffic after every access.
@@ -332,15 +357,16 @@ proptest! {
 
     #[test]
     fn dense_directory_matches_hash_map_directory(
-        ops in proptest::collection::vec(op_strategy(&SMALL), 1..300)
+        ops in proptest::collection::vec(op_strategy(&SMALL, &SMALL), 1..300)
     ) {
         replay(PROCS, &ops)?;
     }
 
     #[test]
     fn paged_directory_matches_at_128_processors_across_both_sharer_words(
-        ops in proptest::collection::vec(op_strategy(&WIDE), 1..300)
+        first in proptest::collection::vec(op_strategy(&LOW, &WIDE), 1..100),
+        mixed in proptest::collection::vec(op_strategy(&WIDE, &WIDE), 1..200),
     ) {
-        replay(MAX_PROCS, &ops)?;
+        replay(MAX_PROCS, &phased(first, mixed))?;
     }
 }

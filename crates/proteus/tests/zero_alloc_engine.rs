@@ -2,9 +2,11 @@
 //! allocations per event: the queue reuses slab nodes from its free list,
 //! its far-future heap keeps its capacity, and the lazy `emit_with` closure
 //! never runs. The coherence caches own no storage until their first fill,
-//! and allocate nothing after it; the directory allocates one page per 64
-//! lines at the first miss on one of them, and nothing for the lines below.
-//! Verified with a counting global allocator rather than inspection.
+//! and allocate nothing after it; the directory allocates one 1 KB page per
+//! 64 lines at the first miss on one of them, and nothing for the lines
+//! below, plus one 512-byte side array when a processor above P63 first
+//! shares one of the page's lines. Verified with a counting global
+//! allocator rather than inspection.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -205,38 +207,58 @@ fn a_cache_allocates_once_on_its_first_fill_and_never_after() {
 /// for every line up to it, 33.5 MB.
 const FAR_LINE: u64 = 1 << 20;
 
-/// Directory entries per page, and bytes per entry.
+/// Directory entries per page.
 const PAGE_LINES: u64 = 64;
-const ENTRY_BYTES: u64 = 24;
+/// Bytes of a page: 64 entries of 16 bytes.
+const PAGE_BYTES: u64 = 1024;
+/// Bytes of a page's side array: the P64–P127 sharer words of its lines.
+const SIDE_ARRAY_BYTES: u64 = 512;
+/// Bytes of a page-table slot: the page and side-array pointers.
+const SLOT_BYTES: u64 = 16;
 
-#[test]
-fn a_far_miss_allocates_one_directory_page_and_misses_within_it_nothing() {
-    let config = CacheConfig::default();
-    let line_bytes = config.line_bytes;
-    let mut sys = CoherenceSystem::new(4, config, CoherenceCosts::default());
-    let mut net = Network::new(4);
-    // The requesters' first fills allocate their caches' tag arrays; make
-    // them on a line of another home, so only the directory is measured.
-    for p in [1, 2] {
+/// A coherence system of `processors` whose caches at `warm` have made
+/// their first fill (which allocates their tag arrays) on a line of the
+/// last home, so that only the directory allocates from then on.
+fn warmed(processors: u32, warm: &[u32]) -> (CoherenceSystem, Network) {
+    let mut sys = CoherenceSystem::new(
+        processors,
+        CacheConfig::default(),
+        CoherenceCosts::default(),
+    );
+    let mut net = Network::new(processors);
+    for &p in warm {
         sys.access(
             ProcId(p),
-            make_addr(ProcId(3), 0),
+            make_addr(ProcId(processors - 1), 0),
             Access::Read,
             &mut net,
             Cycles::ZERO,
         );
     }
-    let far = |line: u64| make_addr(ProcId(0), (FAR_LINE + line) * line_bytes);
+    (sys, net)
+}
 
+/// The address of line `line` past [`FAR_LINE`] in P0's memory.
+fn far(line: u64) -> u64 {
+    make_addr(
+        ProcId(0),
+        (FAR_LINE + line) * CacheConfig::default().line_bytes,
+    )
+}
+
+#[test]
+fn a_far_miss_allocates_one_directory_page_and_misses_within_it_nothing() {
+    // 64 processors, the most whose sharers fit the entries alone.
+    let (mut sys, mut net) = warmed(64, &[1, 63]);
     let (out, allocations, bytes) =
         allocations_in(|| sys.access(ProcId(1), far(0), Access::Write, &mut net, Cycles(100)));
     assert!(!out.hit);
-    let page_bytes = PAGE_LINES * ENTRY_BYTES;
-    let pointer_bytes = (FAR_LINE / PAGE_LINES + 1) * 8;
-    assert!(
-        allocations <= 2 && bytes <= page_bytes + pointer_bytes,
-        "a miss {FAR_LINE} lines into a home allocated {allocations} times, {bytes} B; \
-         one {page_bytes} B page and {pointer_bytes} B of page pointers expected"
+    let table_bytes = (FAR_LINE / PAGE_LINES + 1) * SLOT_BYTES;
+    assert_eq!(
+        (allocations, bytes),
+        (2, PAGE_BYTES + table_bytes),
+        "a miss {FAR_LINE} lines into a home must allocate one {PAGE_BYTES} B page, \
+         {table_bytes} B of page table and no side array"
     );
 
     // The two requesters take the page's lines from each other, so every
@@ -244,7 +266,7 @@ fn a_far_miss_allocates_one_directory_page_and_misses_within_it_nothing() {
     let before = sys.stats().read_misses + sys.stats().write_misses;
     let ((), allocations, _) = allocations_in(|| {
         for i in 0..10_000u64 {
-            let proc = ProcId(1 + (i % 2) as u32);
+            let proc = ProcId(if i % 2 == 0 { 1 } else { 63 });
             let kind = if i % 4 == 3 {
                 Access::Read
             } else {
@@ -260,5 +282,42 @@ fn a_far_miss_allocates_one_directory_page_and_misses_within_it_nothing() {
         "expected nearly every access to miss, got {misses}"
     );
     assert_eq!(allocations, 0, "{misses} misses within one page allocated");
+    sys.check_invariants().unwrap();
+}
+
+#[test]
+fn the_first_sharer_above_p63_on_a_page_allocates_its_side_array_and_later_ones_nothing() {
+    let high = [64, 65, 100, 127];
+    let (mut sys, mut net) = warmed(128, &[1, 64, 65, 100, 127]);
+    sys.access(ProcId(1), far(0), Access::Write, &mut net, Cycles(100));
+
+    let (out, allocations, bytes) =
+        allocations_in(|| sys.access(ProcId(64), far(0), Access::Read, &mut net, Cycles(200)));
+    assert!(!out.hit);
+    assert_eq!(
+        (allocations, bytes),
+        (1, SIDE_ARRAY_BYTES),
+        "P64 joining a page's first sharer set above P63 must allocate its side array"
+    );
+
+    // High and low processors take the page's lines from each other: high
+    // sharers join and leave every line, and nothing allocates.
+    let ((), allocations, _) = allocations_in(|| {
+        for i in 0..10_000u64 {
+            let proc = if i % 2 == 0 {
+                ProcId(1)
+            } else {
+                ProcId(high[(i / 2) as usize % high.len()])
+            };
+            let kind = if i % 4 == 3 {
+                Access::Read
+            } else {
+                Access::Write
+            };
+            let line = (i / 2 * 7) % PAGE_LINES;
+            sys.access(proc, far(line), kind, &mut net, Cycles(300 + i));
+        }
+    });
+    assert_eq!(allocations, 0, "sharers above P63 allocated again");
     sys.check_invariants().unwrap();
 }

@@ -10,7 +10,9 @@
 //! * whole application runs under shared memory, and a computation-migration
 //!   run whose every remote message rides the recovery protocol's
 //!   sequence-numbered envelopes under chaos faults, stay within a pinned
-//!   budget of allocations per completed operation.
+//!   budget of allocations per completed operation;
+//! * a shared-memory B-tree run stays within a pinned peak of live heap
+//!   bytes, which gates the coherence directory's layout.
 //!
 //! The counts are deterministic: they depend on the code path, not on the
 //! host, so the budgets are exact gates on regressions.
@@ -28,6 +30,10 @@ use proteus::{Cycles, FaultPlan, ProcId};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    // Bytes this thread allocated less those it freed (negative if it
+    // frees another thread's memory), and their high-water mark.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
@@ -36,20 +42,32 @@ fn count_one() {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
 }
 
-// SAFETY: pure pass-through to the system allocator; the counter is a
-// const-initialised thread-local `Cell` (no destructor, never allocates).
+/// Move this thread's live bytes by `delta`, raising the peak if needed.
+fn live_moved(delta: i64) {
+    let live = LIVE.with(|n| {
+        n.set(n.get() + delta);
+        n.get()
+    });
+    PEAK.with(|n| n.set(n.get().max(live)));
+}
+
+// SAFETY: pure pass-through to the system allocator; the counters are
+// const-initialised thread-local `Cell`s (no destructor, never allocate).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        live_moved(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live_moved(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        live_moved(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -171,6 +189,31 @@ fn btree_sm_allocation_budget() {
     );
 }
 
+/// The highest live heap of the current thread while running `f`, in bytes
+/// above what was live when it started.
+fn peak_heap_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|n| n.set(base));
+    let out = f();
+    (out, (PEAK.with(Cell::get) - base) as u64)
+}
+
+/// B-tree, fanout 10, think 0, SM: the cell whose coherence directory
+/// grows the most, run for 2 M cycles after its build. The peak counts the
+/// directory pages and page tables its misses allocate, the caches' tag
+/// arrays, and the nodes that inserts add.
+#[test]
+fn btree_fanout10_sm_peak_heap_budget() {
+    let (mut runner, _root) = BTreeExperiment::paper_fanout10(0, Scheme::shared_memory()).build();
+    let (metrics, peak) = peak_heap_during(|| runner.run(Cycles::ZERO, Cycles(2_000_000)));
+    assert!(metrics.ops > 1000, "window too short: {} ops", metrics.ops);
+    assert!(
+        peak <= BTREE_FANOUT10_SM_PEAK_BYTES,
+        "btree fanout-10 SM: peak heap {peak} B above the built machine, \
+         budget {BTREE_FANOUT10_SM_PEAK_BYTES} B"
+    );
+}
+
 /// Counting network, 16 requesters, CP under `FaultPlan::chaos`: every
 /// remote message is a buffered envelope that is acked, retried or
 /// deduplicated, so the transport's bookkeeping runs several times per op.
@@ -209,3 +252,9 @@ const BTREE_SM_BUDGET: f64 = 1.012;
 /// buffers; the same run without faults measures 1.0008). Nearly all of it
 /// is the boxed operation frame each token spawns, as under SM.
 const COUNTING_CHAOS_BUDGET: f64 = 1.006;
+
+/// B-tree, fanout 10, think 0, SM, 2 M cycles: measured 1,607,920 B of
+/// peak live heap above the built machine, plus 1% headroom (1,927,872 B
+/// while each directory entry took 24 bytes, on 1.5 KB pages; the 16-byte
+/// entries save 512 B on each of the run's 625 pages).
+const BTREE_FANOUT10_SM_PEAK_BYTES: u64 = 1_623_999;
