@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 
 use proteus::coherence::MAX_PROCESSORS;
 use proteus::engine::{Engine, Simulation};
-use proteus::event::EventQueue;
+use proteus::event::{EventQueue, QueueCounters};
 use proteus::fault::FaultPlan;
 use proteus::stats::Histogram;
 use proteus::trace::{TraceEvent, Tracer};
@@ -456,18 +456,19 @@ impl Core {
         (overhead, Some(latency))
     }
 
-    /// Booking prologue of every first send: charge the sender side of
-    /// `payload` and, when the network took it, count the message (and the
-    /// migration it performs). Returns what [`Core::charge_send`] returns.
+    /// Booking prologue of every first send: charge the sender side of a
+    /// `kind` message of `words` wire words and, when the network took it,
+    /// count the message (and the migration it performs). Returns what
+    /// [`Core::charge_send`] returns.
     fn book_send(
         &mut self,
         src: ProcId,
         dst: ProcId,
-        payload: &Payload,
+        kind: MessageKind,
+        words: u64,
         send_time: Cycles,
     ) -> (Cycles, Option<Cycles>) {
-        let kind = payload.kind();
-        let sent = self.charge_send(src, dst, kind, self.wire_words(payload), send_time);
+        let sent = self.charge_send(src, dst, kind, words, send_time);
         if sent.1.is_some() {
             self.msg_counts[kind as usize] += 1;
             if kind == MessageKind::Migration {
@@ -773,7 +774,10 @@ impl System {
         if let Some(faults) = self.faults.as_mut().filter(|_| src != dst) {
             return faults.send(&mut self.core, src, dst, payload, send_time, queue);
         }
-        let (overhead, latency) = self.core.book_send(src, dst, &payload, send_time);
+        let words = self.core.wire_words(&payload);
+        let (overhead, latency) = self
+            .core
+            .book_send(src, dst, payload.kind(), words, send_time);
         if let Some(latency) = latency {
             queue.schedule_at(
                 send_time + overhead + latency,
@@ -914,6 +918,9 @@ pub struct EngineProfile {
     pub events: u64,
     /// Peak number of pending events over the run.
     pub peak_queue_depth: usize,
+    /// Where the event queue put the run's schedules beyond its fine
+    /// wheel, and how many moved back into it, warm-up included.
+    pub queue: QueueCounters,
 }
 
 impl Runner {
@@ -987,6 +994,7 @@ impl Runner {
         let profile = EngineProfile {
             events,
             peak_queue_depth: self.engine.peak_queue_depth(),
+            queue: self.engine.queue_counters(),
         };
         (self.system.metrics(end), profile)
     }

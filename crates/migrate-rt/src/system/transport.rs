@@ -155,7 +155,10 @@ impl Faults {
         send_time: Cycles,
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
-        let (overhead, latency) = core.book_send(src, dst, &payload, send_time);
+        // One walk of the payload's frames serves both the send booking and
+        // the receive charge the envelope carries.
+        let meta = core.recv_meta(&payload);
+        let (overhead, latency) = core.book_send(src, dst, meta.kind, meta.words, send_time);
         let Some(latency) = latency else {
             return overhead;
         };
@@ -177,7 +180,7 @@ impl Faults {
         let seq = self.window.push(InFlight {
             src,
             dst,
-            meta: core.recv_meta(&payload),
+            meta,
             payload: Some(payload),
             attempt: 1,
         });

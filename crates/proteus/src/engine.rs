@@ -1,6 +1,6 @@
 //! Generic discrete-event simulation driver.
 
-use crate::event::EventQueue;
+use crate::event::{EventQueue, QueueCounters};
 use crate::time::Cycles;
 use crate::trace::{TraceEvent, Tracer};
 
@@ -80,6 +80,11 @@ impl<S: Simulation> Engine<S> {
     /// Peak number of pending events over the engine's lifetime.
     pub fn peak_queue_depth(&self) -> usize {
         self.queue.peak_len()
+    }
+
+    /// The queue's work counters over the engine's lifetime.
+    pub fn queue_counters(&self) -> QueueCounters {
+        self.queue.counters()
     }
 
     /// Run until the queue empties or the time `horizon` is passed. Events

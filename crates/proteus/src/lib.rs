@@ -40,7 +40,7 @@ pub mod trace;
 pub use cache::{Cache, CacheConfig, LineState};
 pub use coherence::{Access, AccessOutcome, CoherenceCosts, CoherenceSystem};
 pub use engine::{Engine, RunOutcome, Simulation, StopReason};
-pub use event::EventQueue;
+pub use event::{EventQueue, QueueCounters};
 pub use fault::{FaultInjector, FaultPlan, FaultStats, MessageFate};
 pub use ids::ProcId;
 pub use network::{Network, SendError};

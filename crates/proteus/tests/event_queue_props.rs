@@ -1,8 +1,12 @@
-//! Differential property tests: the two-tier wheel+heap `EventQueue` must be
-//! observationally identical to the old single-`BinaryHeap` implementation —
-//! same `(time, seq)` pop order (including same-cycle FIFO ties), same clock,
-//! same horizon clamping, same peak depth — under arbitrary
-//! schedule/pop/advance interleavings.
+//! Differential property tests: the three-tier `EventQueue` (fine wheel,
+//! coarse wheel, overflow heap) must be observationally identical to the
+//! old single-`BinaryHeap` implementation — same `(time, seq)` pop order
+//! (including same-cycle FIFO ties), same clock, same horizon clamping, same
+//! peak depth — under arbitrary schedule/pop/advance interleavings.
+//!
+//! `wide_tapes_match_binary_heap_reference_long` is `#[ignore]`d: it runs
+//! the wide-tape property for 20,000 cases. Run it with
+//! `cargo test --release -p proteus --test event_queue_props -- --include-ignored`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -11,9 +15,14 @@ use proptest::prelude::*;
 use proteus::event::EventQueue;
 use proteus::Cycles;
 
-/// The queue's wheel width in cycles: events due this far from `now` or
-/// further wait in its heap.
+/// The fine wheel's width in cycles: two buckets.
 const WHEEL_SLOTS: u64 = 4096;
+/// A bucket's width in cycles.
+const BUCKET: u64 = 2048;
+/// Buckets from `now`'s to the first one past the coarse wheel: the fine
+/// wheel's two and the coarse wheel's 64. Events in that bucket or later
+/// wait in the overflow heap.
+const REACH_BUCKETS: u64 = 66;
 
 /// The pre-optimization queue, reproduced verbatim as the reference model:
 /// one max-heap with inverted `(time, seq)` ordering, `pop` advances the
@@ -95,11 +104,17 @@ impl<E> RefQueue<E> {
 /// here so the generated inputs print readably on failure.
 #[derive(Debug)]
 enum Op {
-    /// Schedule at `now + delta`. Deltas span several wheel windows so both
-    /// tiers and the migration path are exercised; small deltas (and 0)
-    /// produce same-cycle ties, and deltas within two cycles of
-    /// `WHEEL_SLOTS` land on either side of the wheel/heap boundary.
+    /// Schedule at `now + delta`. Small deltas (and 0) produce same-cycle
+    /// ties, deltas within two cycles of `WHEEL_SLOTS` straddle the fine
+    /// wheel's far edge, and deltas up to 600,000 cycles cross the coarse
+    /// wheel into the overflow heap.
     Schedule(u64),
+    /// Schedule on an absolute bucket edge `buckets` buckets past `now`'s:
+    /// at the bucket's first cycle, or (`last`) at the cycle before it.
+    Edge { buckets: u64, last: bool },
+    /// Schedule `offset` cycles after the start of the first bucket past
+    /// the coarse wheel's reach (`-1`: the last coarse cycle).
+    Reach(i64),
     /// Pop unconditionally.
     Pop,
     /// Pop only if the next event is within `now + slack`.
@@ -111,6 +126,7 @@ enum Op {
     Peek,
 }
 
+/// Decode a tape whose deltas stay within a few fine windows.
 fn decode(tape: &[(u8, u64)]) -> Vec<Op> {
     tape.iter()
         .map(|&(tag, v)| match tag % 9 {
@@ -127,6 +143,45 @@ fn decode(tape: &[(u8, u64)]) -> Vec<Op> {
         .collect()
 }
 
+/// Decode a tape whose deltas reach past the coarse wheel, with schedules
+/// on bucket edges and on either side of the coarse reach, and horizons and
+/// clock advances spanning many buckets.
+fn decode_wide(tape: &[(u8, u64)]) -> Vec<Op> {
+    tape.iter()
+        .map(|&(tag, v)| match tag % 12 {
+            0 => Op::Schedule(v % 12_288),
+            1 => Op::Schedule(v % 600_000),
+            2 => Op::Schedule(v % 3),
+            3 => Op::Edge {
+                buckets: 1 + (v >> 1) % (REACH_BUCKETS + 4),
+                last: v & 1 == 1,
+            },
+            4 => Op::Reach(v as i64 % 3 - 1),
+            5..=7 => Op::Pop,
+            8 => Op::PopBefore(v % 300_000),
+            9 => Op::PopBefore(v % 3_000),
+            10 => Op::Advance(v % 300_000),
+            _ => Op::Peek,
+        })
+        .collect()
+}
+
+/// The absolute time `op` schedules at, from the clock `now`, or `None`
+/// for an op that schedules nothing.
+fn schedule_time(op: &Op, now: Cycles) -> Option<Cycles> {
+    let bucket_start = |b: u64| Cycles(((now.get() / BUCKET) + b) * BUCKET);
+    match *op {
+        Op::Schedule(delta) => Some(now + Cycles(delta)),
+        Op::Edge { buckets, last } => Some(Cycles(bucket_start(buckets).get() - u64::from(last))),
+        Op::Reach(offset) => Some(Cycles(
+            bucket_start(REACH_BUCKETS)
+                .get()
+                .wrapping_add_signed(offset),
+        )),
+        _ => None,
+    }
+}
+
 /// Run one op against both queues and check every observable agrees.
 fn step(
     op: &Op,
@@ -134,13 +189,13 @@ fn step(
     r: &mut RefQueue<usize>,
     next_id: &mut usize,
 ) -> Result<(), TestCaseError> {
+    if let Some(at) = schedule_time(op, r.now) {
+        q.schedule_at(at, *next_id);
+        r.schedule_at(at, *next_id);
+        *next_id += 1;
+    }
     match *op {
-        Op::Schedule(delta) => {
-            let at = r.now + Cycles(delta);
-            q.schedule_at(at, *next_id);
-            r.schedule_at(at, *next_id);
-            *next_id += 1;
-        }
+        Op::Schedule(_) | Op::Edge { .. } | Op::Reach(_) => {}
         Op::Pop => {
             prop_assert_eq!(q.pop(), r.pop(), "pop diverged");
         }
@@ -171,21 +226,27 @@ fn step(
     Ok(())
 }
 
-/// Run a fixed tape against both queues, then drain both.
-fn run_tape(ops: &[Op]) {
+/// Run `ops` against both queues, then drain both: the full residual order
+/// must agree too.
+fn differential(ops: &[Op]) -> Result<(), TestCaseError> {
     let mut q = EventQueue::new();
     let mut r = RefQueue::new();
     let mut next_id = 0usize;
     for op in ops {
-        step(op, &mut q, &mut r, &mut next_id).unwrap();
+        step(op, &mut q, &mut r, &mut next_id)?;
     }
     loop {
         let (a, b) = (q.pop(), r.pop());
-        assert_eq!(a, b, "drain diverged");
+        prop_assert_eq!(a, b, "drain diverged");
         if a.is_none() {
-            break;
+            return Ok(());
         }
     }
+}
+
+/// Run a fixed tape through [`differential`].
+fn run_tape(ops: &[Op]) {
+    differential(ops).unwrap();
 }
 
 #[test]
@@ -237,6 +298,64 @@ fn peak_len_counts_both_tiers() {
     run_tape(&ops);
 }
 
+#[test]
+fn a_tie_keeps_fifo_order_from_heap_through_coarse_to_fine() {
+    // Events 0 and 1 at 300,000 wait in the overflow heap. After the clock
+    // reaches 200,000, events 2 and 3 for the same cycle go straight into
+    // its coarse bucket, which by then holds 0 and 1; after 299,000, events
+    // 4 and 5 go straight into the fine wheel, which by then holds 0 to 3.
+    run_tape(&[
+        Op::Schedule(300_000),
+        Op::Schedule(300_000),
+        Op::Advance(200_000),
+        Op::Schedule(100_000),
+        Op::Schedule(100_000),
+        Op::Peek,
+        Op::Advance(99_000),
+        Op::Schedule(1_000),
+        Op::Schedule(1_000),
+        Op::Peek,
+    ]);
+}
+
+#[test]
+fn a_refused_pop_on_an_empty_fine_wheel_changes_nothing() {
+    // The only pending event is in the coarse wheel (then the heap), past
+    // the horizon: the pop is refused, and an event scheduled just after it
+    // for a near cycle still goes first.
+    for far in [50_000, 500_000] {
+        run_tape(&[
+            Op::Schedule(far),
+            Op::PopBefore(1_000),
+            Op::Schedule(10),
+            Op::Peek,
+            Op::PopBefore(far - 1),
+            Op::PopBefore(far - 1),
+            Op::Schedule(0),
+        ]);
+    }
+}
+
+#[test]
+fn advance_to_across_many_buckets() {
+    // Two events wait in the overflow heap. The clock jumps 146 buckets,
+    // which brings both into the coarse wheel; near events scheduled then
+    // pop first, and a second jump, clamped to the earlier far event, moves
+    // its bucket into the fine wheel.
+    run_tape(&[
+        Op::Schedule(400_000),
+        Op::Schedule(330_000),
+        Op::Advance(300_000),
+        Op::Schedule(0),
+        Op::Schedule(1_000),
+        Op::Pop,
+        Op::Pop,
+        Op::Advance(100_000),
+        Op::Schedule(REACH_BUCKETS * BUCKET),
+        Op::Peek,
+    ]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -244,21 +363,14 @@ proptest! {
     fn two_tier_queue_matches_binary_heap_reference(
         tape in proptest::collection::vec((0u8..9, 0u64..1 << 32), 1..400)
     ) {
-        let ops = decode(&tape);
-        let mut q = EventQueue::new();
-        let mut r = RefQueue::new();
-        let mut next_id = 0usize;
-        for op in &ops {
-            step(op, &mut q, &mut r, &mut next_id)?;
-        }
-        // Drain whatever is left: full residual order must agree too.
-        loop {
-            let (a, b) = (q.pop(), r.pop());
-            prop_assert_eq!(a, b, "drain diverged");
-            if a.is_none() {
-                break;
-            }
-        }
+        differential(&decode(&tape))?;
+    }
+
+    #[test]
+    fn wide_tapes_match_binary_heap_reference(
+        tape in proptest::collection::vec((0u8..12, 0u64..1 << 32), 1..400)
+    ) {
+        differential(&decode_wide(&tape))?;
     }
 
     #[test]
@@ -303,5 +415,19 @@ proptest! {
         }
         prop_assert_eq!(got, within, "horizon drain lost or invented events");
         prop_assert_eq!(q.len(), times.len() - within);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The wide-tape property over 20,000 cases (ignored by default; CI runs
+    /// it in release).
+    #[test]
+    #[ignore]
+    fn wide_tapes_match_binary_heap_reference_long(
+        tape in proptest::collection::vec((0u8..12, 0u64..1 << 32), 1..400)
+    ) {
+        differential(&decode_wide(&tape))?;
     }
 }

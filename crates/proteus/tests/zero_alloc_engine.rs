@@ -1,6 +1,7 @@
 //! With no tracer attached, the steady-state event loop makes zero heap
 //! allocations per event: the queue reuses slab nodes from its free list,
-//! its far-future heap keeps its capacity, and the lazy `emit_with` closure
+//! its coarse wheel is a fixed array of lists through those nodes, its
+//! overflow heap keeps its capacity, and the lazy `emit_with` closure
 //! never runs. The coherence caches own no storage until their first fill,
 //! and allocate nothing after it; the directory allocates one 1 KB page per
 //! 64 lines at the first miss on one of them, and nothing for the lines
@@ -14,7 +15,7 @@ use std::cell::Cell;
 use proteus::coherence::{make_addr, Access};
 use proteus::{
     Cache, CacheConfig, CoherenceCosts, CoherenceSystem, Cycles, Engine, EventQueue, LineState,
-    Network, ProcId, Simulation,
+    Network, ProcId, QueueCounters, Simulation,
 };
 
 thread_local! {
@@ -77,10 +78,14 @@ impl Simulation for PingPong {
 }
 
 /// Near and far traffic: a ping-pong chain of even events 7 cycles apart
-/// (in the wheel), where every fourth link also schedules an odd leaf event
-/// 10 000 cycles out (past the wheel's 4096-cycle window, into the heap).
-/// Leaves move from the heap into the wheel as the clock reaches them and
-/// schedule nothing, so about 360 of them are pending at any time.
+/// (in the fine wheel), where every fourth link also schedules an odd leaf
+/// event 10,000 cycles out (past the fine wheel's 4,096 cycles, into the
+/// coarse wheel), every sixteenth a leaf 100,000 cycles out (coarse wheel,
+/// near the end of its reach) and every sixty-fourth a leaf 300,000 cycles
+/// out (past the coarse reach, into the overflow heap). Leaves move from
+/// the heap into the coarse wheel and from there into the fine wheel as the
+/// clock reaches them, and schedule nothing, so about 2,000 of them are
+/// pending at any time.
 struct NearAndFar;
 
 impl Simulation for NearAndFar {
@@ -92,27 +97,55 @@ impl Simulation for NearAndFar {
             if ev.is_multiple_of(8) {
                 queue.schedule_after(Cycles(10_000), ev.wrapping_add(1));
             }
+            if ev.is_multiple_of(32) {
+                queue.schedule_after(Cycles(100_000), ev.wrapping_add(3));
+            }
+            if ev.is_multiple_of(128) {
+                queue.schedule_after(Cycles(300_000), ev.wrapping_add(5));
+            }
         }
     }
 }
 
+/// What one steady-state window did: allocations, events, the peak backlog
+/// and the queue's work counters over the window.
+struct SteadyState {
+    allocations: u64,
+    events: u64,
+    peak: usize,
+    counters: QueueCounters,
+}
+
 /// Run `sim` from one seed event through a warm-up that reaches its
-/// deepest backlog, then count allocations over a long steady-state window.
-/// Returns the allocations, the events in the window and the peak backlog.
-fn steady_state_allocations<S: Simulation<Event = u32>>(mut sim: S) -> (u64, u64, usize) {
+/// deepest backlog (the farthest leaf is 300,000 cycles out), then count
+/// allocations over a long steady-state window.
+fn steady_state_allocations<S: Simulation<Event = u32>>(mut sim: S) -> SteadyState {
     let mut eng: Engine<S> = Engine::new();
     eng.queue_mut().schedule_at(Cycles::ZERO, 0);
-    eng.run_until(&mut sim, Cycles(100_000));
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = eng.run_until(&mut sim, Cycles(1_000_000));
-    let after = ALLOCATIONS.with(Cell::get);
+    eng.run_until(&mut sim, Cycles(400_000));
+    let before = (ALLOCATIONS.with(Cell::get), eng.queue_counters());
+    let out = eng.run_until(&mut sim, Cycles(1_400_000));
+    let after = (ALLOCATIONS.with(Cell::get), eng.queue_counters());
     assert!(out.events > 100_000, "expected a long steady-state run");
-    (after - before, out.events, eng.peak_queue_depth())
+    SteadyState {
+        allocations: after.0 - before.0,
+        events: out.events,
+        peak: eng.peak_queue_depth(),
+        counters: QueueCounters {
+            coarse_schedules: after.1.coarse_schedules - before.1.coarse_schedules,
+            overflow_schedules: after.1.overflow_schedules - before.1.overflow_schedules,
+            bucket_moves: after.1.bucket_moves - before.1.bucket_moves,
+        },
+    }
 }
 
 #[test]
 fn disabled_tracer_event_loop_allocates_nothing() {
-    let (allocations, events, _) = steady_state_allocations(PingPong);
+    let SteadyState {
+        allocations,
+        events,
+        ..
+    } = steady_state_allocations(PingPong);
     assert_eq!(
         allocations, 0,
         "steady-state event loop allocated {allocations} times over {events} events"
@@ -121,11 +154,20 @@ fn disabled_tracer_event_loop_allocates_nothing() {
 
 #[test]
 fn far_future_heap_and_its_move_into_the_wheel_allocate_nothing() {
-    let (allocations, events, peak) = steady_state_allocations(NearAndFar);
+    let SteadyState {
+        allocations,
+        events,
+        peak,
+        counters,
+    } = steady_state_allocations(NearAndFar);
     assert!(
-        peak > 300,
-        "expected hundreds of far events pending, got {peak}"
+        peak > 1_500,
+        "expected thousands of far events pending, got {peak}"
     );
+    // The window crosses coarse buckets and the overflow heap.
+    assert!(counters.coarse_schedules > 10_000, "{counters:?}");
+    assert!(counters.overflow_schedules > 1_000, "{counters:?}");
+    assert!(counters.bucket_moves > 10_000, "{counters:?}");
     assert_eq!(
         allocations, 0,
         "near+far event loop allocated {allocations} times over {events} events"

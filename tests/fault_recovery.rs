@@ -15,8 +15,8 @@ use bench::json::Json;
 use bench::{failover_schemes, metrics_to_json};
 use migrate_apps::btree::{verify_tree, BTreeExperiment};
 use migrate_apps::counting::{has_step_property, CountingExperiment, OutputCounter};
-use migrate_rt::{Category, DispatchKind, RecoveryConfig, RunMetrics, Scheme};
-use proteus::{Cycles, FaultPlan};
+use migrate_rt::{Annotation, Category, DispatchKind, RecoveryConfig, RunMetrics, Scheme};
+use proteus::{Cycles, FaultPlan, QueueCounters};
 
 /// Drained counting run under a fault plan: capped drivers, far horizon, so
 /// the machine quiesces and the exact token count is checkable.
@@ -378,4 +378,45 @@ fn fault_sweep_json_is_deterministic() {
         }
         other => panic!("expected array, got {other:?}"),
     }
+}
+
+/// The event queue's work counters, pinned exactly for one fault-injected
+/// cell: counting-16 under CP with adaptive dispatch and the seed-0 chaos
+/// plan, 2 M cycles from a cold start. Retransmission timers (25,000 cycles
+/// and their backoffs) land in the coarse wheel and move into the fine
+/// wheel when the clock reaches their bucket; under 0.1% of the events
+/// overflow to the heap.
+#[test]
+fn chaos_cell_queue_counters_are_pinned() {
+    let exp = CountingExperiment {
+        annotation: Annotation::Auto,
+        faults: Some(FaultPlan::chaos(0)),
+        ..CountingExperiment::paper(16, 0, Scheme::computation_migration())
+    };
+    let (mut runner, _spec) = exp.build();
+    let (metrics, profile) = runner.run_profiled(Cycles::ZERO, Cycles(2_000_000));
+    assert_eq!(profile.events, 61_671);
+    assert_eq!(
+        profile.queue,
+        QueueCounters {
+            coarse_schedules: 13_307,
+            overflow_schedules: 18,
+            bucket_moves: 13_177,
+        }
+    );
+    // Every first send and every retry arms a timer in the coarse wheel.
+    let recovery = metrics.recovery.expect("recovery stats");
+    assert!(profile.queue.coarse_schedules > recovery.retries);
+    assert!(profile.queue.overflow_schedules * 1_000 < profile.events);
+}
+
+/// A fault-free message-passing cell schedules nothing past the coarse
+/// wheel's reach.
+#[test]
+fn fault_free_cell_never_overflows_the_coarse_wheel() {
+    let exp = CountingExperiment::paper(16, 0, Scheme::computation_migration());
+    let (mut runner, _spec) = exp.build();
+    let (_, profile) = runner.run_profiled(Cycles::ZERO, Cycles(2_000_000));
+    assert!(profile.events > 10_000);
+    assert_eq!(profile.queue.overflow_schedules, 0);
 }
