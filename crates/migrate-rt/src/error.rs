@@ -96,19 +96,38 @@ pub enum RuntimeError {
 }
 
 impl RuntimeError {
-    /// Stable snake_case identifier for this error, used as the key in JSON
-    /// artifacts. New variants must add a code here; codes never change.
-    pub fn code(&self) -> &'static str {
+    /// Every variant's [`RuntimeError::code`], in declaration order: a
+    /// per-variant counter array is indexed like this list.
+    pub(crate) const CODES: [&'static str; 8] = [
+        "empty_migration",
+        "unknown_detached_group",
+        "detached_frame_slept",
+        "network_rejected",
+        "migration_timeout",
+        "duplicate_delivery",
+        "frame_reclaimed",
+        "unroutable_to_dead",
+    ];
+
+    /// This error's variant index into [`RuntimeError::CODES`].
+    pub(crate) fn index(&self) -> usize {
         match self {
-            RuntimeError::EmptyMigration { .. } => "empty_migration",
-            RuntimeError::UnknownDetachedGroup { .. } => "unknown_detached_group",
-            RuntimeError::DetachedFrameSlept { .. } => "detached_frame_slept",
-            RuntimeError::NetworkRejected { .. } => "network_rejected",
-            RuntimeError::MigrationTimeout { .. } => "migration_timeout",
-            RuntimeError::DuplicateDelivery { .. } => "duplicate_delivery",
-            RuntimeError::FrameReclaimed { .. } => "frame_reclaimed",
-            RuntimeError::UnroutableToDead { .. } => "unroutable_to_dead",
+            RuntimeError::EmptyMigration { .. } => 0,
+            RuntimeError::UnknownDetachedGroup { .. } => 1,
+            RuntimeError::DetachedFrameSlept { .. } => 2,
+            RuntimeError::NetworkRejected { .. } => 3,
+            RuntimeError::MigrationTimeout { .. } => 4,
+            RuntimeError::DuplicateDelivery { .. } => 5,
+            RuntimeError::FrameReclaimed { .. } => 6,
+            RuntimeError::UnroutableToDead { .. } => 7,
         }
+    }
+
+    /// Stable snake_case identifier for this error, used as the key in JSON
+    /// artifacts. New variants must add a code to `CODES`; codes never
+    /// change.
+    pub fn code(&self) -> &'static str {
+        Self::CODES[self.index()]
     }
 }
 
@@ -267,6 +286,11 @@ mod tests {
             },
         ];
         let codes: Vec<&str> = all.iter().map(RuntimeError::code).collect();
+        assert_eq!(
+            codes,
+            RuntimeError::CODES,
+            "one error per variant, in order"
+        );
         let mut unique = codes.clone();
         unique.sort_unstable();
         unique.dedup();

@@ -7,8 +7,6 @@
 //! the machine-level configuration an experiment runs under (the rows of
 //! Tables 1–4).
 
-use std::collections::BTreeMap;
-
 use crate::cost::CostModel;
 
 /// The per-call-site program annotation (§3.1).
@@ -107,48 +105,111 @@ impl DispatchKind {
     }
 }
 
+/// Every [`DispatchKind`] in declaration order: `KINDS[kind as usize]` is
+/// `kind`, so a call site's counters are one fixed-size row.
+const KINDS: [DispatchKind; 9] = [
+    DispatchKind::LocalInline,
+    DispatchKind::ReplicaRead,
+    DispatchKind::Rpc,
+    DispatchKind::Migration,
+    DispatchKind::Remigration,
+    DispatchKind::ThreadMove,
+    DispatchKind::ObjectPull,
+    DispatchKind::SharedMemory,
+    DispatchKind::RpcFallback,
+];
+
+/// The index of `site`'s row among per-call-site `rows`. A row is found by
+/// the label's address first and by its text second, because the same
+/// literal may sit at more than one address (one copy per crate); the text
+/// compare runs only when no row holds this address.
+fn site_index<T>(rows: &[(&'static str, T)], site: &'static str) -> Option<usize> {
+    rows.iter()
+        .position(|&(label, _)| std::ptr::eq(label, site))
+        .or_else(|| rows.iter().position(|&(label, _)| label == site))
+}
+
+/// `site`'s row among per-call-site `rows`, found by [`site_index`] or
+/// appended as `new()` the first time the site is seen.
+pub(crate) fn site_row<'a, T>(
+    rows: &'a mut Vec<(&'static str, T)>,
+    site: &'static str,
+    new: impl FnOnce() -> T,
+) -> &'a mut T {
+    let row = match site_index(rows, site) {
+        Some(row) => row,
+        None => {
+            rows.push((site, new()));
+            rows.len() - 1
+        }
+    };
+    &mut rows[row].1
+}
+
 /// Per-call-site dispatch counters: how many invocations each source frame
 /// resolved to each mechanism. The call site is identified by the invoking
 /// frame's label (the static name of the activation that issued the
 /// `Invoke`), which is the granularity at which the paper's annotations are
 /// placed.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Each call site is one row of counters indexed by `DispatchKind as
+/// usize`, kept in first-seen order and found by the label's address (by
+/// its text only when no row holds that address), so a
+/// [`DispatchStats::record`] is a short scan and an increment, with no
+/// string compare on the way. Ordering happens only when the counters are
+/// read: [`DispatchStats::rows`] sorts the sites by text, and two stats are
+/// equal when their rows are.
+#[derive(Clone, Debug, Default)]
 pub struct DispatchStats {
-    by_site: BTreeMap<(&'static str, DispatchKind), u64>,
+    sites: Vec<(&'static str, [u64; KINDS.len()])>,
 }
 
 impl DispatchStats {
     /// Record one dispatch decision made at `site`.
     pub fn record(&mut self, site: &'static str, kind: DispatchKind) {
-        *self.by_site.entry((site, kind)).or_insert(0) += 1;
+        site_row(&mut self.sites, site, || [0; KINDS.len()])[kind as usize] += 1;
     }
 
     /// Total dispatches of `kind` across all call sites.
     pub fn count(&self, kind: DispatchKind) -> u64 {
-        self.by_site
+        self.sites
             .iter()
-            .filter(|((_, k), _)| *k == kind)
-            .map(|(_, n)| n)
+            .map(|(_, counts)| counts[kind as usize])
             .sum()
     }
 
     /// Dispatches of `kind` from one call site.
     pub fn site_count(&self, site: &'static str, kind: DispatchKind) -> u64 {
-        self.by_site.get(&(site, kind)).copied().unwrap_or(0)
+        site_index(&self.sites, site).map_or(0, |row| self.sites[row].1[kind as usize])
     }
 
-    /// All `(site, kind, count)` rows in deterministic order.
+    /// All `(site, kind, count)` rows with a non-zero count, sites in text
+    /// order and kinds in declaration order.
     pub fn rows(&self) -> impl Iterator<Item = (&'static str, DispatchKind, u64)> + '_ {
-        self.by_site
-            .iter()
-            .map(|(&(site, kind), &n)| (site, kind, n))
+        let mut sites: Vec<_> = self.sites.iter().collect();
+        sites.sort_unstable_by_key(|(site, _)| *site);
+        sites.into_iter().flat_map(|&(site, counts)| {
+            KINDS
+                .into_iter()
+                .zip(counts)
+                .filter(|&(_, n)| n > 0)
+                .map(move |(kind, n)| (site, kind, n))
+        })
     }
 
     /// Total dispatches recorded.
     pub fn total(&self) -> u64 {
-        self.by_site.values().sum()
+        self.sites.iter().flat_map(|(_, counts)| counts).sum()
     }
 }
+
+impl PartialEq for DispatchStats {
+    fn eq(&self, other: &DispatchStats) -> bool {
+        self.rows().eq(other.rows())
+    }
+}
+
+impl Eq for DispatchStats {}
 
 /// A complete experiment configuration — one row of the paper's tables.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -342,6 +403,13 @@ mod tests {
         assert!(hw.send(4) < sw.send(4));
         assert!(hw.receive(4, false) < sw.receive(4, false));
         assert_eq!(hw.goid_translation, Cycles::ZERO);
+    }
+
+    #[test]
+    fn kinds_are_indexed_by_their_discriminant() {
+        for (i, kind) in KINDS.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{}", kind.label());
+        }
     }
 
     #[test]

@@ -30,13 +30,14 @@
 //! accounting identity holds under the adaptive scheme exactly as it does
 //! under the static ones.
 //!
-//! The engine is deterministic: sites live in a [`BTreeMap`] keyed by the
-//! static site label, samples are integers, and the threshold compare is
-//! integer arithmetic — same seed, same byte-identical artifacts.
+//! The engine is deterministic: sites live in a list in first-seen order,
+//! found by the static site label's address (or, for a copy of the label at
+//! another address, its text), samples are integers, and the threshold
+//! compare is integer arithmetic — same seed, same byte-identical artifacts.
 //!
 //! [`Annotation::Auto`]: crate::mechanism::Annotation::Auto
 
-use std::collections::BTreeMap;
+use crate::mechanism::site_row;
 
 /// Episodes remembered per call site (the sliding window length).
 const WINDOW: usize = 32;
@@ -135,14 +136,19 @@ pub(crate) struct PolicyDecision {
 /// the fault injector's); only the [`PolicyStats`] counters reset.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PolicyEngine {
-    sites: BTreeMap<&'static str, SiteState>,
+    sites: Vec<(&'static str, SiteState)>,
     stats: PolicyStats,
 }
 
 impl PolicyEngine {
+    /// `site`'s window, created empty the first time the site is seen.
+    fn site(&mut self, site: &'static str) -> &mut SiteState {
+        site_row(&mut self.sites, site, SiteState::new)
+    }
+
     /// Decide the mechanism for one remote `Auto` dispatch from `site`.
     pub(crate) fn decide(&mut self, site: &'static str) -> PolicyDecision {
-        let s = self.sites.entry(site).or_insert_with(SiteState::new);
+        let s = self.site(site);
         let mean = s.mean_milli();
         let migrate = if s.migrating {
             mean >= RPC_BELOW_MILLI
@@ -165,10 +171,7 @@ impl PolicyEngine {
 
     /// Fold one finished episode's remote-access count into `site`'s window.
     pub(crate) fn record_episode(&mut self, site: &'static str, remote_accesses: u32) {
-        self.sites
-            .entry(site)
-            .or_insert_with(SiteState::new)
-            .push(remote_accesses);
+        self.site(site).push(remote_accesses);
         self.stats.episodes += 1;
     }
 
@@ -176,7 +179,7 @@ impl PolicyEngine {
     pub(crate) fn stats(&self) -> PolicyStats {
         let mut stats = self.stats.clone();
         stats.sites = self.sites.len() as u64;
-        stats.window_occupancy = self.sites.values().map(|s| s.filled as u64).sum();
+        stats.window_occupancy = self.sites.iter().map(|(_, s)| s.filled as u64).sum();
         stats
     }
 
@@ -245,7 +248,7 @@ mod tests {
             for sample in [1, 1, 2, 1].into_iter().cycle().take(WINDOW) {
                 e.record_episode("s", sample);
             }
-            assert_eq!(e.sites["s"].mean_milli(), 1250);
+            assert_eq!(e.site("s").mean_milli(), 1250);
             e.decide("s").migrate
         };
         assert!(band(true), "a migrating site stays migrating at mean 1.25");
@@ -268,6 +271,27 @@ mod tests {
         assert_eq!(stats.decisions, 2);
         assert_eq!(stats.migrate_decisions, 1);
         assert_eq!(stats.rpc_decisions, 1);
+    }
+
+    #[test]
+    fn a_label_copy_at_another_address_shares_the_window() {
+        let copy: &'static str = Box::leak(String::from("site").into_boxed_str());
+        assert!(!std::ptr::eq(copy, "site"));
+        let mut e = PolicyEngine::default();
+        for _ in 0..4 {
+            e.record_episode("site", 3);
+        }
+        assert!(
+            e.decide(copy).migrate,
+            "the copy reads the original's window"
+        );
+        for _ in 0..4 {
+            e.record_episode(copy, 3);
+        }
+        let stats = e.stats();
+        assert_eq!(stats.sites, 1);
+        assert_eq!(stats.window_occupancy, 8);
+        assert!(!e.decide("site").flipped, "one mode for both addresses");
     }
 
     #[test]

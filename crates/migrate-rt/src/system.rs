@@ -31,15 +31,16 @@
 //!
 //! An off layer is `None`; nothing else checks a flag.
 
-use std::collections::BTreeMap;
-
 use proteus::coherence::MAX_PROCESSORS;
 use proteus::engine::{Engine, Simulation};
 use proteus::event::{EventQueue, QueueCounters};
 use proteus::fault::FaultPlan;
 use proteus::stats::Histogram;
 use proteus::trace::{TraceEvent, Tracer};
-use proteus::{CacheConfig, CoherenceCosts, CoherenceSystem, Cycles, Network, ProcId, Processor};
+use proteus::{
+    CacheConfig, CoherenceCosts, CoherenceSystem, Cycles, DirectoryAllocations, Network, ProcId,
+    Processor,
+};
 
 use crate::cost::{Accounting, Category, CostModel};
 use crate::error::{ConfigError, RuntimeError};
@@ -346,9 +347,9 @@ struct Core {
     migrations: u64,
     /// The first [`MAX_ERROR_DETAILS`] protocol errors, in full.
     runtime_errors: Vec<RuntimeError>,
-    /// Every protocol error ever recorded, counted by
-    /// [`RuntimeError::code`].
-    error_counts: BTreeMap<&'static str, u64>,
+    /// Every protocol error ever recorded, counted by variant: indexed like
+    /// `RuntimeError::CODES`.
+    error_counts: [u64; RuntimeError::CODES.len()],
 }
 
 /// Protocol errors kept in full; later ones are only counted, so a
@@ -390,7 +391,7 @@ impl Core {
             proc: None,
             detail: error.to_string(),
         });
-        *self.error_counts.entry(error.code()).or_insert(0) += 1;
+        self.error_counts[error.index()] += 1;
         if self.runtime_errors.len() < MAX_ERROR_DETAILS {
             self.runtime_errors.push(error);
         }
@@ -566,7 +567,7 @@ impl System {
                 msg_counts: [0; MessageKind::ALL.len()],
                 migrations: 0,
                 runtime_errors: Vec::new(),
-                error_counts: BTreeMap::new(),
+                error_counts: [0; RuntimeError::CODES.len()],
             },
             objects: ObjectTable::new(n, cache.line_bytes),
             coherence: CoherenceSystem::new(n, cache, cfg.coherence.clone()),
@@ -921,6 +922,10 @@ pub struct EngineProfile {
     /// Where the event queue put the run's schedules beyond its fine
     /// wheel, and how many moved back into it, warm-up included.
     pub queue: QueueCounters,
+    /// Coherence directory pages and P64–P127 side arrays allocated since
+    /// the machine was built, warm-up included (zero when the run makes no
+    /// shared-memory access).
+    pub directory: DirectoryAllocations,
 }
 
 impl Runner {
@@ -995,6 +1000,7 @@ impl Runner {
             events,
             peak_queue_depth: self.engine.peak_queue_depth(),
             queue: self.engine.queue_counters(),
+            directory: self.system.coherence.allocations(),
         };
         (self.system.metrics(end), profile)
     }

@@ -10,6 +10,7 @@ use proteus::Cycles;
 
 use super::{FailoverStats, RecoveryStats, System};
 use crate::cost::{Accounting, Category};
+use crate::error::RuntimeError;
 use crate::mechanism::DispatchStats;
 use crate::message::MessageKind;
 use crate::policy::PolicyStats;
@@ -208,6 +209,12 @@ impl System {
             .cfg
             .audit
             .then(|| self.audit().expect("cycle-accounting audit failed"));
+        let mut runtime_error_codes: Vec<_> = RuntimeError::CODES
+            .into_iter()
+            .zip(self.core.error_counts)
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        runtime_error_codes.sort_unstable();
         RunMetrics {
             window,
             ops: self.ops_completed,
@@ -234,13 +241,8 @@ impl System {
             dispatch: self.dispatch.clone(),
             per_proc,
             audit,
-            runtime_errors: self.core.error_counts.values().sum(),
-            runtime_error_codes: self
-                .core
-                .error_counts
-                .iter()
-                .map(|(&code, &n)| (code, n))
-                .collect(),
+            runtime_errors: self.core.error_counts.iter().sum(),
+            runtime_error_codes,
             recovery: self.faults.as_ref().map(|f| f.stats.clone()),
             faults: self.faults.as_ref().map(|f| f.injector.stats().clone()),
             failover: self.failover.as_ref().map(|f| f.stats.clone()),

@@ -205,6 +205,20 @@ pub struct ProtocolStats {
     pub eviction_writebacks: u64,
 }
 
+/// What the directory has allocated since its coherence system was built,
+/// warm-up included: [`CoherenceSystem::reset_stats`] leaves these alone,
+/// because an allocation outlives the window that made it. Each is a plain
+/// count bumped only where the allocation happens.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct DirectoryAllocations {
+    /// Directory pages (64 entries in 1 KB), each allocated by the first
+    /// miss on one of its lines.
+    pub pages: u64,
+    /// P64–P127 sharer side arrays (512 B), each allocated when a processor
+    /// above P63 first joins a sharer set on its page.
+    pub side_arrays: u64,
+}
+
 /// Bit 63 of [`DirEntry::busy`]: the line is dirty at its single sharer.
 const DIRTY: u64 = 1 << 63;
 
@@ -302,16 +316,19 @@ impl Page {
     }
 
     /// Store `entry` as the page's line `index`, allocating the side array
-    /// if the entry is the page's first with a sharer above P63.
-    fn store(&mut self, index: usize, entry: DirEntry) {
+    /// if the entry is the page's first with a sharer above P63. Returns
+    /// whether it allocated the side array.
+    fn store(&mut self, index: usize, entry: DirEntry) -> bool {
         let [low, high] = entry.sharers.0;
         self.entries[index] = StoredEntry {
             sharers: low,
             busy: entry.busy,
         };
+        let allocate = high != 0 && self.high.is_none();
         if high != 0 || self.high.is_some() {
             self.high.get_or_insert_with(|| Box::new([0; PAGE_LINES]))[index] = high;
         }
+        allocate
     }
 }
 
@@ -344,6 +361,7 @@ pub struct CoherenceSystem {
     offset_mask: u64,
     words_per_line: u64,
     stats: ProtocolStats,
+    allocations: DirectoryAllocations,
     tracer: Tracer,
 }
 
@@ -369,6 +387,7 @@ impl CoherenceSystem {
             offset_mask: (1u64 << (32 - line_shift)) - 1,
             words_per_line,
             stats: ProtocolStats::default(),
+            allocations: DirectoryAllocations::default(),
             tracer: Tracer::disabled(),
         }
     }
@@ -427,7 +446,10 @@ impl CoherenceSystem {
         if page >= pages.len() {
             pages.resize_with(page + 1, || None);
         }
-        pages[page].get_or_insert_with(Page::new)
+        pages[page].get_or_insert_with(|| {
+            self.allocations.pages += 1;
+            Page::new()
+        })
     }
 
     /// Apply `update` to the directory entry of `line`, if its page has ever
@@ -444,7 +466,9 @@ impl CoherenceSystem {
         };
         let mut entry = page.load(index);
         update(&mut entry);
-        page.store(index, entry);
+        if page.store(index, entry) {
+            self.allocations.side_arrays += 1;
+        }
     }
 
     /// One line's access: the cache hit test here, inline in every caller;
@@ -509,7 +533,9 @@ impl CoherenceSystem {
         let start = at.max(entry.busy_until());
         let wait = start - at;
         entry.set_busy_until(start + latency);
-        self.page_mut(home, page).store(index, entry);
+        if self.page_mut(home, page).store(index, entry) {
+            self.allocations.side_arrays += 1;
+        }
         self.fill(proc, line, state, net);
         self.tracer.emit_with(|| TraceEvent {
             at,
@@ -668,6 +694,11 @@ impl CoherenceSystem {
     /// Protocol-level counters.
     pub fn stats(&self) -> &ProtocolStats {
         &self.stats
+    }
+
+    /// Directory pages and side arrays allocated so far.
+    pub fn allocations(&self) -> DirectoryAllocations {
+        self.allocations
     }
 
     /// Per-processor cache counters.

@@ -38,7 +38,7 @@ pub mod topology;
 pub mod trace;
 
 pub use cache::{Cache, CacheConfig, LineState};
-pub use coherence::{Access, AccessOutcome, CoherenceCosts, CoherenceSystem};
+pub use coherence::{Access, AccessOutcome, CoherenceCosts, CoherenceSystem, DirectoryAllocations};
 pub use engine::{Engine, RunOutcome, Simulation, StopReason};
 pub use event::{EventQueue, QueueCounters};
 pub use fault::{FaultInjector, FaultPlan, FaultStats, MessageFate};

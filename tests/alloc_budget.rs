@@ -12,7 +12,9 @@
 //!   sequence-numbered envelopes under chaos faults, stay within a pinned
 //!   budget of allocations per completed operation;
 //! * a shared-memory B-tree run stays within a pinned peak of live heap
-//!   bytes, which gates the coherence directory's layout.
+//!   bytes, which gates the coherence directory's layout;
+//! * two shared-memory counting runs allocate an exact number of directory
+//!   pages and P64–P127 sharer side arrays, as the directory counts them.
 //!
 //! The counts are deterministic: they depend on the code path, not on the
 //! host, so the budgets are exact gates on regressions.
@@ -26,7 +28,7 @@ use migrate_rt::{
     Behavior, Frame, Goid, Invoke, MachineConfig, MethodEnv, MethodId, Runner, Scheme, StepCtx,
     StepResult, Word, WordVec,
 };
-use proteus::{Cycles, FaultPlan, ProcId};
+use proteus::{Cycles, DirectoryAllocations, FaultPlan, ProcId};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -229,6 +231,36 @@ fn counting_network_chaos_envelope_allocation_budget() {
         per_op <= COUNTING_CHAOS_BUDGET,
         "counting-16 CP under chaos: {per_op:.4} allocations per op, \
          budget {COUNTING_CHAOS_BUDGET}"
+    );
+}
+
+/// The coherence directory's own allocation counters over the first 1 M
+/// cycles of a counting-network SM run. At 104 requesters (128 processors)
+/// requesters above P63 join sharer sets, so every one of the 24 balancer
+/// homes' pages gains a side array; at 16 requesters (40 processors) no
+/// page ever does.
+#[test]
+fn sm_directory_allocations_are_exact() {
+    let allocations = |requesters: u32| {
+        let exp = CountingExperiment::paper(requesters, 0, Scheme::shared_memory());
+        let (mut runner, _spec) = exp.build();
+        let (metrics, profile) = runner.run_profiled(Cycles::ZERO, Cycles(1_000_000));
+        assert!(metrics.ops > 1000, "window too short: {} ops", metrics.ops);
+        profile.directory
+    };
+    assert_eq!(
+        allocations(104),
+        DirectoryAllocations {
+            pages: 24,
+            side_arrays: 24,
+        }
+    );
+    assert_eq!(
+        allocations(16),
+        DirectoryAllocations {
+            pages: 24,
+            side_arrays: 0,
+        }
     );
 }
 
