@@ -53,15 +53,14 @@ pub fn counting_cell(requesters: u32, think: u64, scheme: Scheme) -> RunMetrics 
 /// Figures 2 and 3: sweep requester counts for all five schemes at one
 /// think time. Independent simulations run on the bounded worker pool
 /// (see [`pool`]); the cell list is row-major (requester count outer,
-/// scheme inner), so reassembly is a single linear pass instead of a
-/// per-cell search.
+/// scheme inner), so each point takes the next `schemes.len()` rows.
 pub fn counting_sweep(think: u64, requester_counts: &[u32]) -> Vec<CountingPoint> {
     let schemes = Scheme::figure2_rows();
-    let cells: Vec<(u32, Scheme)> = requester_counts
+    let cells: Vec<_> = requester_counts
         .iter()
-        .flat_map(|&requesters| schemes.iter().map(move |&scheme| (requesters, scheme)))
+        .flat_map(|&requesters| schemes.iter().map(move |&s| (s.label(), (requesters, s))))
         .collect();
-    let mut metrics = pool::map_indexed(&cells, |&(requesters, scheme)| {
+    let mut rows = labelled_rows(&cells, |&(requesters, scheme)| {
         counting_cell(requesters, think, scheme)
     })
     .into_iter();
@@ -69,13 +68,7 @@ pub fn counting_sweep(think: u64, requester_counts: &[u32]) -> Vec<CountingPoint
         .iter()
         .map(|&requesters| CountingPoint {
             requesters,
-            rows: schemes
-                .iter()
-                .map(|scheme| Row {
-                    label: scheme.label(),
-                    metrics: metrics.next().expect("cell computed"),
-                })
-                .collect(),
+            rows: rows.by_ref().take(schemes.len()).collect(),
         })
         .collect()
 }
@@ -135,31 +128,18 @@ pub fn extension_rows(think: u64) -> (Vec<Row>, Vec<Row>) {
         Scheme::thread_migration(),
     ];
     // One cell list for both workloads: counting cells first, then B-tree.
-    let cells: Vec<(bool, Scheme)> = schemes
-        .iter()
-        .map(|&s| (true, s))
-        .chain(schemes.iter().map(|&s| (false, s)))
+    let cells: Vec<_> = [true, false]
+        .into_iter()
+        .flat_map(|is_counting| schemes.map(|s| (s.label(), (is_counting, s))))
         .collect();
-    let mut metrics = pool::map_indexed(&cells, |&(is_counting, s)| {
+    let mut counting = labelled_rows(&cells, |&(is_counting, s)| {
         if is_counting {
             counting_cell(32, think, s)
         } else {
             btree_cell(think, s, 100)
         }
-    })
-    .into_iter();
-    let label = |s: &Scheme, m| Row {
-        label: s.label(),
-        metrics: m,
-    };
-    let counting = schemes
-        .iter()
-        .map(|s| label(s, metrics.next().expect("cell computed")))
-        .collect();
-    let btree = schemes
-        .iter()
-        .map(|s| label(s, metrics.next().expect("cell computed")))
-        .collect();
+    });
+    let btree = counting.split_off(schemes.len());
     (counting, btree)
 }
 
@@ -456,15 +436,15 @@ impl AdaptiveCell {
 /// [`counting_sweep`]: app outer, seed middle, variant inner.
 pub fn adaptive_sweep(seeds: &[u64]) -> Vec<AdaptiveCell> {
     let variants = adaptive_variants();
-    let mut keys: Vec<(&'static str, u64, Scheme, Annotation)> = Vec::new();
-    for &app in &["btree", "counting"] {
+    let mut keys = Vec::new();
+    for app in ["btree", "counting"] {
         for &seed in seeds {
-            for &(_, scheme, annotation) in &variants {
-                keys.push((app, seed, scheme, annotation));
+            for &(label, scheme, annotation) in &variants {
+                keys.push((label.to_string(), (app, seed, scheme, annotation)));
             }
         }
     }
-    let mut metrics = pool::map_indexed(&keys, |&(app, seed, scheme, annotation)| {
+    let mut rows = labelled_rows(&keys, |&(app, seed, scheme, annotation)| {
         if app == "btree" {
             adaptive_cell_btree(seed, scheme, annotation)
         } else {
@@ -472,23 +452,16 @@ pub fn adaptive_sweep(seeds: &[u64]) -> Vec<AdaptiveCell> {
         }
     })
     .into_iter();
-    let mut cells = Vec::new();
-    for &app in &["btree", "counting"] {
-        for &seed in seeds {
-            cells.push(AdaptiveCell {
+    keys.chunks(variants.len())
+        .map(|variant_keys| {
+            let (_, (app, seed, _, _)) = variant_keys[0];
+            AdaptiveCell {
                 app,
                 seed,
-                rows: variants
-                    .iter()
-                    .map(|&(label, _, _)| Row {
-                        label: label.to_string(),
-                        metrics: metrics.next().expect("cell computed"),
-                    })
-                    .collect(),
-            });
-        }
-    }
-    cells
+                rows: rows.by_ref().take(variants.len()).collect(),
+            }
+        })
+        .collect()
 }
 
 /// Check an adaptive sweep's acceptance properties and render one

@@ -21,9 +21,8 @@ use migrate_rt::{
     Annotation, Behavior, Frame, Invoke, MachineConfig, MethodEnv, MethodId, RunMetrics, Runner,
     Scheme, StepCtx, StepResult, System, Word, WordVec,
 };
+use proteus::rng::SplitMix64;
 use proteus::{Cycles, ProcId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::workload::{initial_keys, KeyStream};
 use crate::Goid;
@@ -554,8 +553,6 @@ pub struct BTreeExperiment {
     pub audit: bool,
     /// Deterministic fault plan (`None` = perfect network, the default).
     pub faults: Option<proteus::FaultPlan>,
-    /// Recovery-protocol tuning (only consulted when `faults` is set).
-    pub recovery: migrate_rt::RecoveryConfig,
     /// Failure detection + primary-backup replication (off by default; the
     /// disabled path is byte-identical to a build without failover).
     pub failover: migrate_rt::FailoverConfig,
@@ -583,7 +580,6 @@ impl BTreeExperiment {
             seed: 0xB7EE,
             audit: false,
             faults: None,
-            recovery: migrate_rt::RecoveryConfig::default(),
             failover: migrate_rt::FailoverConfig::default(),
             annotation: Annotation::Migrate,
         }
@@ -606,7 +602,6 @@ impl BTreeExperiment {
         cfg.cost_override = self.cost_override.clone();
         cfg.audit = self.audit;
         cfg.faults = self.faults.clone();
-        cfg.recovery = self.recovery.clone();
         cfg.failover = self.failover.clone();
         cfg.data_procs = (0..self.data_procs).map(ProcId).collect();
         // Replicas live at the requesters (the processors that read the
@@ -665,10 +660,10 @@ pub fn bulk_load(
         sorted_keys.windows(2).all(|w| w[0] < w[1]),
         "keys must be sorted+distinct"
     );
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9);
+    let mut rng = SplitMix64::new(seed ^ 0x9E37_79B9);
     let fill = (fanout * 2 / 3).max(2);
     let mut place = |system: &mut System, node: BTreeNode| -> Goid {
-        let home = ProcId(rng.gen_range(0..data_procs));
+        let home = ProcId(rng.below(u64::from(data_procs)) as u32);
         system.create_object(Box::new(node), home, false)
     };
 
@@ -883,7 +878,6 @@ mod tests {
             seed: 42,
             audit: false,
             faults: None,
-            recovery: migrate_rt::RecoveryConfig::default(),
             failover: migrate_rt::FailoverConfig::default(),
             annotation: Annotation::Migrate,
         }

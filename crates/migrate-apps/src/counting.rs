@@ -537,8 +537,6 @@ pub struct CountingExperiment {
     pub audit: bool,
     /// Deterministic fault plan (`None` = perfect network, the default).
     pub faults: Option<proteus::FaultPlan>,
-    /// Recovery-protocol tuning (only consulted when `faults` is set).
-    pub recovery: migrate_rt::RecoveryConfig,
     /// Failure detection + primary-backup replication (off by default; the
     /// disabled path is byte-identical to a build without failover).
     pub failover: migrate_rt::FailoverConfig,
@@ -561,7 +559,6 @@ impl CountingExperiment {
             seed: 0xC0DE,
             audit: false,
             faults: None,
-            recovery: migrate_rt::RecoveryConfig::default(),
             failover: migrate_rt::FailoverConfig::default(),
             annotation: Annotation::Migrate,
         }
@@ -582,7 +579,6 @@ impl CountingExperiment {
         cfg.data_procs = (0..balancer_procs).map(ProcId).collect();
         cfg.audit = self.audit;
         cfg.faults = self.faults.clone();
-        cfg.recovery = self.recovery.clone();
         cfg.failover = self.failover.clone();
         if let Some(coh) = &self.coherence_override {
             cfg.coherence = coh.clone();

@@ -4,14 +4,13 @@
 //! key streams and placement decisions, which keeps scheme comparisons
 //! apples-to-apples (all rows of a table see identical workloads).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use proteus::rng::SplitMix64;
 
 /// A deterministic stream of B-tree keys: a mix of lookups of existing keys
 /// and inserts of fresh keys.
 #[derive(Clone, Debug)]
 pub struct KeyStream {
-    rng: StdRng,
+    rng: SplitMix64,
     key_space: u64,
     insert_permille: u32,
 }
@@ -32,7 +31,7 @@ impl KeyStream {
         assert!(key_space > 0, "empty key space");
         assert!(insert_permille <= 1000, "permille out of range");
         KeyStream {
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
             key_space,
             insert_permille,
         }
@@ -40,8 +39,8 @@ impl KeyStream {
 
     /// Next request.
     pub fn next_request(&mut self) -> Request {
-        let insert = self.rng.gen_range(0..1000) < self.insert_permille;
-        let key = self.rng.gen_range(0..self.key_space);
+        let insert = self.rng.below(1000) < u64::from(self.insert_permille);
+        let key = self.rng.below(self.key_space);
         Request { key, insert }
     }
 }

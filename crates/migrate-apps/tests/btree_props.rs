@@ -135,7 +135,6 @@ proptest! {
             seed,
             audit: true,
             faults: None,
-            recovery: migrate_rt::RecoveryConfig::default(),
             failover: migrate_rt::FailoverConfig::default(),
             annotation: migrate_rt::Annotation::Migrate,
         };

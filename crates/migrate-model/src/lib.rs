@@ -61,12 +61,6 @@ impl Pattern {
         }
     }
 
-    /// Message savings of computation migration over RPC.
-    pub fn cm_saving_vs_rpc(&self) -> u64 {
-        self.rpc_messages()
-            .saturating_sub(self.computation_migration_messages())
-    }
-
     /// Message savings of computation migration over data migration (signed:
     /// CM wins whenever `m > 1`).
     pub fn cm_saving_vs_data_migration(&self) -> i64 {
@@ -211,15 +205,5 @@ mod tests {
     fn cm_links_form_a_ring() {
         let links = figure1_links(Pattern::new(3, 9), Mechanism::ComputationMigration);
         assert_eq!(links, vec![(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)]);
-    }
-
-    #[test]
-    fn savings_monotone_in_accesses() {
-        let mut last = 0;
-        for n in 1..50 {
-            let s = Pattern::new(4, n).cm_saving_vs_rpc();
-            assert!(s > last);
-            last = s;
-        }
     }
 }

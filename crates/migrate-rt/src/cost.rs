@@ -333,29 +333,53 @@ impl CostModel {
         self.unmarshal_base + self.unmarshal_per_word * words
     }
 
-    /// Total sender-side overhead for a `words`-word message.
-    pub fn send(&self, words: u64) -> Cycles {
-        self.linkage_send + self.alloc_packet_send + self.message_send + self.marshal(words)
+    /// The sender-side charges of a `words`-word message, one per
+    /// category, in the order the runtime books them.
+    pub fn send_charges(&self, words: u64) -> [(Category, Cycles); 4] {
+        [
+            (Category::LinkageSend, self.linkage_send),
+            (Category::AllocPacketSend, self.alloc_packet_send),
+            (Category::Marshal, self.marshal(words)),
+            (Category::MessageSend, self.message_send),
+        ]
     }
 
-    /// Total receiver-side overhead for a `words`-word message.
+    /// The receiver-side charges of a `words`-word message, one per
+    /// category, in the order the runtime books them.
     ///
     /// `short_method` models Prelude's Active-Messages-style fast path that
     /// skips thread creation for short methods (§4.3/§4.4).
-    pub fn receive(&self, words: u64, short_method: bool) -> Cycles {
+    pub fn receive_charges(&self, words: u64, short_method: bool) -> [(Category, Cycles); 8] {
         let thread = if short_method {
             Cycles::ZERO
         } else {
             self.thread_creation
         };
-        self.copy_packet
-            + thread
-            + self.linkage_recv
-            + self.unmarshal(words)
-            + self.goid_translation
-            + self.scheduler
-            + self.forwarding_check
-            + self.alloc_packet_recv
+        [
+            (Category::CopyPacket, self.copy_packet),
+            (Category::ThreadCreation, thread),
+            (Category::LinkageRecv, self.linkage_recv),
+            (Category::Unmarshal, self.unmarshal(words)),
+            (Category::GoidTranslation, self.goid_translation),
+            (Category::Scheduler, self.scheduler),
+            (Category::ForwardingCheck, self.forwarding_check),
+            (Category::AllocPacketRecv, self.alloc_packet_recv),
+        ]
+    }
+
+    /// Total sender-side overhead for a `words`-word message: the sum of
+    /// [`CostModel::send_charges`].
+    pub fn send(&self, words: u64) -> Cycles {
+        self.send_charges(words).into_iter().map(|(_, c)| c).sum()
+    }
+
+    /// Total receiver-side overhead for a `words`-word message: the sum of
+    /// [`CostModel::receive_charges`].
+    pub fn receive(&self, words: u64, short_method: bool) -> Cycles {
+        self.receive_charges(words, short_method)
+            .into_iter()
+            .map(|(_, c)| c)
+            .sum()
     }
 }
 

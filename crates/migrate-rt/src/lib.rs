@@ -77,9 +77,12 @@ pub mod mechanism;
 pub mod message;
 pub mod object;
 pub mod policy;
-pub mod rng;
 pub mod system;
 pub mod types;
+
+/// The seeded generator behind runtime object placement; it lives in
+/// `proteus` so every seeded draw in the workspace shares one SplitMix64.
+pub use proteus::rng;
 
 pub use cost::{Accounting, Category, CostModel};
 pub use error::{ConfigError, RuntimeError};
@@ -90,6 +93,6 @@ pub use object::{Behavior, MethodEnv, ObjectEntry, ObjectTable};
 pub use policy::PolicyStats;
 pub use system::{
     AuditSummary, EngineProfile, Event, FailoverConfig, FailoverStats, MachineConfig,
-    ProcWindowStats, RecoveryConfig, RecoveryStats, RunMetrics, Runner, System,
+    ProcWindowStats, RecoveryStats, RunMetrics, Runner, System,
 };
 pub use types::{Goid, MethodId, ThreadId, Word, WordVec};

@@ -220,10 +220,9 @@ pub struct Scheme {
     /// annotated calls fall back to RPC — flipping this bit is the paper's
     /// "simply moving the annotation".
     pub migration: bool,
-    /// Register-mapped network-interface estimate (Henry & Joerg).
-    pub hw_message: bool,
-    /// Hardware GOID translation estimate (J-Machine).
-    pub hw_goid: bool,
+    /// Hardware support ("w/HW"): the register-mapped network-interface
+    /// estimate (Henry & Joerg) plus hardware GOID translation (J-Machine).
+    pub hardware: bool,
     /// Software replication (multi-version memory) for objects the
     /// application marks replicated, e.g. the B-tree root.
     pub replication: bool,
@@ -235,8 +234,7 @@ impl Scheme {
         Scheme {
             access: DataAccess::SharedMemory,
             migration: false,
-            hw_message: false,
-            hw_goid: false,
+            hardware: false,
             replication: false,
         }
     }
@@ -246,8 +244,7 @@ impl Scheme {
         Scheme {
             access: DataAccess::MessagePassing,
             migration: false,
-            hw_message: false,
-            hw_goid: false,
+            hardware: false,
             replication: false,
         }
     }
@@ -257,8 +254,7 @@ impl Scheme {
         Scheme {
             access: DataAccess::MessagePassing,
             migration: true,
-            hw_message: false,
-            hw_goid: false,
+            hardware: false,
             replication: false,
         }
     }
@@ -268,8 +264,7 @@ impl Scheme {
         Scheme {
             access: DataAccess::ObjectMigration,
             migration: false,
-            hw_message: false,
-            hw_goid: false,
+            hardware: false,
             replication: false,
         }
     }
@@ -279,16 +274,14 @@ impl Scheme {
         Scheme {
             access: DataAccess::ThreadMigration,
             migration: false,
-            hw_message: false,
-            hw_goid: false,
+            hardware: false,
             replication: false,
         }
     }
 
     /// Add both hardware-support estimates ("w/HW").
     pub fn with_hardware(mut self) -> Scheme {
-        self.hw_message = true;
-        self.hw_goid = true;
+        self.hardware = true;
         self
     }
 
@@ -300,14 +293,12 @@ impl Scheme {
 
     /// The cost model this scheme implies.
     pub fn cost_model(&self) -> CostModel {
-        let mut c = CostModel::default();
-        if self.hw_message {
-            c = c.with_hw_message_support();
+        let c = CostModel::default();
+        if self.hardware {
+            c.with_hw_message_support().with_hw_goid_support()
+        } else {
+            c
         }
-        if self.hw_goid {
-            c = c.with_hw_goid_support();
-        }
-        c
     }
 
     /// Short label matching the paper's tables ("SM", "RPC w/repl. & HW", …).
@@ -318,7 +309,7 @@ impl Scheme {
             DataAccess::ThreadMigration => "TM".to_string(),
             DataAccess::MessagePassing => {
                 let mut s = if self.migration { "CP" } else { "RPC" }.to_string();
-                match (self.replication, self.hw_message || self.hw_goid) {
+                match (self.replication, self.hardware) {
                     (true, true) => s.push_str(" w/repl. & HW"),
                     (true, false) => s.push_str(" w/repl."),
                     (false, true) => s.push_str(" w/HW"),

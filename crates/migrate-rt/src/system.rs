@@ -35,6 +35,7 @@ use proteus::coherence::MAX_PROCESSORS;
 use proteus::engine::{Engine, Simulation};
 use proteus::event::{EventQueue, QueueCounters};
 use proteus::fault::FaultPlan;
+use proteus::rng::SplitMix64;
 use proteus::stats::Histogram;
 use proteus::trace::{TraceEvent, Tracer};
 use proteus::{
@@ -49,7 +50,6 @@ use crate::mechanism::{DispatchStats, Scheme};
 use crate::message::{Message, MessageKind, Payload};
 use crate::object::{Behavior, ObjectTable};
 use crate::policy::PolicyEngine;
-use crate::rng::SplitMix64;
 use crate::types::{Goid, ThreadId};
 
 mod dispatch;
@@ -62,7 +62,7 @@ mod transport;
 
 pub use failover::{FailoverStats, DETECTION_LATENCY_BOUND};
 pub use metrics::{AuditSummary, ProcWindowStats, RunMetrics};
-pub use transport::RecoveryStats;
+pub use transport::{RecoveryStats, MAX_MIGRATION_ATTEMPTS};
 
 use failover::Failover;
 use transport::Faults;
@@ -100,9 +100,6 @@ pub struct MachineConfig {
     /// with `None` the runtime's behaviour is bit-identical to a build
     /// without this feature.
     pub faults: Option<FaultPlan>,
-    /// Recovery-protocol retry budget. Ignored unless
-    /// [`MachineConfig::faults`] is set.
-    pub recovery: RecoveryConfig,
     /// Fail-stop tolerance layer: heartbeat failure detection plus
     /// primary-backup object replication. Off by default; when off, the
     /// runtime's behaviour is bit-identical to a build without the feature
@@ -136,26 +133,6 @@ pub struct FailoverConfig {
     pub enabled: bool,
 }
 
-/// Tuning of the ack/timeout/retry recovery protocol (only active under
-/// fault injection). Retransmission timeouts back off exponentially from a
-/// fixed base up to a fixed cap.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RecoveryConfig {
-    /// Send attempts a Migration envelope gets before the sender gives up
-    /// and degrades the call to plain RPC ([`crate::DispatchKind::RpcFallback`]).
-    /// Non-migration envelopes retry indefinitely (with capped backoff) —
-    /// they are the fallback path, so they must eventually go through.
-    pub max_migration_attempts: u32,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            max_migration_attempts: 4,
-        }
-    }
-}
-
 impl MachineConfig {
     /// A machine of `processors` nodes running `scheme`, with paper-default
     /// constants everywhere else.
@@ -170,7 +147,6 @@ impl MachineConfig {
             cost_override: None,
             audit: false,
             faults: None,
-            recovery: RecoveryConfig::default(),
             failover: FailoverConfig::default(),
         }
     }
@@ -440,10 +416,10 @@ impl Core {
         // Charges for a migration *message* always count toward Table 5,
         // wherever they happen.
         self.migration_ctx = was_migration_ctx || kind == MessageKind::Migration;
-        let overhead = self.charge(Category::LinkageSend, self.cost.linkage_send)
-            + self.charge(Category::AllocPacketSend, self.cost.alloc_packet_send)
-            + self.charge(Category::Marshal, self.cost.marshal(words))
-            + self.charge(Category::MessageSend, self.cost.message_send);
+        let mut overhead = Cycles::ZERO;
+        for (category, cycles) in self.cost.send_charges(words) {
+            overhead += self.charge(category, cycles);
+        }
         let latency = match self.net.send_at(send_time, src, dst, words) {
             Ok(l) => l,
             Err(_) => {
@@ -484,19 +460,10 @@ impl Core {
     fn charge_recv(&mut self, RecvMeta { words, kind, short }: RecvMeta) -> Cycles {
         let was = self.migration_ctx;
         self.migration_ctx = was || kind == MessageKind::Migration;
-        let thread = if short {
-            Cycles::ZERO
-        } else {
-            self.cost.thread_creation
-        };
-        let overhead = self.charge(Category::CopyPacket, self.cost.copy_packet)
-            + self.charge(Category::ThreadCreation, thread)
-            + self.charge(Category::LinkageRecv, self.cost.linkage_recv)
-            + self.charge(Category::Unmarshal, self.cost.unmarshal(words))
-            + self.charge(Category::GoidTranslation, self.cost.goid_translation)
-            + self.charge(Category::Scheduler, self.cost.scheduler)
-            + self.charge(Category::ForwardingCheck, self.cost.forwarding_check)
-            + self.charge(Category::AllocPacketRecv, self.cost.alloc_packet_recv);
+        let mut overhead = Cycles::ZERO;
+        for (category, cycles) in self.cost.receive_charges(words, short) {
+            overhead += self.charge(category, cycles);
+        }
         self.migration_ctx = was;
         overhead
     }
@@ -584,10 +551,7 @@ impl System {
             dispatch: DispatchStats::default(),
             audit_tasks: 0,
             audit_violations: Vec::new(),
-            faults: cfg
-                .faults
-                .clone()
-                .map(|plan| Faults::new(plan, cfg.recovery.max_migration_attempts, n)),
+            faults: cfg.faults.clone().map(|plan| Faults::new(plan, n)),
             failover: cfg.failover.enabled.then(|| Failover::new(n)),
             policy: None,
             cfg,

@@ -3,10 +3,10 @@
 //! cache-coherent shared memory (on the invoking processor).
 
 use proteus::coherence::Access;
+use proteus::rng::SplitMix64;
 use proteus::{CoherenceSystem, Cycles, Network, ProcId};
 
 use crate::object::{Behavior, MethodEnv, ObjectTable};
-use crate::rng::SplitMix64;
 use crate::types::Goid;
 
 /// Create an object at `home`, or at a random data processor.

@@ -81,11 +81,15 @@ pub(super) const fn rto(attempt: u32) -> Cycles {
     })
 }
 
+/// Send attempts a Migration envelope gets before the sender gives up and
+/// degrades the call to plain RPC ([`DispatchKind::RpcFallback`]).
+/// Non-migration envelopes retry indefinitely (with capped backoff): they
+/// are the fallback path, so they must eventually go through.
+pub const MAX_MIGRATION_ATTEMPTS: u32 = 4;
+
 /// The transport layer's state.
 pub(super) struct Faults {
     pub(super) injector: FaultInjector,
-    /// Send attempts a Migration envelope gets before it degrades to RPC.
-    max_migration_attempts: u32,
     /// Unacked envelopes and delivered flags, indexed by sequence number
     /// (global across processors; the *order* of allocation is
     /// deterministic, so fault decisions replay exactly).
@@ -100,11 +104,10 @@ pub(super) struct Faults {
 }
 
 impl Faults {
-    pub(super) fn new(plan: FaultPlan, max_migration_attempts: u32, processors: u32) -> Faults {
+    pub(super) fn new(plan: FaultPlan, processors: u32) -> Faults {
         let n = processors as usize;
         Faults {
             injector: FaultInjector::new(plan),
-            max_migration_attempts,
             window: Window::default(),
             crashed_until: vec![Cycles::ZERO; n],
             failed: vec![false; n],
@@ -382,7 +385,6 @@ impl System {
             return acc; // acked between timer fire and task execution
         };
         let (dst, kind, attempt) = (entry.dst, entry.meta.kind, entry.attempt);
-        let max_migration_attempts = faults.max_migration_attempts;
         debug_assert_eq!(entry.src, proc, "retransmit task ran off the sender");
         let acc = acc + self.charge(Category::RecoveryTimeout, self.core.cost.timeout_handler);
         if let Some(failover) = &self.failover {
@@ -399,7 +401,7 @@ impl System {
                 return self.declare_dead(dst, now, proc, acc);
             }
         }
-        if kind == MessageKind::Migration && attempt >= max_migration_attempts {
+        if kind == MessageKind::Migration && attempt >= MAX_MIGRATION_ATTEMPTS {
             return self.fallback_to_rpc(seq, now, proc, acc, queue);
         }
         // Field borrow, not `transport()`: the send also needs `core`.

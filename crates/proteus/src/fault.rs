@@ -14,19 +14,9 @@
 //! and zero-cost.
 
 use crate::ids::ProcId;
+use crate::rng::splitmix64;
 use crate::time::Cycles;
 use crate::trace::{TraceEvent, Tracer};
-
-/// SplitMix64 mixing function (Steele, Lea & Flood). One application maps a
-/// key to a well-distributed 64-bit value; we use it statelessly so fate
-/// decisions depend only on `(seed, call index, time, route)` and never on
-/// evaluation order elsewhere in the simulator.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// A declarative description of the faults to inject, all probabilities in
 /// permille (0..=1000). The default plan injects nothing.
@@ -107,23 +97,6 @@ impl FaultPlan {
             kill: Some((victim, at)),
             ..FaultPlan::disabled()
         }
-    }
-
-    /// Add a permanent fail-stop of `victim` at cycle `at` to this plan.
-    pub fn with_kill(mut self, victim: ProcId, at: Cycles) -> FaultPlan {
-        self.kill = Some((victim, at));
-        self
-    }
-
-    /// True when some fault has a non-zero probability or a permanent kill is
-    /// scheduled.
-    pub fn is_active(&self) -> bool {
-        self.drop_permille > 0
-            || self.duplicate_permille > 0
-            || self.delay_permille > 0
-            || self.stall_permille > 0
-            || self.crash_permille > 0
-            || self.kill.is_some()
     }
 }
 
@@ -393,17 +366,23 @@ mod tests {
 
     #[test]
     fn kill_is_active_but_never_perturbs_the_decision_stream() {
-        // A kill-only plan is active (the runtime must engage the recovery
-        // machinery) yet makes zero probabilistic decisions...
+        // A kill-only plan engages the recovery machinery (the runtime
+        // builds its transport layer for any plan) yet makes zero
+        // probabilistic decisions...
         let plan = FaultPlan::fail_stop(ProcId(3), Cycles(10_000));
-        assert!(plan.is_active());
         let all = fates(plan, 500);
         assert!(all.iter().all(|f| *f == MessageFate::delivered()));
 
         // ...and adding a kill to a chaos plan leaves the transient fault
         // history of that seed byte-for-byte unchanged.
         let plain = fates(FaultPlan::chaos(9), 2_000);
-        let killed = fates(FaultPlan::chaos(9).with_kill(ProcId(1), Cycles(77)), 2_000);
+        let killed = fates(
+            FaultPlan {
+                kill: Some((ProcId(1), Cycles(77))),
+                ..FaultPlan::chaos(9)
+            },
+            2_000,
+        );
         assert_eq!(plain, killed);
     }
 

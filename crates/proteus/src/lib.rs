@@ -32,6 +32,7 @@ pub mod fault;
 pub mod ids;
 pub mod network;
 pub mod processor;
+pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod topology;

@@ -62,11 +62,6 @@ impl<T> Processor<T> {
         self.busy_until
     }
 
-    /// `true` if the processor has no queued work and is idle at `now`.
-    pub fn is_idle(&self, now: Cycles) -> bool {
-        self.queue.is_empty() && self.busy_until <= now
-    }
-
     /// Number of tasks waiting (not including any in service).
     pub fn queue_len(&self) -> usize {
         self.queue.len()
@@ -118,14 +113,6 @@ impl<T> Processor<T> {
             detail: format!("busy={} queued={}", duration.get(), self.queue.len()),
         });
         self.busy_until
-    }
-
-    /// Extend the current busy window by `extra` cycles (used when a task
-    /// discovers additional local work mid-service, e.g. spin-waiting on a
-    /// lock).
-    pub fn extend(&mut self, extra: Cycles) {
-        self.busy_until += extra;
-        self.stats.busy_cycles += extra.get();
     }
 
     /// Utilization counters.
@@ -183,15 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_lengthens_current_service() {
-        let mut p: Processor<()> = Processor::new(ProcId(1));
-        p.occupy(Cycles(0), Cycles(10));
-        p.extend(Cycles(5));
-        assert_eq!(p.busy_until(), Cycles(15));
-        assert_eq!(p.stats().busy_cycles, 15);
-    }
-
-    #[test]
     fn max_queue_depth_tracked() {
         let mut p = Processor::new(ProcId(0));
         for i in 0..5 {
@@ -200,18 +178,6 @@ mod tests {
         p.take_ready(Cycles(0));
         p.enqueue(9);
         assert_eq!(p.stats().max_queue_depth, 5);
-    }
-
-    #[test]
-    fn idle_predicate() {
-        let mut p = Processor::new(ProcId(0));
-        assert!(p.is_idle(Cycles(0)));
-        p.enqueue(());
-        assert!(!p.is_idle(Cycles(0)));
-        p.take_ready(Cycles(0));
-        p.occupy(Cycles(0), Cycles(5));
-        assert!(!p.is_idle(Cycles(3)));
-        assert!(p.is_idle(Cycles(5)));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use bench::json::Json;
 use bench::{failover_schemes, metrics_to_json};
 use migrate_apps::btree::{verify_tree, BTreeExperiment};
 use migrate_apps::counting::{has_step_property, CountingExperiment, OutputCounter};
-use migrate_rt::{Annotation, Category, DispatchKind, RecoveryConfig, RunMetrics, Scheme};
+use migrate_rt::{Annotation, Category, DispatchKind, RunMetrics, Scheme};
 use proteus::{Cycles, FaultPlan, QueueCounters};
 
 /// Drained counting run under a fault plan: capped drivers, far horizon, so
@@ -23,7 +23,6 @@ use proteus::{Cycles, FaultPlan, QueueCounters};
 fn faulted_counting_counts(
     seed: u64,
     plan: FaultPlan,
-    recovery: RecoveryConfig,
     requesters: u32,
     per_thread: u64,
     scheme: Scheme,
@@ -31,7 +30,6 @@ fn faulted_counting_counts(
     let exp = CountingExperiment {
         requests_per_thread: Some(per_thread),
         faults: Some(plan),
-        recovery,
         audit: true,
         seed: 0xC0DE ^ seed,
         ..CountingExperiment::paper(requesters, 0, scheme)
@@ -65,7 +63,6 @@ fn counting_tokens_conserved_for_all_schemes_and_seeds() {
             let counts = faulted_counting_counts(
                 seed,
                 FaultPlan::chaos(seed),
-                RecoveryConfig::default(),
                 requesters,
                 per_thread,
                 scheme,
@@ -181,7 +178,8 @@ fn fault_free_json_has_no_fault_keys() {
 }
 
 /// A plan harsh enough to exhaust migration retries: nearly one in three
-/// messages dropped, and a single attempt allowed before degradation.
+/// messages dropped, so some migrations lose all
+/// `migrate_rt::system::MAX_MIGRATION_ATTEMPTS` sends and degrade.
 fn fallback_metrics(seed: u64) -> RunMetrics {
     let exp = CountingExperiment {
         requests_per_thread: Some(8),
@@ -189,9 +187,6 @@ fn fallback_metrics(seed: u64) -> RunMetrics {
             drop_permille: 300,
             ..FaultPlan::chaos(seed)
         }),
-        recovery: RecoveryConfig {
-            max_migration_attempts: 1,
-        },
         audit: true,
         ..CountingExperiment::paper(8, 0, Scheme::computation_migration())
     };
@@ -219,7 +214,7 @@ fn exhausted_migrations_degrade_to_rpc() {
     let m = fallback_metrics(3);
     assert!(
         m.dispatch.count(DispatchKind::RpcFallback) > 0,
-        "no RPC fallbacks despite 30% drops and a one-attempt budget"
+        "no RPC fallbacks despite 30% drops"
     );
     let r = m.recovery.as_ref().expect("recovery stats present");
     assert!(r.fallbacks > 0);
@@ -250,7 +245,6 @@ fn crash_restarts_never_resurrect_finished_threads() {
         let counts = faulted_counting_counts(
             seed,
             plan,
-            RecoveryConfig::default(),
             requesters,
             per_thread,
             Scheme::computation_migration(),
@@ -305,8 +299,9 @@ fn crash_during_frame_transfer_completes_migration_exactly_once() {
     // duplicate) or exhausts its budget and degrades to RpcFallback. Either
     // way the operation must run EXACTLY once — a double-executed migration
     // would emit a duplicate token and break conservation; a lost one would
-    // break the total. A one-attempt budget forces the fallback path to
-    // trigger alongside successful retransmissions across the seed sweep.
+    // break the total. At 15% drops some migrations exhaust their attempts,
+    // so the fallback path triggers alongside successful retransmissions
+    // across the seed sweep.
     let requesters = 6u32;
     let per_thread = 5u64;
     let mut fallbacks_seen = 0u64;
@@ -320,9 +315,6 @@ fn crash_during_frame_transfer_completes_migration_exactly_once() {
         let exp = CountingExperiment {
             requests_per_thread: Some(per_thread),
             faults: Some(plan),
-            recovery: RecoveryConfig {
-                max_migration_attempts: 1,
-            },
             audit: true,
             seed: 0xC0DE ^ seed,
             ..CountingExperiment::paper(requesters, 0, Scheme::computation_migration())
