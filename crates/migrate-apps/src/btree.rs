@@ -17,6 +17,8 @@
 //! drags whole nodes through the cache line by line, which is what gives
 //! cache-coherent shared memory its large bandwidth appetite in Table 2.
 
+use std::any::Any;
+
 use migrate_rt::{
     Annotation, Behavior, Frame, Invoke, MachineConfig, MethodEnv, MethodId, RunMetrics, Runner,
     Scheme, StepCtx, StepResult, System, Word, WordVec,
@@ -471,6 +473,9 @@ pub struct BTreeDriver {
     /// operations make (`Migrate` reproduces the paper's static choice;
     /// `Auto` hands it to the adaptive policy).
     pub annotation: Annotation,
+    /// The last operation's box, handed back when it finished: the next
+    /// operation is written into it instead of a new allocation.
+    spare: Option<Box<BTreeOp>>,
 }
 
 impl BTreeDriver {
@@ -484,6 +489,7 @@ impl BTreeDriver {
             completed: 0,
             max_requests: u64::MAX,
             annotation: Annotation::Migrate,
+            spare: None,
         }
     }
 }
@@ -499,15 +505,22 @@ impl Frame for BTreeDriver {
         }
         self.thinking = false;
         let req = self.stream.next_request();
-        StepResult::Call(Box::new(BTreeOp::annotated(
-            self.root,
-            req.key,
-            req.insert,
-            self.annotation,
-        )))
+        let op = BTreeOp::annotated(self.root, req.key, req.insert, self.annotation);
+        StepResult::Call(match self.spare.take() {
+            Some(mut spare) => {
+                *spare = op;
+                spare
+            }
+            None => Box::new(op),
+        })
     }
     fn on_result(&mut self, _r: &[Word]) {
         self.completed += 1;
+    }
+    fn recycle_child(&mut self, child: Box<dyn Frame>) {
+        if let Ok(op) = (child as Box<dyn Any>).downcast() {
+            self.spare = Some(op);
+        }
     }
     fn live_words(&self) -> u64 {
         4
@@ -881,6 +894,30 @@ mod tests {
             failover: migrate_rt::FailoverConfig::default(),
             annotation: Annotation::Migrate,
         }
+    }
+
+    #[test]
+    fn driver_writes_its_next_operation_into_the_returned_box() {
+        let ctx = StepCtx {
+            now: Cycles::ZERO,
+            proc: ProcId(0),
+        };
+        let stream = KeyStream::new(7, 1 << 20, 500);
+        let mut driver = BTreeDriver::new(Goid(1), Cycles::ZERO, stream);
+        let mut ops = Vec::new();
+        while ops.len() < 2 {
+            match driver.step(&ctx) {
+                StepResult::Call(mut op) => {
+                    ops.push(&*op as *const dyn Frame as *const ());
+                    op.on_result(&[R_LEAF, 9]);
+                    driver.recycle_child(op);
+                    assert!(driver.spare.is_some(), "the operation box was not kept");
+                }
+                StepResult::Sleep(_) => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(ops[0], ops[1], "the operation box was not reused");
     }
 
     #[test]

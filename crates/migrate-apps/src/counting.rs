@@ -15,6 +15,7 @@
 //! request/reply pair; under shared memory the balancers are write-shared
 //! cache lines that ping-pong between requesters.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use migrate_rt::{
@@ -443,6 +444,9 @@ pub struct RequestDriver {
     /// make (`Migrate` reproduces the paper's static choice; `Auto` hands
     /// it to the adaptive policy).
     pub annotation: Annotation,
+    /// The last traversal's box, handed back when it finished: the next
+    /// traversal is written into it instead of a new allocation.
+    spare: Option<Box<TraverseOp>>,
 }
 
 impl RequestDriver {
@@ -457,6 +461,7 @@ impl RequestDriver {
             completed: 0,
             max_requests: u64::MAX,
             annotation: Annotation::Migrate,
+            spare: None,
         }
     }
 }
@@ -471,16 +476,29 @@ impl Frame for RequestDriver {
             return StepResult::Sleep(self.think);
         }
         self.thinking = false;
-        StepResult::Call(Box::new(TraverseOp::annotated(
+        let op = TraverseOp::annotated(
             self.spec.clone(),
             self.entry_wire,
             self.step_compute,
             self.annotation,
-        )))
+        );
+        StepResult::Call(match self.spare.take() {
+            Some(mut spare) => {
+                *spare = op;
+                spare
+            }
+            None => Box::new(op),
+        })
     }
 
     fn on_result(&mut self, _results: &[Word]) {
         self.completed += 1;
+    }
+
+    fn recycle_child(&mut self, child: Box<dyn Frame>) {
+        if let Ok(op) = (child as Box<dyn Any>).downcast() {
+            self.spare = Some(op);
+        }
     }
 
     fn live_words(&self) -> u64 {
@@ -659,6 +677,73 @@ impl CountingExperiment {
 mod tests {
     use super::*;
     use migrate_rt::MessageKind;
+
+    /// The next frame `driver` spawns, past its think-time sleep.
+    fn next_call(driver: &mut dyn Frame) -> Box<dyn Frame> {
+        let ctx = StepCtx {
+            now: Cycles::ZERO,
+            proc: ProcId(0),
+        };
+        loop {
+            match driver.step(&ctx) {
+                StepResult::Call(frame) => return frame,
+                StepResult::Sleep(_) => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    /// Where a frame's state sits on the heap.
+    fn address(frame: &dyn Frame) -> *const () {
+        frame as *const dyn Frame as *const ()
+    }
+
+    /// A frame that is not a traversal and notes its own drop.
+    struct Stranger(std::rc::Rc<std::cell::Cell<bool>>);
+
+    impl Drop for Stranger {
+        fn drop(&mut self) {
+            self.0.set(true);
+        }
+    }
+
+    impl Frame for Stranger {
+        fn step(&mut self, _ctx: &StepCtx) -> StepResult {
+            StepResult::Halt
+        }
+        fn on_result(&mut self, _results: &[Word]) {}
+        fn live_words(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn driver_writes_its_next_traversal_into_the_returned_box() {
+        let (_runner, spec) = CountingExperiment::paper(1, 0, Scheme::rpc()).build();
+        let hops = spec.wiring.depth() + 1;
+        let mut driver = RequestDriver::new(spec, 3, Cycles::ZERO, 10);
+        let mut first = next_call(&mut driver);
+        for _ in 0..hops {
+            first.on_result(&[5]);
+        }
+        let at = address(&*first);
+        driver.recycle_child(first);
+        assert!(driver.spare.is_some(), "the traversal box was not kept");
+        let second = next_call(&mut driver);
+        assert_eq!(address(&*second), at, "the traversal box was not reused");
+        let op = (second as Box<dyn Any>).downcast::<TraverseOp>().unwrap();
+        assert_eq!((op.wire, op.layer, op.value), (3, 0, None), "stale state");
+    }
+
+    #[test]
+    fn driver_drops_a_returned_frame_of_another_type() {
+        let (_runner, spec) = CountingExperiment::paper(1, 0, Scheme::rpc()).build();
+        let mut driver = RequestDriver::new(spec, 0, Cycles::ZERO, 10);
+        let dropped = std::rc::Rc::new(std::cell::Cell::new(false));
+        driver.recycle_child(Box::new(Stranger(dropped.clone())));
+        assert!(dropped.get(), "a frame of another type was kept");
+        assert!(driver.spare.is_none());
+    }
 
     #[test]
     fn bitonic_8_matches_paper_geometry() {

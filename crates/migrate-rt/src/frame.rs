@@ -15,6 +15,8 @@
 //! [`Frame::on_result`]. That inversion is what lets one application source
 //! run unchanged under RPC, shared memory, or computation migration.
 
+use std::any::Any;
+
 use proteus::{Cycles, ProcId};
 
 use crate::mechanism::Annotation;
@@ -137,8 +139,9 @@ pub struct StepCtx {
     pub proc: ProcId,
 }
 
-/// A resumable activation record.
-pub trait Frame: 'static {
+/// A resumable activation record. `Any` lets a parent take a finished
+/// child back as its concrete type (see [`Frame::recycle_child`]).
+pub trait Frame: Any {
     /// Advance to the next runtime interaction.
     fn step(&mut self, ctx: &StepCtx) -> StepResult;
 
@@ -161,6 +164,20 @@ pub trait Frame: 'static {
     fn label(&self) -> &'static str {
         "frame"
     }
+
+    /// Take back `child`, a frame this one spawned with
+    /// [`StepResult::Call`], once it has returned: right after its value
+    /// reached this frame's `on_result`, or, if `child` was the base of a
+    /// migrated group, as soon as it returned away from home (its value
+    /// travels home in a message; the box is handed over at once).
+    ///
+    /// Host-only: no message carries the box, no cycles are charged and
+    /// `live_words` is not consulted, so the simulation is the same whether
+    /// the parent keeps the box or drops it. A driver that spawns one
+    /// operation at a time keeps it as its one spare and writes its next
+    /// operation into it instead of allocating; it downcasts through `Any`,
+    /// dropping a child of any other type. The default drops `child`.
+    fn recycle_child(&mut self, _child: Box<dyn Frame>) {}
 }
 
 #[cfg(test)]

@@ -580,7 +580,10 @@ impl System {
     /// home, else the processor the migrated group's final return
     /// short-circuits to. Only a sleep, the base frame's return and a
     /// migration depend on `away`; an arm that parks the group puts its
-    /// frames back.
+    /// frames back. A frame that returns is handed to its parent through
+    /// [`Frame::recycle_child`]: the frame below it in the group, or, for a
+    /// migrated group's base, the frame parked on top of the thread's home
+    /// stack.
     ///
     /// A well-formed simulation never lets a migrated frame sleep; one that
     /// does is a protocol error, recorded instead of aborting the run, with
@@ -642,11 +645,17 @@ impl System {
                     if let (None, Some(reply_to)) = (&parent, away) {
                         // The group's base returned: short-circuit straight
                         // to the original caller, not through intermediate
-                        // processors (§3.2).
+                        // processors (§3.2). The box itself goes to the
+                        // parent parked on top of the home stack at once
+                        // (host memory: no message, no charge).
                         self.recycle_frame_vec(lower);
+                        let completes_op = frame.is_operation();
+                        if let Some(parent) = self.threads[t].stack.last_mut() {
+                            parent.recycle_child(frame);
+                        }
                         let payload = Payload::OperationReturn {
                             thread: tid,
-                            completes_op: frame.is_operation(),
+                            completes_op,
                             results: vals,
                         };
                         return acc + self.send_message(proc, reply_to, payload, now + acc, queue);
@@ -660,6 +669,7 @@ impl System {
                     };
                     acc += self.charge(Category::LocalLinkage, self.core.cost.local_call);
                     parent.on_result(&vals);
+                    parent.recycle_child(frame);
                     frame = parent;
                     continue;
                 }

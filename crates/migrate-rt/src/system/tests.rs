@@ -228,6 +228,109 @@ fn migration_makes_repeat_accesses_local() {
     assert_eq!(cell.value, 3);
 }
 
+/// A chain op that counts its own drops.
+struct DropCounted {
+    op: ChainOp,
+    drops: std::rc::Rc<std::cell::Cell<u32>>,
+}
+
+impl Drop for DropCounted {
+    fn drop(&mut self) {
+        self.drops.set(self.drops.get() + 1);
+    }
+}
+
+impl Frame for DropCounted {
+    fn step(&mut self, ctx: &StepCtx) -> StepResult {
+        self.op.step(ctx)
+    }
+    fn on_result(&mut self, results: &[Word]) {
+        self.op.on_result(results);
+    }
+    fn live_words(&self) -> u64 {
+        self.op.live_words()
+    }
+    fn is_operation(&self) -> bool {
+        self.op.is_operation()
+    }
+    fn label(&self) -> &'static str {
+        self.op.label()
+    }
+}
+
+/// Like `TestDriver` at zero think, spawning drop-counted ops and keeping
+/// the default `recycle_child`: every op must be gone before the driver
+/// steps again.
+struct PlainDriver {
+    targets: Vec<Goid>,
+    annotation: Annotation,
+    ops: u32,
+    spawned: u32,
+    drops: std::rc::Rc<std::cell::Cell<u32>>,
+}
+
+impl Frame for PlainDriver {
+    fn step(&mut self, _ctx: &StepCtx) -> StepResult {
+        assert_eq!(
+            self.drops.get(),
+            self.spawned,
+            "a finished op outlived its return"
+        );
+        if self.spawned == self.ops {
+            return StepResult::Halt;
+        }
+        self.spawned += 1;
+        StepResult::Call(Box::new(DropCounted {
+            op: ChainOp::new(self.targets.clone(), self.annotation, 3),
+            drops: self.drops.clone(),
+        }))
+    }
+    fn on_result(&mut self, _results: &[Word]) {}
+    fn live_words(&self) -> u64 {
+        4
+    }
+    fn label(&self) -> &'static str {
+        "test-driver"
+    }
+}
+
+#[test]
+fn default_recycle_child_drops_the_finished_op() {
+    // Locally returned (RPC) and short-circuited home from a migration
+    // (CM), a finished op reaches a parent that keeps the default hook and
+    // is dropped there; the run matches `TestDriver`'s.
+    for (scheme, annotation) in [
+        (Scheme::rpc(), Annotation::Rpc),
+        (Scheme::computation_migration(), Annotation::Migrate),
+    ] {
+        let (mut runner, _) = build(scheme, 4, &[1, 2, 3], annotation, 3, 5);
+        let expected = runner.run(Cycles::ZERO, Cycles(1_000_000));
+        // The same machine, its `TestDriver` given no ops (it halts at once).
+        let (mut runner, targets) = build(scheme, 4, &[1, 2, 3], annotation, 3, 0);
+        let drops = std::rc::Rc::new(std::cell::Cell::new(0));
+        let driver = PlainDriver {
+            targets,
+            annotation,
+            ops: 5,
+            spawned: 0,
+            drops: drops.clone(),
+        };
+        runner.spawn(ProcId(0), Box::new(driver));
+        let m = runner.run(Cycles::ZERO, Cycles(1_000_000));
+        assert_eq!(drops.get(), 5);
+        assert_eq!(m.ops, 5);
+        assert_eq!(
+            (m.messages, m.migrations, m.mean_op_latency),
+            (
+                expected.messages,
+                expected.migrations,
+                expected.mean_op_latency
+            ),
+            "{scheme:?}"
+        );
+    }
+}
+
 #[test]
 fn migration_chain_passes_linkage_and_short_circuits() {
     // Figure 1's pattern: m=3 items on 3 different processors, n=1: the

@@ -1,16 +1,17 @@
 //! Heap allocations on the method-invoke path, counted exactly.
 //!
 //! A counting global allocator (per thread, so tests running side by side
-//! do not see each other's allocations) checks two things after a warm-up:
+//! do not see each other's allocations) checks, after a warm-up, that:
 //!
 //! * a `Behavior::invoke` with at most four argument and result words makes
 //!   no heap allocation at all, through the shared-memory path and through
 //!   the message-passing (RPC) path — the steady-state loop of a thread
 //!   that does nothing but invoke allocates zero times;
-//! * whole application runs under shared memory, and a computation-migration
-//!   run whose every remote message rides the recovery protocol's
-//!   sequence-numbered envelopes under chaos faults, stay within a pinned
-//!   budget of allocations per completed operation;
+//! * whole application runs under shared memory, a fault-free
+//!   computation-migration run, and one whose every remote message rides
+//!   the recovery protocol's sequence-numbered envelopes under chaos
+//!   faults, stay within a pinned budget of allocations per completed
+//!   operation, far below one: operations themselves allocate nothing;
 //! * a shared-memory B-tree run stays within a pinned peak of live heap
 //!   bytes, which gates the coherence directory's layout;
 //! * two shared-memory counting runs allocate an exact number of directory
@@ -191,6 +192,20 @@ fn btree_sm_allocation_budget() {
     );
 }
 
+/// Counting network, 16 requesters, CP without faults: every traversal
+/// migrates off its requester and its frame comes home by the
+/// short-circuited `OperationReturn`, the path no SM run takes.
+#[test]
+fn counting_network_cp_allocation_budget() {
+    let exp = CountingExperiment::paper(16, 0, Scheme::computation_migration());
+    let (runner, _spec) = exp.build();
+    let per_op = allocations_per_op(runner, Cycles(200_000), Cycles(2_000_000));
+    assert!(
+        per_op <= COUNTING_CP_BUDGET,
+        "counting-16 CP: {per_op:.4} allocations per op, budget {COUNTING_CP_BUDGET}"
+    );
+}
+
 /// The highest live heap of the current thread while running `f`, in bytes
 /// above what was live when it started.
 fn peak_heap_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
@@ -264,29 +279,42 @@ fn sm_directory_allocations_are_exact() {
     );
 }
 
-/// Counting network, 16 requesters, SM: measured 1.0005 allocations per op
-/// (was 9.05 when method results were heap vectors, 1.048 when every
-/// event-wheel slot grew its own buffer on first use). What remains is the
-/// boxed operation frame each token spawns.
-const COUNTING_SM_BUDGET: f64 = 1.001;
+/// Counting network, 16 requesters, SM: measured 0.00033 allocations per
+/// op, 4 in a window of 12,103 ops (was 9.05 when method results were heap
+/// vectors, 1.048 when every event-wheel slot grew its own buffer on first
+/// use, 1.00033 while each token's traversal frame was a fresh box). No
+/// operation allocates: each driver writes its next traversal into the box
+/// of its last one.
+const COUNTING_SM_BUDGET: f64 = 0.001;
 
-/// B-tree, think 0, SM: measured 1.0118 allocations per op (was 10.75, then
-/// 2.755 with per-slot wheel buffers, 2.497 while every cache set was its
-/// own vector that grew on first use, 2.0088 while each operation grew a
-/// heap vector for its ancestor path). What remains is the boxed operation
-/// frame, plus the directory pages and B-tree nodes that inserts add.
-const BTREE_SM_BUDGET: f64 = 1.012;
+/// Counting network, 16 requesters, CP, no faults: measured 0.00102
+/// allocations per op, 6 in a window of 5,884 ops (1.00102 while each
+/// traversal frame was a fresh box). The frame comes back to its driver
+/// when the migrated traversal returns, before its value reaches home.
+const COUNTING_CP_BUDGET: f64 = 0.002;
+
+/// B-tree, think 0, SM: measured 0.01158 allocations per op, 88 in a window
+/// of 7,602 ops (was 10.75, then 2.755 with per-slot wheel buffers, 2.497
+/// while every cache set was its own vector that grew on first use, 2.0088
+/// while each operation grew a heap vector for its ancestor path, 1.01158
+/// while each operation frame was a fresh box). What remains is the
+/// directory pages and B-tree nodes that inserts add.
+const BTREE_SM_BUDGET: f64 = 0.012;
 
 /// Counting network, 16 requesters, CP under chaos, 8 M-cycle window
-/// (chaos completes about a quarter of the fault-free ops): measured 1.0051
-/// allocations per op (was 3.082 when every ack rebuilt the dedup set with
-/// `split_off` and the buffer was a B-tree, 1.280 with per-slot wheel
-/// buffers; the same run without faults measures 1.0008). Nearly all of it
-/// is the boxed operation frame each token spawns, as under SM.
-const COUNTING_CHAOS_BUDGET: f64 = 1.006;
+/// (chaos completes about a quarter of the fault-free ops): measured
+/// 0.00291 allocations per op, 17 in a window of 5,838 ops (was 3.082 when
+/// every ack rebuilt the dedup set with `split_off` and the buffer was a
+/// B-tree, 1.280 with per-slot wheel buffers, 1.00291 while each traversal
+/// frame was a fresh box). Envelopes, acks, retries and dedup allocate
+/// nothing per operation either.
+const COUNTING_CHAOS_BUDGET: f64 = 0.004;
 
-/// B-tree, fanout 10, think 0, SM, 2 M cycles: measured 1,607,920 B of
-/// peak live heap above the built machine, plus 1% headroom (1,927,872 B
-/// while each directory entry took 24 bytes, on 1.5 KB pages; the 16-byte
-/// entries save 512 B on each of the run's 625 pages).
+/// B-tree, fanout 10, think 0, SM, 2 M cycles: 1% headroom over the
+/// 1,607,920 B of peak live heap above the built machine measured when the
+/// budget was set (1,927,872 B while each directory entry took 24 bytes, on
+/// 1.5 KB pages; the 16-byte entries save 512 B on each of the run's 625
+/// pages). It now measures 1,607,624 B, the same with a fresh box per
+/// operation as with one reused box per driver: a driver's spare box is
+/// the live operation box of the last operation, kept.
 const BTREE_FANOUT10_SM_PEAK_BYTES: u64 = 1_623_999;
