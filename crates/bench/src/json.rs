@@ -97,7 +97,7 @@ impl Json {
             }
             Json::Str(s) => {
                 out.push('"');
-                proteus::trace::escape_json_into(s, out);
+                escape_json_into(s, out);
                 out.push('"');
             }
             Json::Arr(items) => {
@@ -117,12 +117,29 @@ impl Json {
                         out.push(',');
                     }
                     out.push('"');
-                    proteus::trace::escape_json_into(k, out);
+                    escape_json_into(k, out);
                     out.push_str("\":");
                     v.write(out);
                 }
                 out.push('}');
             }
+        }
+    }
+}
+
+/// Escape `s` as JSON string contents into `out` (no surrounding quotes).
+fn escape_json_into(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
         }
     }
 }
@@ -348,6 +365,7 @@ mod tests {
     fn round_trips_nested_value() {
         let v = obj(vec![
             ("name", Json::Str("fig2 \"zero think\"".into())),
+            ("escapes", Json::Str("a\nb\\c\u{1}d\te".into())),
             ("ops", Json::Int(u64::MAX)),
             ("rate", Json::Num(0.125)),
             ("neg", Json::Num(-3.5)),
@@ -355,6 +373,7 @@ mod tests {
             ("nested", obj(vec![("k", Json::Int(2))])),
         ]);
         let text = v.render();
+        assert!(text.contains(r#""a\nb\\c\u0001d\te""#), "{text}");
         assert_eq!(parse(&text).unwrap(), v);
     }
 

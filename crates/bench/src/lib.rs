@@ -75,15 +75,11 @@ pub fn counting_sweep(think: u64, requester_counts: &[u32]) -> Vec<CountingPoint
 
 /// Run one B-tree row.
 pub fn btree_cell(think: u64, scheme: Scheme, fanout: usize) -> RunMetrics {
-    let exp = if fanout == 100 {
-        BTreeExperiment::paper(think, scheme)
-    } else {
-        BTreeExperiment {
-            fanout,
-            ..BTreeExperiment::paper(think, scheme)
-        }
-    };
-    exp.run(BTREE_WARMUP, BTREE_WINDOW)
+    BTreeExperiment {
+        fanout,
+        ..BTreeExperiment::paper(think, scheme)
+    }
+    .run(BTREE_WARMUP, BTREE_WINDOW)
 }
 
 /// Tables 1 and 2: all nine schemes at zero think time (throughput and

@@ -11,7 +11,8 @@
 //!   16 requesters, with optional software replication of the root
 //!   (Tables 1–4);
 //! * [`workload`] — deterministic seeded request streams, so every scheme in
-//!   a table sees an identical workload.
+//!   a table sees an identical workload, and the [`workload::Requester`]
+//!   thread that issues either app's operations.
 //!
 //! Both applications are written once against the runtime's frame/object
 //! API; the *only* thing an experiment changes is the

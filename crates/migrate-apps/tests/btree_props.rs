@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 
 use migrate_apps::btree::{bulk_load, lookup_pure, verify_tree, BTreeExperiment, BTreeOp};
-use migrate_rt::{Frame, MachineConfig, Runner, Scheme, StepCtx, StepResult, Word};
+use migrate_rt::{Annotation, Frame, MachineConfig, Runner, Scheme, StepCtx, StepResult, Word};
 use proptest::prelude::*;
 use proteus::{Cycles, ProcId};
 
@@ -24,7 +24,8 @@ impl Frame for ScriptedDriver {
         match self.script.get(self.next) {
             Some(&(key, insert)) => {
                 self.next += 1;
-                StepResult::Call(Box::new(BTreeOp::new(self.root, key, insert)))
+                let op = BTreeOp::new(self.root, key, insert, Annotation::Migrate);
+                StepResult::Call(Box::new(op))
             }
             None => StepResult::Halt,
         }

@@ -275,6 +275,12 @@ struct ThreadState {
     /// a local replica. The thread home is stable while detached, so this
     /// count measures the access pattern, not the policy's own choices.
     auto_remote: u32,
+    /// The thread's activation group parked away from home awaiting an RPC
+    /// reply, if any.
+    parked: Option<ParkedGroup>,
+    /// An emptied group buffer: a migration from home travels in it, and it
+    /// comes back here where the group empties (host memory only).
+    spare: Vec<Box<dyn Frame>>,
 }
 
 /// An activation group about to resume: the frames below the top, the top
@@ -282,7 +288,8 @@ struct ThreadState {
 /// else the processor a migrated group's final return short-circuits to.
 type ResumingGroup = (Vec<Box<dyn Frame>>, Box<dyn Frame>, Option<ProcId>);
 
-struct DetachedFrame {
+/// A migrated activation group parked at `at` until an RPC reply arrives.
+struct ParkedGroup {
     /// The migrated activation group, bottom first (one frame in the
     /// paper's prototype; several under multiple-activation migration).
     stack: Vec<Box<dyn Frame>>,
@@ -480,15 +487,6 @@ pub struct System {
     replica_at: Vec<bool>,
     objects: ObjectTable,
     threads: Vec<ThreadState>,
-    /// Parked detached activation groups, indexed by thread; grown to the
-    /// thread count when the first group parks.
-    detached: Vec<Option<DetachedFrame>>,
-    /// Recycled frame-group buffers. Every migration allocates a `Vec` for
-    /// the travelling activation group; reusing the emptied buffers
-    /// (capacity only — contents are always cleared) keeps the steady-state
-    /// migration hot path free of heap churn without touching simulation
-    /// semantics.
-    frame_pool: Vec<Vec<Box<dyn Frame>>>,
     rng: SplitMix64,
     ops_completed: u64,
     op_latency: Histogram,
@@ -542,8 +540,6 @@ impl System {
             poll_pending: vec![false; n as usize],
             replica_at,
             threads: Vec::new(),
-            detached: Vec::new(),
-            frame_pool: Vec::new(),
             rng: SplitMix64::new(cfg.seed),
             ops_completed: 0,
             op_latency: Histogram::new(100, 4096),
@@ -657,27 +653,29 @@ impl System {
             op_started: None,
             auto_site: None,
             auto_remote: 0,
+            parked: None,
+            spare: Vec::new(),
         });
         tid
     }
 
     // ------------------------------------------------------------------
-    // Parked activation groups and frame-group buffer recycling
+    // Parked activation groups
     // ------------------------------------------------------------------
 
     /// Put `group` back on top of `tid`'s home stack (the whole stack, while
-    /// the thread's own group runs); the thread is live.
+    /// the thread's own group runs); the thread is live. An empty stack
+    /// takes over the group's buffer; otherwise the group is a migrated one
+    /// coming home, and its emptied buffer becomes the thread's spare.
     fn park_home(&mut self, tid: ThreadId, mut group: Vec<Box<dyn Frame>>) {
         let thread = &mut self.threads[tid.index()];
         thread.status = ThreadStatus::Live;
-        // An empty stack takes over the group's buffer instead of
-        // allocating one to append into.
         if thread.stack.is_empty() {
-            std::mem::swap(&mut thread.stack, &mut group);
+            thread.stack = group;
         } else {
             thread.stack.append(&mut group);
+            thread.spare = group;
         }
-        self.recycle_frame_vec(group);
     }
 
     /// Park a group awaiting an RPC reply at `proc`: at home (`away` is
@@ -693,27 +691,11 @@ impl System {
         let Some(reply_to) = away else {
             return self.park_home(tid, stack);
         };
-        let t = tid.index();
-        if t >= self.detached.len() {
-            self.detached
-                .resize_with(self.threads.len().max(t + 1), || None);
-        }
-        self.detached[t] = Some(DetachedFrame {
+        self.threads[tid.index()].parked = Some(ParkedGroup {
             stack,
             at: proc,
             reply_to,
         });
-    }
-
-    /// Return an emptied (or about-to-be-dropped) frame-group buffer to the
-    /// pool. Contents are cleared; only capacity is reused.
-    fn recycle_frame_vec(&mut self, mut v: Vec<Box<dyn Frame>>) {
-        /// Buffers kept beyond this bound just drop.
-        const FRAME_POOL_CAP: usize = 32;
-        if v.capacity() > 0 && self.frame_pool.len() < FRAME_POOL_CAP {
-            v.clear();
-            self.frame_pool.push(v);
-        }
     }
 
     /// [`Core::charge`], for layers that hold all of `System`.
@@ -952,14 +934,11 @@ impl Runner {
         let start = self.engine.now();
         let mut events = 0u64;
         if !warmup.is_zero() {
-            events += self
-                .engine
-                .run_until(&mut self.system, start + warmup)
-                .events;
+            events += self.engine.run_until(&mut self.system, start + warmup);
         }
         self.system.reset_window(start + warmup);
         let end = start + warmup + window;
-        events += self.engine.run_until(&mut self.system, end).events;
+        events += self.engine.run_until(&mut self.system, end);
         let profile = EngineProfile {
             events,
             peak_queue_depth: self.engine.peak_queue_depth(),

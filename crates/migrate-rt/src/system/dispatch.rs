@@ -8,7 +8,7 @@ use proteus::trace::TraceEvent;
 use proteus::{Cycles, ProcId};
 
 use super::env::{MpEnv, SmEnv};
-use super::{DetachedFrame, Event, ResumingGroup, System, ThreadStatus, Work};
+use super::{Event, ParkedGroup, ResumingGroup, System, ThreadStatus, Work};
 use crate::cost::Category;
 use crate::error::RuntimeError;
 use crate::frame::{Frame, Invoke, StepCtx, StepResult};
@@ -110,16 +110,22 @@ impl System {
             // A reply goes to the detached group parked here, if any, else
             // to the thread at home.
             Payload::RpcReply { thread, results } => {
-                let parked = self.detached.get_mut(thread.index());
-                let Some(group) = parked.and_then(|d| d.take_if(|g| g.at == proc)) else {
+                let t = thread.index();
+                let Some(group) = self.threads[t].parked.take_if(|g| g.at == proc) else {
                     let results = Some((results, false));
                     return self.run_thread_slice(now, proc, thread, results, acc, queue);
                 };
-                let DetachedFrame {
+                let ParkedGroup {
                     mut stack,
                     reply_to,
                     ..
                 } = group;
+                if self.threads[t].status == ThreadStatus::Done {
+                    // The thread died with its home while the group waited
+                    // here: reclaim it instead of running a dead operation.
+                    self.reclaim_frames(now + acc, proc, thread, stack);
+                    return acc;
+                }
                 let Some(mut frame) = stack.pop() else {
                     let error = RuntimeError::UnknownDetachedGroup { thread, at: proc };
                     self.core.record_error(now + acc, error);
@@ -206,8 +212,7 @@ impl System {
                 // data is), run the pending invoke, deliver, continue.
                 let t = thread.index();
                 self.threads[t].home = proc;
-                let old = std::mem::replace(&mut self.threads[t].stack, frames);
-                self.recycle_frame_vec(old);
+                self.threads[t].stack = frames;
                 self.threads[t].status = ThreadStatus::Live;
                 let (lat, results) = self.invoke_inline(proc, &invoke, now + acc, queue);
                 self.run_thread_slice(now, proc, thread, Some((results, false)), acc + lat, queue)
@@ -237,7 +242,6 @@ impl System {
         frames: Vec<Box<dyn Frame>>,
     ) {
         let n = frames.len() as u64;
-        self.recycle_frame_vec(frames);
         if let Some(faults) = &mut self.faults {
             faults.stats.frames_reclaimed += n;
         }
@@ -583,7 +587,7 @@ impl System {
     /// frames back. A frame that returns is handed to its parent through
     /// [`Frame::recycle_child`]: the frame below it in the group, or, for a
     /// migrated group's base, the frame parked on top of the thread's home
-    /// stack.
+    /// stack, whose thread also takes the emptied group buffer back.
     ///
     /// A well-formed simulation never lets a migrated frame sleep; one that
     /// does is a protocol error, recorded instead of aborting the run, with
@@ -646,11 +650,13 @@ impl System {
                         // The group's base returned: short-circuit straight
                         // to the original caller, not through intermediate
                         // processors (§3.2). The box itself goes to the
-                        // parent parked on top of the home stack at once
-                        // (host memory: no message, no charge).
-                        self.recycle_frame_vec(lower);
+                        // parent parked on top of the home stack at once,
+                        // and the emptied group buffer to the thread (host
+                        // memory: no message, no charge).
                         let completes_op = frame.is_operation();
-                        if let Some(parent) = self.threads[t].stack.last_mut() {
+                        let thread = &mut self.threads[t];
+                        thread.spare = lower;
+                        if let Some(parent) = thread.stack.last_mut() {
                             parent.recycle_child(frame);
                         }
                         let payload = Payload::OperationReturn {
@@ -761,10 +767,11 @@ impl System {
                                 Annotation::MigrateAll => 1,
                                 _ => lower.len(),
                             };
-                            // The top frame goes straight into the travelling
-                            // buffer: pushing it onto the home stack first
-                            // could outgrow that stack's buffer.
-                            let mut frames = self.frame_pool.pop().unwrap_or_default();
+                            // The group travels in the thread's spare
+                            // buffer. The top frame goes straight into it:
+                            // pushing it onto the home stack first could
+                            // outgrow that stack's buffer.
+                            let mut frames = std::mem::take(&mut self.threads[t].spare);
                             frames.extend(lower.drain(keep..));
                             frames.push(frame);
                             self.park_home(tid, lower);

@@ -273,10 +273,10 @@ impl System {
                 Some(self.objects.home(*target))
             }
             // A parked detached group, or the thread's home.
-            Payload::RpcReply { thread, .. } => Some(match self.detached.get(thread.index()) {
-                Some(Some(group)) => group.at,
-                _ => self.threads[thread.index()].home,
-            }),
+            Payload::RpcReply { thread, .. } => {
+                let thread = &self.threads[thread.index()];
+                Some(thread.parked.as_ref().map_or(thread.home, |g| g.at))
+            }
             Payload::OperationReturn { thread, .. } => Some(self.threads[thread.index()].home),
             // The backup died: re-replicate to the home's new backup.
             Payload::BackupDelta { target, .. } => {
@@ -332,10 +332,8 @@ impl System {
         if let Some(Payload::Migration { frames, .. } | Payload::ThreadMove { frames, .. }) =
             retired.payload
         {
-            let n = frames.len() as u64;
-            self.recycle_frame_vec(frames);
             if let Some(failover) = &mut self.failover {
-                failover.stats.frames_lost += n;
+                failover.stats.frames_lost += frames.len() as u64;
             }
         }
         acc
@@ -382,43 +380,32 @@ impl System {
             }
         }
         let (mut threads_lost, mut frames_lost) = (0, 0);
-        // Threads homed at the dead processor die with it — except Moving
-        // threads, whose entire state is in flight: a ThreadMove rehomes
-        // wherever it (re)lands.
-        for t in 0..self.threads.len() {
-            if self.threads[t].home == victim
-                && !matches!(
-                    self.threads[t].status,
-                    ThreadStatus::Moving | ThreadStatus::Done
-                )
-            {
-                self.threads[t].status = ThreadStatus::Done;
-                threads_lost += 1;
-                let stack = std::mem::take(&mut self.threads[t].stack);
-                frames_lost += stack.len() as u64;
-                self.recycle_frame_vec(stack);
+        for (t, thread) in self.threads.iter_mut().enumerate() {
+            // A thread homed at the dead processor dies with it and loses
+            // its home frames — unless it is Moving: its entire state is in
+            // flight, and a ThreadMove rehomes wherever it (re)lands.
+            let mut lost = thread.home == victim
+                && !matches!(thread.status, ThreadStatus::Moving | ThreadStatus::Done);
+            if lost {
+                frames_lost += std::mem::take(&mut thread.stack).len() as u64;
             }
-        }
-        // Detached activation groups parked at the victim are destroyed;
-        // their threads can never receive the short-circuited return.
-        for t in 0..self.detached.len() {
-            let Some(d) = self.detached[t].take_if(|d| d.at == victim) else {
-                continue;
-            };
-            let tid = ThreadId(t as u32);
-            let n = d.stack.len() as u64;
-            self.recycle_frame_vec(d.stack);
-            frames_lost += n;
-            if self.threads[t].status != ThreadStatus::Done {
+            // A group parked at the victim is destroyed: its thread can
+            // never receive the short-circuited return.
+            if let Some(group) = thread.parked.take_if(|g| g.at == victim) {
+                let n = group.stack.len() as u64;
+                frames_lost += n;
+                lost |= thread.status != ThreadStatus::Done;
+                let error = RuntimeError::FrameReclaimed {
+                    thread: ThreadId(t as u32),
+                    at: victim,
+                    frames: n,
+                };
+                self.core.record_error(now, error);
+            }
+            if lost {
+                thread.status = ThreadStatus::Done;
                 threads_lost += 1;
             }
-            self.threads[t].status = ThreadStatus::Done;
-            let error = RuntimeError::FrameReclaimed {
-                thread: tid,
-                at: victim,
-                frames: n,
-            };
-            self.core.record_error(now, error);
         }
         if let Some(failover) = &mut self.failover {
             failover.stats.threads_lost += threads_lost;
@@ -433,7 +420,7 @@ mod tests {
     use proteus::{Cycles, FaultPlan, ProcId};
 
     use super::super::transport::InFlight;
-    use super::super::{FailoverConfig, MachineConfig, System, Work};
+    use super::super::{FailoverConfig, MachineConfig, System, ThreadStatus, Work};
     use crate::error::RuntimeError;
     use crate::frame::{Frame, Invoke, StepCtx, StepResult};
     use crate::mechanism::Scheme;
@@ -547,5 +534,50 @@ mod tests {
             sys.runtime_errors().last(),
             Some(RuntimeError::UnroutableToDead { dst, seq }) if *dst == victim && *seq == replica_seq
         ));
+    }
+
+    #[test]
+    fn kill_destroys_groups_parked_at_the_victim_and_home_frames_homed_there() {
+        let mut cfg = MachineConfig::new(4, Scheme::computation_migration());
+        cfg.faults = Some(FaultPlan::disabled());
+        cfg.failover = FailoverConfig { enabled: true };
+        let mut sys = System::new(cfg);
+        let victim = ProcId(1);
+        let frames = |n| -> Vec<Box<dyn Frame>> { (0..n).map(|_| Box::new(Parked) as _).collect() };
+        // Homed at the victim, its group parked elsewhere: it loses only
+        // its home frame (the group is reclaimed when its reply comes).
+        let homed = sys.add_thread(victim, Box::new(Parked));
+        sys.park_for_reply(ProcId(2), homed, frames(2), Some(victim));
+        // Homed elsewhere, its group parked at the victim: the group goes.
+        let visiting = sys.add_thread(ProcId(0), Box::new(Parked));
+        sys.park_for_reply(victim, visiting, frames(1), Some(ProcId(0)));
+        // Homed at the victim and parked there too: lost once.
+        let both = sys.add_thread(victim, Box::new(Parked));
+        sys.park_for_reply(victim, both, frames(1), Some(victim));
+        let bystander = sys.add_thread(ProcId(3), Box::new(Parked));
+
+        sys.kill_processor(Cycles(10), victim);
+
+        let stats = sys.failover_stats();
+        assert_eq!((stats.threads_lost, stats.frames_lost), (3, 4));
+        let thread = |tid: ThreadId| &sys.threads[tid.index()];
+        let parked = |tid| thread(tid).parked.as_ref().map(|g| (g.at, g.stack.len()));
+        for tid in [homed, visiting, both] {
+            assert_eq!(thread(tid).status, ThreadStatus::Done, "{tid:?}");
+        }
+        assert!(thread(homed).stack.is_empty());
+        assert_eq!(parked(homed), Some((ProcId(2), 2)));
+        assert_eq!(thread(visiting).stack.len(), 1);
+        assert_eq!(parked(visiting), None);
+        assert!(thread(both).stack.is_empty());
+        assert_eq!(parked(both), None);
+        assert_eq!(thread(bystander).status, ThreadStatus::Live);
+        assert_eq!(thread(bystander).stack.len(), 1);
+        let reclaimed = |tid| RuntimeError::FrameReclaimed {
+            thread: tid,
+            at: victim,
+            frames: 1,
+        };
+        assert_eq!(sys.runtime_errors(), [reclaimed(visiting), reclaimed(both)]);
     }
 }

@@ -1200,15 +1200,15 @@ impl Frame for StrayOp {
     }
 }
 
-/// Driver: call one [`StrayOp`], then halt if it ever returns.
+/// Driver: call one operation, then halt if it ever returns.
 struct OneShotDriver {
-    op: Option<StrayOp>,
+    op: Option<Box<dyn Frame>>,
 }
 
 impl Frame for OneShotDriver {
     fn step(&mut self, _ctx: &StepCtx) -> StepResult {
         match self.op.take() {
-            Some(op) => StepResult::Call(Box::new(op)),
+            Some(op) => StepResult::Call(op),
             None => StepResult::Halt,
         }
     }
@@ -1238,6 +1238,7 @@ fn run_stray(sleep: Option<Cycles>) -> (Runner, ThreadId, RunMetrics) {
         sleep,
         invoked: false,
     };
+    let op: Box<dyn Frame> = Box::new(op);
     let tid = runner.spawn(ProcId(0), Box::new(OneShotDriver { op: Some(op) }));
     let m = runner.run(Cycles::ZERO, Cycles(1_000_000));
     assert!(runner.engine.queue_mut().is_empty(), "the engine drained");
@@ -1288,6 +1289,132 @@ fn a_detached_group_that_halts_sends_no_return() {
     assert_eq!(m.runtime_errors, 0);
     assert!(runner.system.runtime_errors().is_empty());
     assert_eq!(m.ops, 0);
+}
+
+/// An operation that makes `invokes` in order, then returns.
+struct ScriptOp {
+    invokes: Vec<Invoke>,
+    done: usize,
+}
+
+impl Frame for ScriptOp {
+    fn step(&mut self, _ctx: &StepCtx) -> StepResult {
+        match self.invokes.get(self.done) {
+            Some(inv) => StepResult::Invoke(inv.clone()),
+            None => StepResult::Return([self.done as Word].into()),
+        }
+    }
+    fn on_result(&mut self, _results: &[Word]) {
+        self.done += 1;
+    }
+    fn live_words(&self) -> u64 {
+        3
+    }
+    fn is_operation(&self) -> bool {
+        true
+    }
+    fn label(&self) -> &'static str {
+        "script-op"
+    }
+}
+
+#[test]
+fn a_parked_group_whose_home_died_is_reclaimed_not_resumed() {
+    // The op migrates to P1's cell, RPCs P2's cell from there and would
+    // then bump P1's cell again. P0, the thread's home, dies while the
+    // group waits at P1 for the reply: the reply must reclaim the group.
+    let mut cfg = MachineConfig::new(3, Scheme::computation_migration());
+    cfg.faults = Some(FaultPlan::disabled());
+    let mut runner = Runner::new(cfg);
+    let cells: Vec<Goid> = (1..3)
+        .map(|p| {
+            let cell = Cell {
+                value: 0,
+                compute: 100,
+            };
+            runner
+                .system
+                .create_object(Box::new(cell), ProcId(p), false)
+        })
+        .collect();
+    let op: Box<dyn Frame> = Box::new(ScriptOp {
+        invokes: vec![
+            Invoke::migrate(cells[0], MethodId(0), []),
+            Invoke::rpc(cells[1], MethodId(0), []),
+            Invoke::migrate(cells[0], MethodId(0), []),
+        ],
+        done: 0,
+    });
+    let tid = runner.spawn(ProcId(0), Box::new(OneShotDriver { op: Some(op) }));
+    let mut now = Cycles::ZERO;
+    while runner.system.threads[tid.index()].parked.is_none() {
+        now += Cycles(10);
+        assert!(now < Cycles(1_000_000), "the group never parked");
+        runner.run_until(now);
+    }
+    runner.system.kill_processor(now, ProcId(0));
+    runner.run_until(now + Cycles(10_000_000));
+    let value = |g: Goid| runner.system.objects().state::<Cell>(g).unwrap().value;
+    assert_eq!((value(cells[0]), value(cells[1])), (1, 1));
+    assert!(runner.system.threads[tid.index()].parked.is_none());
+    assert!(
+        runner.system.runtime_errors().iter().any(|e| matches!(
+            e,
+            RuntimeError::FrameReclaimed { thread, at: ProcId(1), frames: 1 } if *thread == tid
+        )),
+        "{:?}",
+        runner.system.runtime_errors()
+    );
+}
+
+#[test]
+fn a_threads_migrations_travel_in_its_one_group_buffer() {
+    // Under CM each op leaves home in the thread's spare group buffer, and
+    // the buffer comes back to the thread where the group's base returns:
+    // every op travels in the first one's allocation. The spare is seen
+    // taken while each op is away, so the buffer really travelled.
+    let (mut runner, targets) = build(
+        Scheme::computation_migration(),
+        4,
+        &[1, 2, 3],
+        Annotation::Migrate,
+        1,
+        0,
+    );
+    let driver = TestDriver {
+        targets,
+        annotation: Annotation::Migrate,
+        repeats: 1,
+        think: Cycles(5_000),
+        ops_remaining: 5,
+        thinking: false,
+    };
+    let tid = runner.spawn(ProcId(0), Box::new(driver));
+    let (mut now, mut completed, mut taken) = (Cycles::ZERO, 0, false);
+    let mut buffers = Vec::new();
+    while runner.system.ops_completed < 5 {
+        now += Cycles(100);
+        assert!(now < Cycles(1_000_000), "the ops never finished");
+        runner.run_until(now);
+        let spare = &runner.system.threads[tid.index()].spare;
+        taken |= spare.capacity() == 0;
+        if runner.system.ops_completed > completed {
+            completed = runner.system.ops_completed;
+            assert!(taken, "op {completed} did not take the spare buffer");
+            assert!(
+                spare.capacity() > 0,
+                "op {completed}'s buffer did not come back"
+            );
+            buffers.push(spare.as_ptr());
+            taken = false;
+        }
+    }
+    assert_eq!(runner.system.core.migrations, 15);
+    assert_eq!(buffers.len(), 5);
+    assert!(
+        buffers.iter().all(|&at| at == buffers[0]),
+        "a migration did not travel in the thread's buffer"
+    );
 }
 
 #[test]

@@ -21,26 +21,6 @@ pub trait Simulation {
     }
 }
 
-/// Why a run stopped.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum StopReason {
-    /// No events remain: the simulation quiesced.
-    Quiescent,
-    /// The time horizon was reached (next event lies beyond it).
-    Horizon,
-}
-
-/// Outcome of a run.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct RunOutcome {
-    /// Why the run stopped.
-    pub reason: StopReason,
-    /// Simulated time when it stopped.
-    pub ended_at: Cycles,
-    /// Events processed.
-    pub events: u64,
-}
-
 /// The event-loop driver.
 pub struct Engine<S: Simulation> {
     queue: EventQueue<S::Event>,
@@ -87,30 +67,21 @@ impl<S: Simulation> Engine<S> {
         self.queue.counters()
     }
 
-    /// Run until the queue empties or the time `horizon` is passed. Events
-    /// stamped exactly at the horizon still run.
+    /// Run until the queue empties or the time `horizon` is passed, and
+    /// return the number of events processed. Events stamped exactly at the
+    /// horizon still run; a run that reaches the horizon leaves the clock
+    /// there.
     ///
     /// The loop touches the queue once per event: `pop_before` fuses the
-    /// peek/pop pair, and the stop classification happens only on the cold
-    /// exit path.
-    pub fn run_until(&mut self, sim: &mut S, horizon: Cycles) -> RunOutcome {
+    /// peek/pop pair.
+    pub fn run_until(&mut self, sim: &mut S, horizon: Cycles) -> u64 {
         let mut events = 0u64;
         loop {
             let Some((now, ev)) = self.queue.pop_before(horizon) else {
-                return if self.queue.is_empty() {
-                    RunOutcome {
-                        reason: StopReason::Quiescent,
-                        ended_at: self.queue.now(),
-                        events,
-                    }
-                } else {
+                if !self.queue.is_empty() {
                     self.queue.advance_to(horizon);
-                    RunOutcome {
-                        reason: StopReason::Horizon,
-                        ended_at: horizon,
-                        events,
-                    }
-                };
+                }
+                return events;
             };
             self.tracer.emit_with(|| TraceEvent {
                 at: now,
@@ -153,10 +124,10 @@ mod tests {
         };
         let mut eng = Engine::new();
         eng.queue_mut().schedule_at(Cycles(5), 0);
-        let out = eng.run_until(&mut sim, Cycles(1_000));
-        assert_eq!(out.reason, StopReason::Quiescent);
-        assert_eq!(out.events, 4);
+        assert_eq!(eng.run_until(&mut sim, Cycles(1_000)), 4);
         assert_eq!(sim.handled, vec![(5, 0), (15, 1), (25, 2), (35, 3)]);
+        // Quiescent: the clock stays at the last event.
+        assert_eq!(eng.now(), Cycles(35));
     }
 
     #[test]
@@ -167,10 +138,9 @@ mod tests {
         };
         let mut eng = Engine::new();
         eng.queue_mut().schedule_at(Cycles(0), 0);
-        let out = eng.run_until(&mut sim, Cycles(95));
-        assert_eq!(out.reason, StopReason::Horizon);
-        assert_eq!(out.ended_at, Cycles(95));
-        assert_eq!(sim.handled.len(), 10); // events at 0,10,...,90
+        assert_eq!(eng.run_until(&mut sim, Cycles(95)), 10); // 0,10,...,90
+        assert_eq!(sim.handled.len(), 10);
+        assert_eq!(eng.now(), Cycles(95));
     }
 
     #[test]
@@ -181,8 +151,7 @@ mod tests {
         };
         let mut eng = Engine::new();
         eng.queue_mut().schedule_at(Cycles(100), 0);
-        let out = eng.run_until(&mut sim, Cycles(100));
-        assert_eq!(out.reason, StopReason::Quiescent);
+        assert_eq!(eng.run_until(&mut sim, Cycles(100)), 1);
         assert_eq!(sim.handled, vec![(100, 0)]);
     }
 
@@ -196,8 +165,7 @@ mod tests {
         eng.queue_mut().schedule_at(Cycles(0), 0);
         eng.run_until(&mut sim, Cycles(25));
         assert_eq!(sim.handled.len(), 3);
-        let out = eng.run_until(&mut sim, Cycles(1_000));
-        assert_eq!(out.reason, StopReason::Quiescent);
+        assert_eq!(eng.run_until(&mut sim, Cycles(1_000)), 3);
         assert_eq!(sim.handled.len(), 6);
     }
 }

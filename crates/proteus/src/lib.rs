@@ -40,7 +40,7 @@ pub mod trace;
 
 pub use cache::{Cache, CacheConfig, LineState};
 pub use coherence::{Access, AccessOutcome, CoherenceCosts, CoherenceSystem, DirectoryAllocations};
-pub use engine::{Engine, RunOutcome, Simulation, StopReason};
+pub use engine::{Engine, Simulation};
 pub use event::{EventQueue, QueueCounters};
 pub use fault::{FaultInjector, FaultPlan, FaultStats, MessageFate};
 pub use ids::ProcId;
@@ -49,4 +49,4 @@ pub use processor::{Processor, ProcessorStats};
 pub use stats::{CacheStats, Histogram, TrafficStats};
 pub use time::Cycles;
 pub use topology::Mesh;
-pub use trace::{JsonlSink, RingBufferSink, TraceEvent, TraceSink, Tracer};
+pub use trace::{RingBufferSink, TraceEvent, TraceSink, Tracer};

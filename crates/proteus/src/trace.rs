@@ -6,20 +6,15 @@
 //! closure passed to [`Tracer::emit_with`], so the cost of formatting the
 //! `detail` string is only paid when a sink is attached.
 //!
-//! Two sinks ship with the crate:
-//!
-//! * [`RingBufferSink`] keeps the last `capacity` events in memory — cheap
-//!   enough to leave on for post-mortem inspection in tests;
-//! * [`JsonlSink`] streams one JSON object per line to any `Write`
-//!   (typically a file), for offline analysis.
+//! [`RingBufferSink`] ships with the crate: it keeps the last `capacity`
+//! events in memory — cheap enough to leave on for post-mortem inspection
+//! in tests. Any other destination implements [`TraceSink`].
 //!
 //! The simulator is single-threaded by design (each `System` lives on one OS
 //! thread; the bench harness parallelises across *independent* simulations),
 //! so the handle is `Rc<RefCell<…>>` rather than an atomic structure.
 
 use std::cell::RefCell;
-use std::fmt::Write as _;
-use std::io::{self, Write};
 use std::rc::Rc;
 
 use crate::ids::ProcId;
@@ -101,75 +96,6 @@ impl TraceSink for RingBufferSink {
             self.events.pop_front();
         }
         self.events.push_back(event);
-    }
-}
-
-/// Streams one JSON object per event to a writer (JSON Lines).
-pub struct JsonlSink<W: Write> {
-    out: W,
-    /// First write error encountered, if any; later records are dropped.
-    error: Option<io::Error>,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wrap a writer. Callers wanting buffering should pass a `BufWriter`.
-    pub fn new(out: W) -> JsonlSink<W> {
-        JsonlSink { out, error: None }
-    }
-
-    /// The first I/O error hit while writing, if any.
-    pub fn error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, event: TraceEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        let mut line = String::with_capacity(96);
-        line.push_str("{\"at\":");
-        let _ = write!(line, "{}", event.at.get());
-        line.push_str(",\"source\":\"");
-        line.push_str(event.source);
-        line.push_str("\",\"kind\":\"");
-        line.push_str(event.kind);
-        line.push('"');
-        if let Some(p) = event.proc {
-            let _ = write!(line, ",\"proc\":{}", p.0);
-        }
-        line.push_str(",\"detail\":\"");
-        escape_json_into(&event.detail, &mut line);
-        line.push_str("\"}\n");
-        if let Err(e) = self.out.write_all(line.as_bytes()) {
-            self.error = Some(e);
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.error.is_none() {
-            if let Err(e) = self.out.flush() {
-                self.error = Some(e);
-            }
-        }
-    }
-}
-
-/// Escape `s` as JSON string contents into `out` (no surrounding quotes).
-pub fn escape_json_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 
@@ -265,20 +191,6 @@ mod tests {
         assert_eq!(s.recorded(), 5);
         let ats: Vec<u64> = s.events().map(|e| e.at.get()).collect();
         assert_eq!(ats, vec![3, 4]);
-    }
-
-    #[test]
-    fn jsonl_escapes_and_writes_lines() {
-        let (t, sink) = Tracer::to_sink(JsonlSink::new(Vec::<u8>::new()));
-        t.emit_with(|| ev(7, "a=\"b\"\nnext"));
-        t.flush();
-        let s = sink.borrow();
-        let text = String::from_utf8(s.out.clone()).unwrap();
-        assert_eq!(
-            text,
-            "{\"at\":7,\"source\":\"test\",\"kind\":\"k\",\"proc\":3,\"detail\":\"a=\\\"b\\\"\\nnext\"}\n"
-        );
-        assert!(s.error().is_none());
     }
 
     #[test]

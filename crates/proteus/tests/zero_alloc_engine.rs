@@ -124,12 +124,12 @@ fn steady_state_allocations<S: Simulation<Event = u32>>(mut sim: S) -> SteadySta
     eng.queue_mut().schedule_at(Cycles::ZERO, 0);
     eng.run_until(&mut sim, Cycles(400_000));
     let before = (ALLOCATIONS.with(Cell::get), eng.queue_counters());
-    let out = eng.run_until(&mut sim, Cycles(1_400_000));
+    let events = eng.run_until(&mut sim, Cycles(1_400_000));
     let after = (ALLOCATIONS.with(Cell::get), eng.queue_counters());
-    assert!(out.events > 100_000, "expected a long steady-state run");
+    assert!(events > 100_000, "expected a long steady-state run");
     SteadyState {
         allocations: after.0 - before.0,
-        events: out.events,
+        events,
         peak: eng.peak_queue_depth(),
         counters: QueueCounters {
             coarse_schedules: after.1.coarse_schedules - before.1.coarse_schedules,

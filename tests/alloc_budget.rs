@@ -221,7 +221,11 @@ fn peak_heap_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// arrays, and the nodes that inserts add.
 #[test]
 fn btree_fanout10_sm_peak_heap_budget() {
-    let (mut runner, _root) = BTreeExperiment::paper_fanout10(0, Scheme::shared_memory()).build();
+    let exp = BTreeExperiment {
+        fanout: 10,
+        ..BTreeExperiment::paper(0, Scheme::shared_memory())
+    };
+    let (mut runner, _root) = exp.build();
     let (metrics, peak) = peak_heap_during(|| runner.run(Cycles::ZERO, Cycles(2_000_000)));
     assert!(metrics.ops > 1000, "window too short: {} ops", metrics.ops);
     assert!(

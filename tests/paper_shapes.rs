@@ -184,9 +184,11 @@ fn btree_fanout10_lifts_cm_with_replication() {
     // SM gap narrows.
     let wide = BTreeExperiment::paper(0, Scheme::computation_migration().with_replication())
         .run(Cycles(150_000), Cycles(500_000));
-    let narrow =
-        BTreeExperiment::paper_fanout10(0, Scheme::computation_migration().with_replication())
-            .run(Cycles(150_000), Cycles(500_000));
+    let narrow = BTreeExperiment {
+        fanout: 10,
+        ..BTreeExperiment::paper(0, Scheme::computation_migration().with_replication())
+    }
+    .run(Cycles(150_000), Cycles(500_000));
     assert!(
         narrow.throughput_per_1000 > 1.2 * wide.throughput_per_1000,
         "fanout10 {} vs fanout100 {}",

@@ -10,7 +10,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use migrate_apps::counting::{has_step_property, CountingExperiment, OutputCounter, RequestDriver};
+use migrate_apps::counting::{has_step_property, CountingExperiment, OutputCounter, Traversals};
+use migrate_apps::workload::Requester;
 use migrate_rt::{Frame, Scheme, StepCtx, StepResult, Word};
 use proteus::{Cycles, ProcId};
 
@@ -79,9 +80,9 @@ struct Log {
     handed_back: usize,
 }
 
-/// The app's own request driver, wrapped to record its traversals.
+/// The app's own requester, wrapped to record its traversals.
 struct Recorder {
-    driver: RequestDriver,
+    driver: Requester<Traversals>,
     log: Rc<RefCell<Log>>,
 }
 
@@ -121,7 +122,12 @@ fn drained_logs(requesters: u32, per_thread: u64, scheme: Scheme) -> Vec<Log> {
     let logs: Vec<_> = (0..requesters)
         .map(|r| {
             let log = Rc::new(RefCell::new(Log::default()));
-            let mut driver = RequestDriver::new(spec.clone(), r % 8, Cycles::ZERO, 10);
+            let traversals = Traversals {
+                spec: spec.clone(),
+                entry_wire: r % 8,
+                step_compute: 10,
+            };
+            let mut driver = Requester::new(traversals, Cycles::ZERO);
             driver.max_requests = per_thread;
             let recorder = Recorder {
                 driver,
