@@ -253,6 +253,9 @@ pub fn failover_cell_counting(seed: u64, scheme: Scheme) -> RunMetrics {
         })
         .sum();
     let issued = u64::from(requesters) * per_thread;
+    if threads_lost == 0 {
+        assert_eq!(total, issued, "seed {seed}: tokens lost or duplicated");
+    }
     assert!(
         total <= issued,
         "seed {seed}: token duplicated ({total} > {issued})"
@@ -290,7 +293,9 @@ fn assert_failed_over(runner: &Runner, seed: u64, victim: ProcId) -> u64 {
 ///
 /// Panics unless the run ends **valid**: exactly one suspicion/promotion,
 /// audit closed, and the re-homed tree still satisfies every structural
-/// invariant with a key population bounded by the issued inserts.
+/// invariant, holds every initial key and only keys that were issued, and,
+/// when no thread died with the victim, exactly
+/// [`BTreeExperiment::drained_keys`].
 pub fn failover_cell_btree(seed: u64, scheme: Scheme) -> RunMetrics {
     let initial = 120u64;
     let requesters = 4u32;
@@ -313,19 +318,27 @@ pub fn failover_cell_btree(seed: u64, scheme: Scheme) -> RunMetrics {
     };
     let (mut runner, root) = exp.build();
     runner.run_until(FAILOVER_HORIZON);
-    assert_failed_over(&runner, seed, victim);
+    let threads_lost = assert_failed_over(&runner, seed, victim);
     let stats = migrate_apps::btree::verify_tree(&runner.system, root)
         .unwrap_or_else(|e| panic!("seed {seed}: tree corrupt after failover: {e}"));
-    assert!(
-        stats.keys >= initial,
-        "seed {seed}: keys vanished ({} < {initial})",
-        stats.keys
+    let present = |k: u64| migrate_apps::btree::lookup_pure(&runner.system, root, k);
+    for k in migrate_apps::workload::initial_keys(initial, exp.key_space) {
+        assert!(present(k), "seed {seed}: initial key {k} vanished");
+    }
+    // A dead thread's unfinished inserts may be absent; nothing else may.
+    let oracle = exp.drained_keys();
+    let found = oracle.iter().filter(|&&k| present(k)).count() as u64;
+    assert_eq!(
+        found, stats.keys,
+        "seed {seed}: the tree holds keys that were never issued"
     );
-    assert!(
-        stats.keys <= initial + u64::from(requesters) * per_thread,
-        "seed {seed}: more keys than inserts issued ({})",
-        stats.keys
-    );
+    if threads_lost == 0 {
+        assert_eq!(
+            found,
+            oracle.len() as u64,
+            "seed {seed}: issued inserts missing"
+        );
+    }
     runner.system.metrics(FAILOVER_HORIZON)
 }
 

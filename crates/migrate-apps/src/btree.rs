@@ -17,6 +17,8 @@
 //! drags whole nodes through the cache line by line, which is what gives
 //! cache-coherent shared memory its large bandwidth appetite in Table 2.
 
+use std::collections::BTreeSet;
+
 use migrate_rt::{
     Annotation, Behavior, Frame, Invoke, MachineConfig, MethodEnv, MethodId, RunMetrics, Runner,
     Scheme, StepCtx, StepResult, System, Word, WordVec,
@@ -77,9 +79,9 @@ pub struct BTreeNode {
 const HDR: u64 = 32;
 
 impl BTreeNode {
-    /// A fresh leaf.
-    pub fn leaf(
+    fn new(
         keys: Vec<u64>,
+        children: Option<Vec<Goid>>,
         high_key: u64,
         right: Option<Goid>,
         fanout: usize,
@@ -89,7 +91,7 @@ impl BTreeNode {
             high_key,
             right,
             keys,
-            children: None,
+            children,
             is_root: false,
             fanout,
             compute,
@@ -117,11 +119,7 @@ impl BTreeNode {
     }
 
     fn moved_right(&self, key: u64) -> Option<Goid> {
-        if key >= self.high_key {
-            self.right
-        } else {
-            None
-        }
+        self.right.filter(|_| key >= self.high_key)
     }
 
     fn descend(&mut self, key: u64, env: &mut dyn MethodEnv) -> WordVec {
@@ -135,69 +133,63 @@ impl BTreeNode {
                 env.read(HDR + (self.fanout as u64) * 8 + idx as u64 * 8, 8);
                 [R_CHILD, children[idx].0].into()
             }
-            None => {
-                let found = self.keys.binary_search(&key).is_ok();
-                [R_LEAF, u64::from(found)].into()
-            }
+            None => [R_LEAF, u64::from(self.keys.binary_search(&key).is_ok())].into(),
         }
     }
 
-    fn insert_leaf(&mut self, key: u64, env: &mut dyn MethodEnv) -> WordVec {
-        assert!(self.is_leaf(), "M_INSERT on an internal node");
+    /// Lock and scan the node for a mutation at `key`. If `key`'s range has
+    /// moved right, the lock is released again and the B-link retry reply
+    /// is returned.
+    fn lock_for(&mut self, key: u64, env: &mut dyn MethodEnv) -> Option<WordVec> {
         env.lock();
         self.scan(env);
-        if let Some(r) = self.moved_right(key) {
+        let r = self.moved_right(key)?;
+        env.unlock();
+        Some([R_MOVED, r.0].into())
+    }
+
+    fn insert_leaf(&mut self, key: u64, env: &mut dyn MethodEnv) -> WordVec {
+        if !self.is_leaf() {
+            // Only the root changes level: it was a leaf when this insert's
+            // descent read it and has grown in place since. Descend again.
+            return self.descend(key, env);
+        }
+        if let Some(moved) = self.lock_for(key, env) {
+            return moved;
+        }
+        let Err(pos) = self.keys.binary_search(&key) else {
             env.unlock();
-            return [R_MOVED, r.0].into();
-        }
-        match self.keys.binary_search(&key) {
-            Ok(_) => {
-                env.unlock();
-                [R_OK, 0].into()
-            }
-            Err(pos) => {
-                self.keys.insert(pos, key);
-                // Shift the tail of the key array.
-                env.write(HDR + pos as u64 * 8, (self.keys.len() - pos) as u64 * 8);
-                if self.keys.len() <= self.fanout {
-                    env.unlock();
-                    return [R_OK, 1].into();
-                }
-                let out = if self.is_root {
-                    self.grow_root(env)
-                } else {
-                    self.split(env)
-                };
-                env.unlock();
-                out
-            }
-        }
+            return [R_OK, 0].into();
+        };
+        self.keys.insert(pos, key);
+        // Shift the tail of the key array.
+        env.write(HDR + pos as u64 * 8, (self.keys.len() - pos) as u64 * 8);
+        self.settle(env)
     }
 
     fn add_child(&mut self, sep: u64, child: Goid, env: &mut dyn MethodEnv) -> WordVec {
         assert!(!self.is_leaf(), "M_ADD_CHILD on a leaf");
-        env.lock();
-        self.scan(env);
-        if let Some(r) = self.moved_right(sep) {
-            env.unlock();
-            return [R_MOVED, r.0].into();
+        if let Some(moved) = self.lock_for(sep, env) {
+            return moved;
         }
         let pos = self.keys.partition_point(|&k| k < sep);
         self.keys.insert(pos, sep);
-        self.children
-            .as_mut()
-            .expect("internal node")
-            .insert(pos + 1, child);
+        let children = self.children.as_mut().expect("internal node");
+        children.insert(pos + 1, child);
         env.write(HDR + pos as u64 * 8, (self.keys.len() - pos) as u64 * 8);
         env.write(
             HDR + (self.fanout as u64) * 8 + (pos + 1) as u64 * 8,
             (self.keys.len() - pos) as u64 * 8,
         );
-        if self.keys.len() <= self.fanout {
-            env.unlock();
-            return [R_OK, 1].into();
-        }
-        let out = if self.is_root {
+        self.settle(env)
+    }
+
+    /// Finish a locked mutation: an overfull node splits (the root grows in
+    /// place instead), then the lock is released.
+    fn settle(&mut self, env: &mut dyn MethodEnv) -> WordVec {
+        let out = if self.keys.len() <= self.fanout {
+            [R_OK, 1].into()
+        } else if self.is_root {
             self.grow_root(env)
         } else {
             self.split(env)
@@ -206,114 +198,64 @@ impl BTreeNode {
         out
     }
 
+    /// Halve an overfull node: the upper half moves into a new node that
+    /// takes over this node's high key and right link. Returns the
+    /// separator between the halves with the upper node. A leaf's separator
+    /// is the upper half's first key, which stays in the leaf; an internal
+    /// node's separator leaves both halves, since it moves up.
+    fn split_upper(&mut self) -> (u64, BTreeNode) {
+        let mid = self.keys.len() / 2;
+        let (sep, keys, children) = match &mut self.children {
+            None => {
+                let upper = self.keys.split_off(mid);
+                (upper[0], upper, None)
+            }
+            Some(children) => {
+                let upper = self.keys.split_off(mid + 1);
+                let sep = self.keys.pop().expect("separator");
+                (sep, upper, Some(children.split_off(mid + 1)))
+            }
+        };
+        let upper = BTreeNode::new(
+            keys,
+            children,
+            self.high_key,
+            self.right,
+            self.fanout,
+            self.compute,
+        );
+        (sep, upper)
+    }
+
     /// Split a non-root node: keep the lower half, move the upper half to a
     /// new right sibling, and report the separator for the parent.
     fn split(&mut self, env: &mut dyn MethodEnv) -> WordVec {
-        let (sep, sibling) = match &mut self.children {
-            None => {
-                let mid = self.keys.len() / 2;
-                let upper = self.keys.split_off(mid);
-                let sep = upper[0];
-                let node = BTreeNode {
-                    high_key: self.high_key,
-                    right: self.right,
-                    keys: upper,
-                    children: None,
-                    is_root: false,
-                    fanout: self.fanout,
-                    compute: self.compute,
-                };
-                (sep, node)
-            }
-            Some(children) => {
-                let mid = self.keys.len() / 2;
-                // keys[mid] moves up; upper keys/children move right.
-                let upper_keys = self.keys.split_off(mid + 1);
-                let sep = self.keys.pop().expect("separator");
-                let upper_children = children.split_off(mid + 1);
-                let node = BTreeNode {
-                    high_key: self.high_key,
-                    right: self.right,
-                    keys: upper_keys,
-                    children: Some(upper_children),
-                    is_root: false,
-                    fanout: self.fanout,
-                    compute: self.compute,
-                };
-                (sep, node)
-            }
-        };
+        let (sep, upper) = self.split_upper();
         // Write both halves' headers.
         env.write(8, 24);
-        let new_goid = env.create(Box::new(sibling), None);
+        let sibling = env.create(Box::new(upper), None);
         self.high_key = sep;
-        self.right = Some(new_goid);
-        [R_SPLIT, new_goid.0, sep].into()
+        self.right = Some(sibling);
+        [R_SPLIT, sibling.0, sep].into()
     }
 
-    /// The root grows in place: its contents move into two fresh children
+    /// The root grows in place: its halves move into two fresh children
     /// and the root becomes (or stays) internal with a single separator.
     /// The GOID of the root never changes.
     fn grow_root(&mut self, env: &mut dyn MethodEnv) -> WordVec {
-        let mid = self.keys.len() / 2;
-        let (sep, left, right) = match &mut self.children {
-            None => {
-                let upper = self.keys.split_off(mid);
-                let sep = upper[0];
-                let lower = std::mem::take(&mut self.keys);
-                let right = BTreeNode {
-                    high_key: self.high_key,
-                    right: None,
-                    keys: upper,
-                    children: None,
-                    is_root: false,
-                    fanout: self.fanout,
-                    compute: self.compute,
-                };
-                let left = BTreeNode {
-                    high_key: sep,
-                    right: None, // patched below once the right GOID exists
-                    keys: lower,
-                    children: None,
-                    is_root: false,
-                    fanout: self.fanout,
-                    compute: self.compute,
-                };
-                (sep, left, right)
-            }
-            Some(children) => {
-                let upper_keys = self.keys.split_off(mid + 1);
-                let sep = self.keys.pop().expect("separator");
-                let lower_keys = std::mem::take(&mut self.keys);
-                let upper_children = children.split_off(mid + 1);
-                let lower_children = std::mem::take(children);
-                let right = BTreeNode {
-                    high_key: self.high_key,
-                    right: None,
-                    keys: upper_keys,
-                    children: Some(upper_children),
-                    is_root: false,
-                    fanout: self.fanout,
-                    compute: self.compute,
-                };
-                let left = BTreeNode {
-                    high_key: sep,
-                    right: None,
-                    keys: lower_keys,
-                    children: Some(lower_children),
-                    is_root: false,
-                    fanout: self.fanout,
-                    compute: self.compute,
-                };
-                (sep, left, right)
-            }
-        };
-        let right_goid = env.create(Box::new(right), None);
-        let mut left = left;
-        left.right = Some(right_goid);
-        let left_goid = env.create(Box::new(left), None);
+        let (sep, upper) = self.split_upper();
+        let right = env.create(Box::new(upper), None);
+        let lower = BTreeNode::new(
+            std::mem::take(&mut self.keys),
+            self.children.as_mut().map(std::mem::take),
+            sep,
+            Some(right),
+            self.fanout,
+            self.compute,
+        );
+        let left = env.create(Box::new(lower), None);
         self.keys = vec![sep];
-        self.children = Some(vec![left_goid, right_goid]);
+        self.children = Some(vec![left, right]);
         env.write(8, 24);
         env.write(HDR, 8);
         [R_OK, 1].into()
@@ -402,12 +344,13 @@ impl Frame for BTreeOp {
 
     fn on_result(&mut self, r: &[Word]) {
         match (&self.phase, r[0]) {
-            (OpPhase::Descend, R_MOVED) | (OpPhase::InsertLeaf, R_MOVED) => {
+            (OpPhase::Descend | OpPhase::InsertLeaf | OpPhase::Ascend { .. }, R_MOVED) => {
                 self.current = Goid(r[1]);
             }
-            (OpPhase::Descend, R_CHILD) => {
+            (OpPhase::Descend | OpPhase::InsertLeaf, R_CHILD) => {
                 self.path.push(self.current.0);
                 self.current = Goid(r[1]);
+                self.phase = OpPhase::Descend;
             }
             (OpPhase::Descend, R_LEAF) => {
                 if self.insert {
@@ -416,10 +359,10 @@ impl Frame for BTreeOp {
                     self.phase = OpPhase::Finished(r[1]);
                 }
             }
-            (OpPhase::InsertLeaf, R_OK) | (OpPhase::Ascend { .. }, R_OK) => {
+            (OpPhase::InsertLeaf | OpPhase::Ascend { .. }, R_OK) => {
                 self.phase = OpPhase::Finished(r[1]);
             }
-            (OpPhase::InsertLeaf, R_SPLIT) | (OpPhase::Ascend { .. }, R_SPLIT) => {
+            (OpPhase::InsertLeaf | OpPhase::Ascend { .. }, R_SPLIT) => {
                 let parent = self
                     .path
                     .pop()
@@ -429,9 +372,6 @@ impl Frame for BTreeOp {
                     sep: r[2],
                     child: Goid(r[1]),
                 };
-            }
-            (OpPhase::Ascend { .. }, R_MOVED) => {
-                self.current = Goid(r[1]);
             }
             (phase, tag) => panic!("unexpected result tag {tag} in phase {phase:?}"),
         }
@@ -562,11 +502,7 @@ impl BTreeExperiment {
         );
 
         for r in 0..self.requesters {
-            let stream = KeyStream::new(
-                self.seed ^ (0x9E37 + u64::from(r) * 0x1234_5678),
-                self.key_space,
-                self.insert_permille,
-            );
+            let stream = self.key_stream(r);
             let mut requester = Requester::new(Requests { root, stream }, self.think);
             requester.annotation = self.annotation;
             if let Some(cap) = self.requests_per_thread {
@@ -575,6 +511,32 @@ impl BTreeExperiment {
             runner.spawn(ProcId(self.data_procs + r), Box::new(requester));
         }
         (runner, root)
+    }
+
+    /// The requests of requester `r` (`0..requesters`), in issue order. A
+    /// capped run issues the first `requests_per_thread` of them, which is
+    /// what an exact oracle over a drained run replays.
+    pub fn key_stream(&self, r: u32) -> KeyStream {
+        KeyStream::new(
+            self.seed ^ (0x9E37 + u64::from(r) * 0x1234_5678),
+            self.key_space,
+            self.insert_permille,
+        )
+    }
+
+    /// The key set a capped run holds once it drains with every requester
+    /// alive: the initial keys plus the insert keys among each requester's
+    /// first `requests_per_thread` requests. An annotation, a scheme or a
+    /// fault plan changes when keys land, never this set.
+    pub fn drained_keys(&self) -> BTreeSet<u64> {
+        let cap = self.requests_per_thread.expect("only a capped run drains");
+        let mut keys = BTreeSet::from_iter(initial_keys(self.initial_keys, self.key_space));
+        for r in 0..self.requesters {
+            let mut stream = self.key_stream(r);
+            let requests = (0..cap).map(|_| stream.next_request());
+            keys.extend(requests.filter(|req| req.insert).map(|req| req.key));
+        }
+        keys
     }
 
     /// Build, warm up, and measure one table row.
@@ -604,80 +566,60 @@ pub fn bulk_load(
     );
     let mut rng = SplitMix64::new(seed ^ 0x9E37_79B9);
     let fill = (fanout * 2 / 3).max(2);
-    let mut place = |system: &mut System, node: BTreeNode| -> Goid {
-        let home = ProcId(rng.below(u64::from(data_procs)) as u32);
-        system.create_object(Box::new(node), home, false)
-    };
-
-    // Level 0: leaves. Track each node's (low_key, goid) for the parents.
-    let mut level: Vec<(u64, Goid)> = Vec::new();
-    let chunks: Vec<&[u64]> = sorted_keys.chunks(fill).collect();
-    let mut prev: Option<Goid> = None;
-    // Build right-to-left so right links point at existing nodes.
-    for (i, chunk) in chunks.iter().enumerate().rev() {
-        let high_key = chunks.get(i + 1).map(|next| next[0]).unwrap_or(u64::MAX);
-        let node = BTreeNode::leaf(chunk.to_vec(), high_key, prev, fanout, node_compute);
-        let goid = place(system, node);
-        prev = Some(goid);
-        level.push((chunk[0], goid));
+    let mut level = place_level(
+        system,
+        &mut rng,
+        data_procs,
+        fanout,
+        node_compute,
+        sorted_keys.chunks(fill).map(|c| (c[0], c.to_vec(), None)),
+    );
+    // Upper levels, `fill` children per node, until the survivors fit in
+    // one node, which gathers them under the root. Stopping at `fanout`
+    // (not the fill factor) keeps the root as wide as possible: the paper's
+    // fanout-10 tree had a four-child root, and root arity is what bounds
+    // post-replication parallelism.
+    while level.len() > 1 {
+        let width = if level.len() > fanout { fill } else { fanout };
+        let parents = level.chunks(width).map(|group| {
+            let keys = group[1..].iter().map(|&(low, _)| low).collect();
+            let children = group.iter().map(|&(_, g)| g).collect();
+            (group[0].0, keys, Some(children))
+        });
+        level = place_level(system, &mut rng, data_procs, fanout, node_compute, parents);
     }
-    level.reverse();
-
-    // Upper levels until the survivors fit in a single root. Stopping at
-    // `fanout` (not the fill factor) keeps the root as wide as possible:
-    // the paper's fanout-10 tree had a four-child root, and root arity is
-    // what bounds post-replication parallelism.
-    while level.len() > fanout {
-        let groups: Vec<&[(u64, Goid)]> = level.chunks(fill).collect();
-        let mut next_level: Vec<(u64, Goid)> = Vec::new();
-        let mut prev: Option<Goid> = None;
-        for (i, group) in groups.iter().enumerate().rev() {
-            let high_key = groups.get(i + 1).map(|g| g[0].0).unwrap_or(u64::MAX);
-            let keys: Vec<u64> = group.iter().skip(1).map(|&(low, _)| low).collect();
-            let children: Vec<Goid> = group.iter().map(|&(_, g)| g).collect();
-            let node = BTreeNode {
-                high_key,
-                right: prev,
-                keys,
-                children: Some(children),
-                is_root: false,
-                fanout,
-                compute: node_compute,
-            };
-            let goid = place(system, node);
-            prev = Some(goid);
-            next_level.push((group[0].0, goid));
-        }
-        next_level.reverse();
-        level = next_level;
-    }
-
-    let root = if level.len() == 1 {
-        level[0].1
-    } else {
-        // Gather the surviving top-level nodes under one wide root.
-        let keys: Vec<u64> = level.iter().skip(1).map(|&(low, _)| low).collect();
-        let children: Vec<Goid> = level.iter().map(|&(_, g)| g).collect();
-        let node = BTreeNode {
-            high_key: u64::MAX,
-            right: None,
-            keys,
-            children: Some(children),
-            is_root: false, // set below
-            fanout,
-            compute: node_compute,
-        };
-        place(system, node)
-    };
+    let root = level[0].1;
     // The root grows in place (stable GOID) and is eligible for software
     // replication under the "w/repl." schemes.
-    system.with_object_mut::<BTreeNode, _>(root, |node| {
-        node.is_root = true;
-        node.high_key = u64::MAX;
-        node.right = None;
-    });
+    system.with_object_mut::<BTreeNode, _>(root, |node| node.is_root = true);
     system.set_replicated(root, true);
     root
+}
+
+/// Place one level of a bulk-loaded tree. `nodes` yields each node's
+/// `(low key, keys, children)` left to right; they are placed right to
+/// left, each on a random data processor, so every right link names a
+/// placed node and each high key is the next node's low key. Returns the
+/// level's `(low key, GOID)` pairs, left to right.
+fn place_level(
+    system: &mut System,
+    rng: &mut SplitMix64,
+    data_procs: u32,
+    fanout: usize,
+    compute: u64,
+    nodes: impl DoubleEndedIterator<Item = (u64, Vec<u64>, Option<Vec<Goid>>)>,
+) -> Vec<(u64, Goid)> {
+    let mut placed: Vec<(u64, Goid)> = Vec::new();
+    for (low, keys, children) in nodes.rev() {
+        let next = placed.last();
+        let high_key = next.map_or(u64::MAX, |&(next_low, _)| next_low);
+        let right = next.map(|&(_, g)| g);
+        let node = BTreeNode::new(keys, children, high_key, right, fanout, compute);
+        let home = ProcId(rng.below(u64::from(data_procs)) as u32);
+        placed.push((low, system.create_object(Box::new(node), home, false)));
+    }
+    placed.reverse();
+    placed
 }
 
 // ---------------------------------------------------------------------
@@ -697,9 +639,12 @@ pub struct TreeStats {
     pub root_children: usize,
 }
 
-/// Walk the tree and check every invariant: sorted distinct keys per node,
-/// separator bounds, B-link ordering, fanout bounds, and that the leaf
-/// level's left-to-right key sequence is globally sorted. Returns stats.
+/// Walk each level's B-link chain from its leftmost node and check: sorted
+/// distinct keys in every node, each below the node's own high key, fanout
+/// bounds, one more child than keys in an internal node, an unbounded high
+/// key only at the end of a chain, and each level's keys sorted left to
+/// right. Returns stats. A child's keys are not checked against its
+/// parent's separators.
 pub fn verify_tree(system: &System, root: Goid) -> Result<TreeStats, String> {
     let objects = system.objects();
     let node = |g: Goid| -> Result<&BTreeNode, String> {
@@ -838,6 +783,230 @@ mod tests {
             }
         }
         assert_eq!(ops[0], ops[1], "the operation box was not reused");
+    }
+
+    /// The effects a node method has on its object, in call order.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Effect {
+        Lock,
+        Unlock,
+        Write(u64, u64),
+        Create(Goid),
+    }
+
+    /// A `MethodEnv` that records a method's effects and keeps the nodes it
+    /// creates, numbering them from `g100`. Reads and compute are free.
+    #[derive(Default)]
+    struct Recorder {
+        effects: Vec<Effect>,
+        created: Vec<BTreeNode>,
+    }
+
+    impl MethodEnv for Recorder {
+        fn compute(&mut self, _cycles: Cycles) {}
+        fn read(&mut self, _offset: u64, _len: u64) {}
+        fn write(&mut self, offset: u64, len: u64) {
+            self.effects.push(Effect::Write(offset, len));
+        }
+        fn lock(&mut self) {
+            self.effects.push(Effect::Lock);
+        }
+        fn unlock(&mut self) {
+            self.effects.push(Effect::Unlock);
+        }
+        fn create(&mut self, behavior: Box<dyn Behavior>, home: Option<ProcId>) -> Goid {
+            assert_eq!(home, None, "split halves take a random home");
+            let node = (behavior as Box<dyn std::any::Any>)
+                .downcast::<BTreeNode>()
+                .expect("a B-tree node");
+            let goid = Goid(100 + self.created.len() as u64);
+            self.created.push(*node);
+            self.effects.push(Effect::Create(goid));
+            goid
+        }
+        fn rng(&mut self) -> u64 {
+            0
+        }
+    }
+
+    type Shape = (Vec<u64>, Option<Vec<Goid>>, u64, Option<Goid>, bool);
+
+    fn shape(n: &BTreeNode) -> Shape {
+        (
+            n.keys.clone(),
+            n.children.clone(),
+            n.high_key,
+            n.right,
+            n.is_root,
+        )
+    }
+
+    /// Run one overflowing mutation on `n`; returns the reply, the effects
+    /// and the created nodes' shapes.
+    fn overflow(
+        n: &mut BTreeNode,
+        method: MethodId,
+        args: &[Word],
+    ) -> (WordVec, Vec<Effect>, Vec<Shape>) {
+        let mut env = Recorder::default();
+        let reply = n.invoke(method, args, &mut env);
+        let created = env.created.iter().map(shape).collect();
+        (reply, env.effects, created)
+    }
+
+    fn goids(g: &[u64]) -> Option<Vec<Goid>> {
+        Some(g.iter().copied().map(Goid).collect())
+    }
+
+    #[test]
+    fn the_four_split_shapes() {
+        use Effect::*;
+        const MAX: u64 = u64::MAX;
+
+        // A leaf split keeps the lower half; the upper half, led by the
+        // separator, moves right and inherits the high key and right link.
+        let mut leaf = BTreeNode::new(vec![10, 20, 30, 40], None, 50, Some(Goid(7)), 4, 10);
+        let (reply, effects, created) = overflow(&mut leaf, M_INSERT, &[25]);
+        assert_eq!(&reply[..], &[R_SPLIT, 100, 25]);
+        assert_eq!(
+            effects,
+            [
+                Lock,
+                Write(HDR + 16, 24),
+                Write(8, 24),
+                Create(Goid(100)),
+                Unlock
+            ]
+        );
+        assert_eq!(
+            shape(&leaf),
+            (vec![10, 20], None, 25, Some(Goid(100)), false)
+        );
+        assert_eq!(
+            created,
+            [(vec![25, 30, 40], None, 50, Some(Goid(7)), false)]
+        );
+
+        // An internal split moves its middle key up and out of both halves.
+        let mut inner = BTreeNode::new(
+            vec![10, 20, 30, 40],
+            goids(&[1, 2, 3, 4, 5]),
+            50,
+            Some(Goid(7)),
+            4,
+            10,
+        );
+        let (reply, effects, created) = overflow(&mut inner, M_ADD_CHILD, &[35, 9]);
+        assert_eq!(&reply[..], &[R_SPLIT, 100, 30]);
+        assert_eq!(
+            effects,
+            [
+                Lock,
+                Write(HDR + 24, 16),
+                Write(HDR + 64, 16),
+                Write(8, 24),
+                Create(Goid(100)),
+                Unlock
+            ]
+        );
+        assert_eq!(
+            shape(&inner),
+            (vec![10, 20], goids(&[1, 2, 3]), 30, Some(Goid(100)), false)
+        );
+        assert_eq!(
+            created,
+            [(vec![35, 40], goids(&[4, 9, 5]), 50, Some(Goid(7)), false)]
+        );
+
+        // A leaf root grows in place: the upper half is created first, then
+        // the lower half linked to it, then the root's headers are written.
+        let mut root = BTreeNode::new(vec![10, 20, 30, 40], None, MAX, None, 4, 10);
+        root.is_root = true;
+        let (reply, effects, created) = overflow(&mut root, M_INSERT, &[50]);
+        assert_eq!(&reply[..], &[R_OK, 1]);
+        assert_eq!(
+            effects,
+            [
+                Lock,
+                Write(HDR + 32, 8),
+                Create(Goid(100)),
+                Create(Goid(101)),
+                Write(8, 24),
+                Write(HDR, 8),
+                Unlock
+            ]
+        );
+        assert_eq!(
+            shape(&root),
+            (vec![30], goids(&[101, 100]), MAX, None, true)
+        );
+        assert_eq!(
+            created,
+            [
+                (vec![30, 40, 50], None, MAX, None, false),
+                (vec![10, 20], None, 30, Some(Goid(100)), false),
+            ]
+        );
+
+        // An internal root grows the same way, its separator moving up.
+        let mut root = BTreeNode::new(
+            vec![10, 20, 30, 40],
+            goids(&[1, 2, 3, 4, 5]),
+            MAX,
+            None,
+            4,
+            10,
+        );
+        root.is_root = true;
+        let (reply, effects, created) = overflow(&mut root, M_ADD_CHILD, &[45, 9]);
+        assert_eq!(&reply[..], &[R_OK, 1]);
+        assert_eq!(
+            effects,
+            [
+                Lock,
+                Write(HDR + 32, 8),
+                Write(HDR + 72, 8),
+                Create(Goid(100)),
+                Create(Goid(101)),
+                Write(8, 24),
+                Write(HDR, 8),
+                Unlock,
+            ]
+        );
+        assert_eq!(
+            shape(&root),
+            (vec![30], goids(&[101, 100]), MAX, None, true)
+        );
+        assert_eq!(
+            created,
+            [
+                (vec![40, 45], goids(&[4, 5, 9]), MAX, None, false),
+                (vec![10, 20], goids(&[1, 2, 3]), 30, Some(Goid(100)), false),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_insert_that_finds_its_leaf_root_grown_descends_again() {
+        // The descent read the root as a leaf; the root then grew in place.
+        let mut op = BTreeOp::new(Goid(4), 25, true, Annotation::Migrate);
+        op.on_result(&[R_LEAF, 0]);
+        let mut root = BTreeNode::new(vec![30], goids(&[101, 100]), u64::MAX, None, 4, 10);
+        root.is_root = true;
+        let mut env = Recorder::default();
+        let reply = root.invoke(M_INSERT, &[25], &mut env);
+        assert_eq!(&reply[..], &[R_CHILD, 101]);
+        assert!(env.effects.is_empty(), "a descent only reads");
+        op.on_result(&reply);
+        assert_eq!((op.current, &op.path[..]), (Goid(101), &[4][..]));
+        let ctx = StepCtx {
+            now: Cycles::ZERO,
+            proc: ProcId(0),
+        };
+        match op.step(&ctx) {
+            StepResult::Invoke(i) => assert_eq!((i.target, i.method), (Goid(101), M_DESCEND)),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     fn small(scheme: Scheme) -> BTreeExperiment {

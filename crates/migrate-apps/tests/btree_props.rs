@@ -4,6 +4,10 @@
 //! operations under every mechanism — must always satisfy the B-link
 //! invariants and agree with a `std::collections::BTreeSet` oracle on
 //! membership.
+//!
+//! `simulated_ops_agree_with_btreeset_oracle_long` is `#[ignore]`d: it runs
+//! the oracle property for 4,800 cases. Run it with
+//! `cargo test --release -p migrate-apps --test btree_props -- --include-ignored`.
 
 use std::collections::BTreeSet;
 
@@ -66,55 +70,10 @@ proptest! {
     #[test]
     fn simulated_ops_agree_with_btreeset_oracle(
         initial in keyset(),
-        ops in proptest::collection::vec((0u64..100_000, any::<bool>()), 1..120),
+        ops in ops(),
         scheme_idx in 0usize..4,
     ) {
-        let scheme = [
-            Scheme::rpc(),
-            Scheme::computation_migration(),
-            Scheme::computation_migration().with_replication(),
-            Scheme::shared_memory(),
-        ][scheme_idx];
-        let mut cfg = MachineConfig::new(10, scheme);
-        cfg.data_procs = (0..8).map(ProcId).collect();
-        cfg.replica_procs = vec![ProcId(8), ProcId(9)];
-        let mut runner = Runner::new(cfg);
-        let sorted: Vec<u64> = initial.iter().copied().collect();
-        let root = bulk_load(&mut runner.system, &sorted, 8, 50, 8, 11);
-
-        // Two concurrent scripted drivers split the op list.
-        let mid = ops.len() / 2;
-        for (i, chunk) in [&ops[..mid], &ops[mid..]].iter().enumerate() {
-            runner.spawn(
-                ProcId(8 + i as u32),
-                Box::new(ScriptedDriver {
-                    root,
-                    script: chunk.to_vec(),
-                    next: 0,
-                }),
-            );
-        }
-        runner.run_until(Cycles(80_000_000));
-
-        // Oracle: the initial set plus every inserted key.
-        let mut oracle = initial.clone();
-        for &(k, insert) in &ops {
-            if insert {
-                oracle.insert(k);
-            }
-        }
-        let stats = verify_tree(&runner.system, root).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(stats.keys, oracle.len() as u64, "key count mismatch");
-        // Membership spot checks: every scripted key and its neighbours.
-        for &(k, _) in &ops {
-            prop_assert_eq!(lookup_pure(&runner.system, root, k), oracle.contains(&k), "key {}", k);
-            let probe = k.wrapping_add(1) % 100_000;
-            prop_assert_eq!(
-                lookup_pure(&runner.system, root, probe),
-                oracle.contains(&probe),
-                "probe {}", probe
-            );
-        }
+        agrees_with_btreeset_oracle(&initial, &ops, scheme_idx)?;
     }
 
     #[test]
@@ -145,6 +104,90 @@ proptest! {
         prop_assert!(stats.keys >= 16);
         prop_assert!(stats.height >= 2);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4_800))]
+
+    /// The oracle property over 100 times as many cases (ignored by
+    /// default; CI runs it in release).
+    #[test]
+    #[ignore]
+    fn simulated_ops_agree_with_btreeset_oracle_long(
+        initial in keyset(),
+        ops in ops(),
+        scheme_idx in 0usize..4,
+    ) {
+        agrees_with_btreeset_oracle(&initial, &ops, scheme_idx)?;
+    }
+}
+
+/// Up to 120 `(key, insert)` operations.
+fn ops() -> impl Strategy<Value = Vec<(u64, bool)>> {
+    proptest::collection::vec((0u64..100_000, any::<bool>()), 1..120)
+}
+
+/// Bulk-load `initial`, run `ops` split between two concurrent scripted
+/// drivers under scheme `scheme_idx`, and check the drained tree against
+/// a `BTreeSet` of the initial keys plus every inserted key.
+fn agrees_with_btreeset_oracle(
+    initial: &BTreeSet<u64>,
+    ops: &[(u64, bool)],
+    scheme_idx: usize,
+) -> Result<(), TestCaseError> {
+    let scheme = [
+        Scheme::rpc(),
+        Scheme::computation_migration(),
+        Scheme::computation_migration().with_replication(),
+        Scheme::shared_memory(),
+    ][scheme_idx];
+    let mut cfg = MachineConfig::new(10, scheme);
+    cfg.data_procs = (0..8).map(ProcId).collect();
+    cfg.replica_procs = vec![ProcId(8), ProcId(9)];
+    let mut runner = Runner::new(cfg);
+    let sorted: Vec<u64> = initial.iter().copied().collect();
+    let root = bulk_load(&mut runner.system, &sorted, 8, 50, 8, 11);
+
+    // Two concurrent scripted drivers split the op list.
+    let mid = ops.len() / 2;
+    for (i, chunk) in [&ops[..mid], &ops[mid..]].iter().enumerate() {
+        runner.spawn(
+            ProcId(8 + i as u32),
+            Box::new(ScriptedDriver {
+                root,
+                script: chunk.to_vec(),
+                next: 0,
+            }),
+        );
+    }
+    runner.run_until(Cycles(80_000_000));
+
+    // Oracle: the initial set plus every inserted key.
+    let mut oracle = initial.clone();
+    for &(k, insert) in ops {
+        if insert {
+            oracle.insert(k);
+        }
+    }
+    let stats = verify_tree(&runner.system, root).map_err(TestCaseError::fail)?;
+    prop_assert_eq!(stats.keys, oracle.len() as u64, "key count mismatch");
+    // Membership spot checks: every scripted key and its neighbours.
+    for &(k, _) in ops {
+        prop_assert_eq!(
+            lookup_pure(&runner.system, root, k),
+            oracle.contains(&k),
+            "key {}",
+            k
+        );
+        let probe = k.wrapping_add(1) % 100_000;
+        prop_assert_eq!(
+            lookup_pure(&runner.system, root, probe),
+            oracle.contains(&probe),
+            "probe {}",
+            probe
+        );
+    }
+    Ok(())
 }
 
 /// Pick a probe stride that keeps the negative-membership scan cheap.

@@ -175,9 +175,9 @@ impl Accounting {
 pub struct CostModel {
     /// Copying the received packet (76 in Table 5; 12 with a register NIC).
     pub copy_packet: Cycles,
-    /// Creating a server thread for a request (66). Prelude skipped this for
-    /// "short methods" via an Active-Messages-style path; see
-    /// [`CostModel::receive`]'s `short_method`.
+    /// Creating a server thread for a request (66). The runtime charges it
+    /// for RPC requests and arriving activations only; every other message
+    /// takes the short receive path of [`CostModel::receive_charges`].
     pub thread_creation: Cycles,
     /// Receiver-side procedure linkage (66).
     pub linkage_recv: Cycles,
@@ -347,10 +347,11 @@ impl CostModel {
     /// The receiver-side charges of a `words`-word message, one per
     /// category, in the order the runtime books them.
     ///
-    /// `short_method` models Prelude's Active-Messages-style fast path that
-    /// skips thread creation for short methods (§4.3/§4.4).
-    pub fn receive_charges(&self, words: u64, short_method: bool) -> [(Category, Cycles); 8] {
-        let thread = if short_method {
+    /// `short` models Prelude's Active-Messages-style fast path that skips
+    /// thread creation (§4.3/§4.4), which acks, replies and the other
+    /// runtime messages take.
+    pub fn receive_charges(&self, words: u64, short: bool) -> [(Category, Cycles); 8] {
+        let thread = if short {
             Cycles::ZERO
         } else {
             self.thread_creation
@@ -375,8 +376,8 @@ impl CostModel {
 
     /// Total receiver-side overhead for a `words`-word message: the sum of
     /// [`CostModel::receive_charges`].
-    pub fn receive(&self, words: u64, short_method: bool) -> Cycles {
-        self.receive_charges(words, short_method)
+    pub fn receive(&self, words: u64, short: bool) -> Cycles {
+        self.receive_charges(words, short)
             .into_iter()
             .map(|(_, c)| c)
             .sum()

@@ -37,9 +37,6 @@ pub struct Invoke {
     /// Whether the method only reads the object. Read-only calls on
     /// replicated objects may be satisfied by a local replica.
     pub read_only: bool,
-    /// Whether this is a "short method" eligible for Prelude's
-    /// Active-Messages-style no-thread fast path when run via RPC.
-    pub short_method: bool,
 }
 
 impl Invoke {
@@ -51,7 +48,6 @@ impl Invoke {
             args: args.into(),
             annotation: Annotation::Rpc,
             read_only: false,
-            short_method: false,
         }
     }
 
@@ -84,12 +80,6 @@ impl Invoke {
     /// Mark the method as read-only (replica-servable).
     pub fn reading(mut self) -> Invoke {
         self.read_only = true;
-        self
-    }
-
-    /// Mark the method as short (no server thread under RPC).
-    pub fn short(mut self) -> Invoke {
-        self.short_method = true;
         self
     }
 
@@ -239,12 +229,9 @@ mod tests {
 
     #[test]
     fn invoke_builders() {
-        let i = Invoke::migrate(Goid(2), MethodId(1), [1, 2])
-            .reading()
-            .short();
+        let i = Invoke::migrate(Goid(2), MethodId(1), [1, 2]).reading();
         assert_eq!(i.annotation, Annotation::Migrate);
         assert!(i.read_only);
-        assert!(i.short_method);
         assert_eq!(i.request_words(), 4);
     }
 

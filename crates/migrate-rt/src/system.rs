@@ -307,7 +307,7 @@ pub struct RecvMeta {
     words: u64,
     /// Payload kind.
     kind: MessageKind,
-    /// Short-method receive path: no thread creation.
+    /// Short receive path: no thread creation.
     short: bool,
 }
 
@@ -391,19 +391,17 @@ impl Core {
         payload.words() + extra
     }
 
-    /// The receive-path metadata of `payload`: only RPC requests for long
-    /// methods and arriving activations pay thread creation.
+    /// The receive-path metadata of `payload`: only RPC requests and
+    /// arriving activations pay thread creation.
     #[inline]
     fn recv_meta(&self, payload: &Payload) -> RecvMeta {
-        let short = match payload {
-            Payload::RpcRequest { invoke, .. } => invoke.short_method,
-            Payload::Migration { .. } | Payload::ThreadMove { .. } => false,
-            _ => true,
-        };
         RecvMeta {
             words: self.wire_words(payload),
             kind: payload.kind(),
-            short,
+            short: !matches!(
+                payload,
+                Payload::RpcRequest { .. } | Payload::Migration { .. } | Payload::ThreadMove { .. }
+            ),
         }
     }
 

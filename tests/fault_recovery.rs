@@ -6,14 +6,15 @@
 //! crash-restarts survived — so capped (drained) runs of both applications
 //! must produce byte-for-byte the same application-level results a perfect
 //! network would: every counting token exits exactly once, and the B-tree
-//! stays structurally valid with a key set bounded by the issued inserts.
+//! stays structurally valid and holds exactly the initial keys plus the
+//! issued inserts.
 //! The cycle-accounting audit stays on throughout: recovery work (acks,
 //! retries, dedup, reclamation, injected outages) must obey busy == charged
 //! like any other task.
 
 use bench::json::Json;
 use bench::{failover_schemes, metrics_to_json};
-use migrate_apps::btree::{verify_tree, BTreeExperiment};
+use migrate_apps::btree::{lookup_pure, verify_tree, BTreeExperiment};
 use migrate_apps::counting::{has_step_property, CountingExperiment, OutputCounter};
 use migrate_rt::{Annotation, Category, DispatchKind, RunMetrics, Scheme};
 use proteus::{Cycles, FaultPlan, QueueCounters};
@@ -108,19 +109,21 @@ fn btree_stays_valid_for_all_schemes_and_seeds() {
                 .unwrap_or_else(|e| panic!("{name} seed {seed}: audit failed: {e}"));
             let stats = verify_tree(&runner.system, root)
                 .unwrap_or_else(|e| panic!("{name} seed {seed}: tree corrupt: {e}"));
-            // Exactly-once semantics bound the key set: lookups add nothing,
-            // and each issued insert adds at most one key (duplicates of the
-            // same random key coalesce, replayed messages must not).
-            assert!(
-                stats.keys >= initial,
-                "{name} seed {seed}: keys vanished ({} < {initial})",
-                stats.keys
+            // Exactly-once semantics fix the key set: the initial keys plus
+            // every issued insert, each landing once however often its
+            // messages were dropped, duplicated or replayed.
+            let oracle = exp.drained_keys();
+            assert_eq!(
+                stats.keys,
+                oracle.len() as u64,
+                "{name} seed {seed}: key count differs from the oracle"
             );
-            assert!(
-                stats.keys <= initial + u64::from(requesters) * per_thread,
-                "{name} seed {seed}: more keys than inserts issued ({})",
-                stats.keys
-            );
+            for &k in &oracle {
+                assert!(
+                    lookup_pure(&runner.system, root, k),
+                    "{name} seed {seed}: key {k} missing"
+                );
+            }
         }
     }
 }
