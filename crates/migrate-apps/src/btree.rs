@@ -323,10 +323,7 @@ impl BTreeOp {
     }
 
     fn invoke(&self, method: MethodId, args: impl Into<WordVec>) -> Invoke {
-        Invoke {
-            annotation: self.annotation,
-            ..Invoke::rpc(self.current, method, args)
-        }
+        Invoke::new(self.current, method, args, self.annotation)
     }
 }
 

@@ -245,7 +245,6 @@ pub struct Balancer {
     pub bottom: u32,
     /// Tokens routed (diagnostics).
     pub traversals: u64,
-    compute: u64,
 }
 
 impl Behavior for Balancer {
@@ -253,7 +252,7 @@ impl Behavior for Balancer {
         assert_eq!(method, M_TRAVERSE, "balancers only traverse");
         env.lock();
         env.read(8, 8); // toggle
-        env.compute(Cycles(self.compute));
+        env.compute(Cycles(BALANCER_COMPUTE));
         let out = if self.toggle { self.bottom } else { self.top };
         self.toggle = !self.toggle;
         self.traversals += 1;
@@ -275,7 +274,6 @@ pub struct OutputCounter {
     /// This counter's rank in the output sequence (not the physical wire).
     pub position: u32,
     width: u32,
-    compute: u64,
 }
 
 impl Behavior for OutputCounter {
@@ -283,7 +281,7 @@ impl Behavior for OutputCounter {
         assert_eq!(method, M_NEXT_VALUE, "counters only draw values");
         env.lock();
         env.read(8, 8);
-        env.compute(Cycles(self.compute));
+        env.compute(Cycles(COUNTER_COMPUTE));
         let value = self.count * u64::from(self.width) + u64::from(self.position);
         self.count += 1;
         env.write(8, 8);
@@ -343,8 +341,6 @@ pub struct TraverseOp {
     wire: u32,
     layer: u32,
     value: Option<Word>,
-    /// Local per-hop bookkeeping cost (frame user code).
-    step_compute: u64,
     hop_charged: bool,
     annotation: Annotation,
 }
@@ -353,18 +349,12 @@ impl TraverseOp {
     /// A request entering on `wire`, with `annotation` at every hop
     /// (`Annotation::Migrate` is the paper's static choice;
     /// `Annotation::Auto` hands it to the adaptive policy).
-    pub fn new(
-        spec: Arc<CountingSpec>,
-        wire: u32,
-        step_compute: u64,
-        annotation: Annotation,
-    ) -> TraverseOp {
+    pub fn new(spec: Arc<CountingSpec>, wire: u32, annotation: Annotation) -> TraverseOp {
         TraverseOp {
             spec,
             wire,
             layer: 0,
             value: None,
-            step_compute,
             hop_charged: false,
             annotation,
         }
@@ -381,23 +371,17 @@ impl Frame for TraverseOp {
         // migration beyond the balancer method itself.
         if !self.hop_charged {
             self.hop_charged = true;
-            return StepResult::Compute(Cycles(self.step_compute));
+            return StepResult::Compute(Cycles(STEP_COMPUTE));
         }
-        if (self.layer as usize) < self.spec.wiring.depth() {
+        let inv = if (self.layer as usize) < self.spec.wiring.depth() {
             let balancer = self.spec.balancer_at(self.layer as usize, self.wire);
-            let mut inv = Invoke {
-                annotation: self.annotation,
-                ..Invoke::rpc(balancer, M_TRAVERSE, [])
-            };
-            inv.args.push(Word::from(self.wire));
-            StepResult::Invoke(inv)
+            let args = [Word::from(self.wire)];
+            Invoke::new(balancer, M_TRAVERSE, args, self.annotation)
         } else {
             let counter = self.spec.counters[self.wire as usize];
-            StepResult::Invoke(Invoke {
-                annotation: self.annotation,
-                ..Invoke::rpc(counter, M_NEXT_VALUE, [])
-            })
-        }
+            Invoke::new(counter, M_NEXT_VALUE, [], self.annotation)
+        };
+        StepResult::Invoke(inv)
     }
 
     fn on_result(&mut self, results: &[Word]) {
@@ -430,20 +414,13 @@ pub struct Traversals {
     pub spec: Arc<CountingSpec>,
     /// The wire every token enters on.
     pub entry_wire: u32,
-    /// Cycles of frame-local bookkeeping per hop.
-    pub step_compute: u64,
 }
 
 impl OpSource for Traversals {
     type Op = TraverseOp;
 
     fn next_op(&mut self, annotation: Annotation) -> TraverseOp {
-        TraverseOp::new(
-            self.spec.clone(),
-            self.entry_wire,
-            self.step_compute,
-            annotation,
-        )
+        TraverseOp::new(self.spec.clone(), self.entry_wire, annotation)
     }
 }
 
@@ -467,6 +444,8 @@ const WIDTH: u32 = 8;
 const BALANCER_COMPUTE: u64 = 140;
 /// Cycles of user code per counter draw.
 const COUNTER_COMPUTE: u64 = 60;
+/// Cycles of frame-local bookkeeping per hop of a traversal.
+const STEP_COMPUTE: u64 = 10;
 
 /// Configuration of a counting-network experiment (one Figure 2/3 point).
 #[derive(Clone, Debug)]
@@ -553,7 +532,6 @@ impl CountingExperiment {
                         top,
                         bottom,
                         traversals: 0,
-                        compute: BALANCER_COMPUTE,
                     }),
                     ProcId(proc),
                     false,
@@ -577,7 +555,6 @@ impl CountingExperiment {
                         count: 0,
                         position: wiring.position_of(wire) as u32,
                         width: WIDTH,
-                        compute: COUNTER_COMPUTE,
                     }),
                     feeder_proc,
                     false,
@@ -595,7 +572,6 @@ impl CountingExperiment {
             let traversals = Traversals {
                 spec: spec.clone(),
                 entry_wire: r % WIDTH,
-                step_compute: 10,
             };
             let mut requester = Requester::new(traversals, self.think);
             requester.annotation = self.annotation;
@@ -638,7 +614,6 @@ mod tests {
         let traversals = Traversals {
             spec,
             entry_wire: 3,
-            step_compute: 10,
         };
         let mut requester = Requester::new(traversals, Cycles::ZERO);
         let mut first = next_call(&mut requester);

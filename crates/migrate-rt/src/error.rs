@@ -216,6 +216,10 @@ pub enum ConfigError {
         /// Processors the machine has.
         processors: u32,
     },
+    /// Failover is enabled without a fault plan. Heartbeat probes need the
+    /// transport layer's acked envelopes to ever time out; give the machine
+    /// `FaultPlan::disabled()` when it injects nothing.
+    FailoverWithoutFaultPlan,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -237,6 +241,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::KillVictimOutside { proc, processors } => write!(
                 f,
                 "kill victim {proc:?} outside the machine of {processors} processors"
+            ),
+            ConfigError::FailoverWithoutFaultPlan => write!(
+                f,
+                "failover needs a fault plan: heartbeats ride acked envelopes \
+                 (use FaultPlan::disabled() to inject nothing)"
             ),
         }
     }

@@ -40,40 +40,20 @@ pub struct Invoke {
 }
 
 impl Invoke {
-    /// A plain (RPC-on-remote) invocation.
-    pub fn rpc(target: Goid, method: MethodId, args: impl Into<WordVec>) -> Invoke {
+    /// An invocation of `method` on `target` from a call site carrying
+    /// `annotation` (§3.1).
+    pub fn new(
+        target: Goid,
+        method: MethodId,
+        args: impl Into<WordVec>,
+        annotation: Annotation,
+    ) -> Invoke {
         Invoke {
             target,
             method,
             args: args.into(),
-            annotation: Annotation::Rpc,
+            annotation,
             read_only: false,
-        }
-    }
-
-    /// An invocation whose call site carries the migration annotation.
-    pub fn migrate(target: Goid, method: MethodId, args: impl Into<WordVec>) -> Invoke {
-        Invoke {
-            annotation: Annotation::Migrate,
-            ..Invoke::rpc(target, method, args)
-        }
-    }
-
-    /// An invocation annotated for multiple-activation migration: the whole
-    /// activation group above the thread base moves (§6 future work).
-    pub fn migrate_all(target: Goid, method: MethodId, args: impl Into<WordVec>) -> Invoke {
-        Invoke {
-            annotation: Annotation::MigrateAll,
-            ..Invoke::rpc(target, method, args)
-        }
-    }
-
-    /// An invocation whose mechanism is chosen online by the adaptive
-    /// dispatch policy (see [`Annotation::Auto`] and [`crate::policy`]).
-    pub fn auto(target: Goid, method: MethodId, args: impl Into<WordVec>) -> Invoke {
-        Invoke {
-            annotation: Annotation::Auto,
-            ..Invoke::rpc(target, method, args)
         }
     }
 
@@ -185,7 +165,7 @@ mod tests {
             match self.phase {
                 0 => {
                     self.phase = 1;
-                    StepResult::Invoke(Invoke::rpc(Goid(1), MethodId(0), [7]))
+                    StepResult::Invoke(Invoke::new(Goid(1), MethodId(0), [7], Annotation::Rpc))
                 }
                 _ => StepResult::Return(self.got[..].into()),
             }
@@ -229,7 +209,7 @@ mod tests {
 
     #[test]
     fn invoke_builders() {
-        let i = Invoke::migrate(Goid(2), MethodId(1), [1, 2]).reading();
+        let i = Invoke::new(Goid(2), MethodId(1), [1, 2], Annotation::Migrate).reading();
         assert_eq!(i.annotation, Annotation::Migrate);
         assert!(i.read_only);
         assert_eq!(i.request_words(), 4);
@@ -237,7 +217,7 @@ mod tests {
 
     #[test]
     fn step_result_debug_is_informative() {
-        let s = StepResult::Invoke(Invoke::rpc(Goid(9), MethodId(3), []));
+        let s = StepResult::Invoke(Invoke::new(Goid(9), MethodId(3), [], Annotation::Rpc));
         assert_eq!(format!("{s:?}"), "Invoke(g9.m3)");
         assert_eq!(format!("{:?}", StepResult::Halt), "Halt");
     }

@@ -28,8 +28,8 @@
 //!
 //! ```
 //! use migrate_rt::{
-//!     Behavior, Frame, Invoke, MachineConfig, MethodEnv, MethodId, Runner, Scheme, StepCtx,
-//!     StepResult, Word, WordVec,
+//!     Annotation, Behavior, Frame, Invoke, MachineConfig, MethodEnv, MethodId, Runner, Scheme,
+//!     StepCtx, StepResult, Word, WordVec,
 //! };
 //! use proteus::{Cycles, ProcId};
 //!
@@ -54,7 +54,7 @@
 //!     fn step(&mut self, _ctx: &StepCtx) -> StepResult {
 //!         if self.done { return StepResult::Halt; }
 //!         self.done = true;
-//!         StepResult::Invoke(Invoke::rpc(self.target, MethodId(0), []))
+//!         StepResult::Invoke(Invoke::new(self.target, MethodId(0), [], Annotation::Rpc))
 //!     }
 //!     fn on_result(&mut self, results: &[Word]) { assert_eq!(results, &[1]); }
 //!     fn live_words(&self) -> u64 { 2 }
@@ -88,7 +88,7 @@ pub use cost::{Accounting, Category, CostModel};
 pub use error::{ConfigError, RuntimeError};
 pub use frame::{Frame, Invoke, StepCtx, StepResult};
 pub use mechanism::{Annotation, DataAccess, DispatchKind, DispatchStats, Scheme};
-pub use message::{Message, MessageKind, Payload};
+pub use message::{MessageKind, Payload};
 pub use object::{Behavior, MethodEnv, ObjectEntry, ObjectTable};
 pub use policy::PolicyStats;
 pub use system::{

@@ -214,20 +214,23 @@ impl MessageKind {
         MessageKind::Heartbeat,
         MessageKind::BackupDelta,
     ];
-}
 
-/// A message in flight.
-pub struct Message {
-    /// Sending processor.
-    pub src: ProcId,
-    /// The payload.
-    pub payload: Payload,
+    /// Whether the receiver creates a thread for a message of this kind:
+    /// only RPC requests and arriving activations do. Every other message
+    /// takes the short receive path of [`crate::CostModel::receive_charges`].
+    pub fn creates_thread(self) -> bool {
+        matches!(
+            self,
+            MessageKind::RpcRequest | MessageKind::Migration | MessageKind::ThreadMove
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::{StepCtx, StepResult};
+    use crate::mechanism::Annotation;
     use crate::types::{MethodId, Word};
 
     struct Fixed(u64);
@@ -246,7 +249,7 @@ mod tests {
         let p = Payload::RpcRequest {
             thread: ThreadId(0),
             reply_to: ProcId(0),
-            invoke: Invoke::rpc(Goid(1), MethodId(0), [1, 2, 3]),
+            invoke: Invoke::new(Goid(1), MethodId(0), [1, 2, 3], Annotation::Rpc),
         };
         // 2 linkage + (2 + 3 args)
         assert_eq!(p.words(), 7);
@@ -259,7 +262,7 @@ mod tests {
             thread: ThreadId(0),
             reply_to: ProcId(0),
             frames: vec![Box::new(Fixed(5))],
-            invoke: Invoke::migrate(Goid(1), MethodId(0), [9]),
+            invoke: Invoke::new(Goid(1), MethodId(0), [9], Annotation::Migrate),
         };
         // 2 linkage + 5 live + (2 + 1 arg)
         assert_eq!(p.words(), 10);
@@ -270,7 +273,7 @@ mod tests {
             thread: ThreadId(0),
             reply_to: ProcId(0),
             frames: vec![Box::new(Fixed(3)), Box::new(Fixed(5))],
-            invoke: Invoke::migrate_all(Goid(1), MethodId(0), [9]),
+            invoke: Invoke::new(Goid(1), MethodId(0), [9], Annotation::MigrateAll),
         };
         assert_eq!(p2.words(), 15);
     }
@@ -312,7 +315,7 @@ mod tests {
         let p = Payload::ThreadMove {
             thread: ThreadId(0),
             frames: vec![Box::new(Fixed(4)), Box::new(Fixed(6))],
-            invoke: Invoke::rpc(Goid(1), MethodId(0), []),
+            invoke: Invoke::new(Goid(1), MethodId(0), [], Annotation::Rpc),
         };
         // 16 ctrl + (4 + 6 + 2 linkage) + 2 invoke
         assert_eq!(p.words(), 30);
@@ -364,6 +367,22 @@ mod tests {
         };
         assert_eq!(p.words(), 17);
         assert_eq!(p.kind(), MessageKind::ReplicaUpdate);
+    }
+
+    #[test]
+    fn only_requests_and_arriving_activations_create_threads() {
+        let creating: Vec<MessageKind> = MessageKind::ALL
+            .into_iter()
+            .filter(|k| k.creates_thread())
+            .collect();
+        assert_eq!(
+            creating,
+            [
+                MessageKind::RpcRequest,
+                MessageKind::Migration,
+                MessageKind::ThreadMove
+            ]
+        );
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::cost::{Accounting, Category, CostModel};
 use crate::error::{ConfigError, RuntimeError};
 use crate::frame::Frame;
 use crate::mechanism::{DispatchStats, Scheme};
-use crate::message::{Message, MessageKind, Payload};
+use crate::message::{MessageKind, Payload};
 use crate::object::{Behavior, ObjectTable};
 use crate::policy::PolicyEngine;
 use crate::types::{Goid, ThreadId};
@@ -104,6 +104,7 @@ pub struct MachineConfig {
     /// primary-backup object replication. Off by default; when off, the
     /// runtime's behaviour is bit-identical to a build without the feature
     /// (no probes, no deltas, no extra state consulted on the hot path).
+    /// When on, the machine needs a fault plan ([`MachineConfig::validate`]).
     pub failover: FailoverConfig,
 }
 
@@ -152,10 +153,10 @@ impl MachineConfig {
     }
 
     /// Check that the machine can be modelled: it has at least one and at
-    /// most [`MAX_PROCESSORS`] processors, and every processor the
+    /// most [`MAX_PROCESSORS`] processors, every processor the
     /// configuration names (data and replica processors, the fault plan's
-    /// kill victim) is inside it. [`System::new`] panics with the error's
-    /// message.
+    /// kill victim) is inside it, and failover has the fault plan its
+    /// probes ride. [`System::new`] panics with the error's message.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let processors = self.processors;
         if processors == 0 {
@@ -176,14 +177,27 @@ impl MachineConfig {
                 return Err(ConfigError::KillVictimOutside { proc, processors });
             }
         }
+        if self.failover.enabled && self.faults.is_none() {
+            return Err(ConfigError::FailoverWithoutFaultPlan);
+        }
         Ok(())
     }
 }
 
 /// Simulation events.
 pub enum Event {
-    /// A runtime message arrives at a processor.
-    Arrive(ProcId, Message),
+    /// A runtime message arrives at a processor. Its kind is its payload's,
+    /// so only the wire words its sender sized travel beside it.
+    Arrive {
+        /// Receiving processor.
+        dst: ProcId,
+        /// Sending processor.
+        src: ProcId,
+        /// Wire words, as sized at send.
+        words: u64,
+        /// The payload.
+        payload: Payload,
+    },
     /// A processor is free to serve its next queued task.
     Poll(ProcId),
     /// A sleeping thread's think time expired.
@@ -226,20 +240,15 @@ pub enum Event {
 enum Work {
     /// Step a thread at its home processor.
     Step(ThreadId),
-    /// Deliver a runtime message: charge its receive path, acknowledge
-    /// envelope `seq` back to `src` if it came in one, then act on it.
-    Message {
+    /// Deliver one copy of a runtime message: charge the receive path
+    /// `meta` describes, acknowledge envelope `seq` back to `src` if the
+    /// copy came in one, then act on the payload. A `None` payload is a
+    /// suppressed duplicate of an envelope already delivered.
+    Deliver {
         src: ProcId,
-        payload: Payload,
-        seq: Option<u64>,
-    },
-    /// Suppress a duplicate copy of envelope `seq` (recovery protocol),
-    /// still paying the receive path the envelope's metadata describes and
-    /// re-acknowledging it to `src`.
-    DuplicateDrop {
-        src: ProcId,
-        seq: u64,
         meta: RecvMeta,
+        seq: Option<u64>,
+        payload: Option<Payload>,
     },
     /// Retransmit (or give up on) unacked envelope `seq`.
     Retransmit { seq: u64 },
@@ -297,18 +306,17 @@ struct ParkedGroup {
     reply_to: ProcId,
 }
 
-/// What charging a payload's receive path needs, kept where the payload
-/// itself is not: in an envelope's arrival event, a duplicate's suppression
-/// task and the sender's retransmission buffer. Only the runtime builds one,
-/// from the payload it describes.
+/// A message's kind and wire words: what booking its send and charging
+/// its receive path need. The sender makes it once, from the payload, and
+/// every copy of the message carries it to its delivery: the arrival event
+/// of an envelope (whose payload stays in the sender's retransmission
+/// buffer), the delivery task, and the buffer entry itself.
 #[derive(Copy, Clone, Debug)]
 pub struct RecvMeta {
     /// Wire words.
     words: u64,
     /// Payload kind.
     kind: MessageKind,
-    /// Short receive path: no thread creation.
-    short: bool,
 }
 
 /// The always-on charging state every layer books into. [`System`] lends
@@ -380,28 +388,19 @@ impl Core {
         }
     }
 
-    /// Wire size of a payload in words: general-purpose RPC stubs marshal a
-    /// larger record than the compact generated migration messages (§4.3).
+    /// The one sizing of `payload`: its kind and wire words. General-purpose
+    /// RPC stubs marshal a larger record than the compact generated
+    /// migration messages (§4.3).
     #[inline]
-    fn wire_words(&self, payload: &Payload) -> u64 {
-        let extra = match payload.kind() {
+    fn recv_meta(&self, payload: &Payload) -> RecvMeta {
+        let kind = payload.kind();
+        let extra = match kind {
             MessageKind::RpcRequest | MessageKind::RpcReply => self.cost.rpc_stub_words,
             _ => 0,
         };
-        payload.words() + extra
-    }
-
-    /// The receive-path metadata of `payload`: only RPC requests and
-    /// arriving activations pay thread creation.
-    #[inline]
-    fn recv_meta(&self, payload: &Payload) -> RecvMeta {
         RecvMeta {
-            words: self.wire_words(payload),
-            kind: payload.kind(),
-            short: !matches!(
-                payload,
-                Payload::RpcRequest { .. } | Payload::Migration { .. } | Payload::ThreadMove { .. }
-            ),
+            words: payload.words() + extra,
+            kind,
         }
     }
 
@@ -413,8 +412,7 @@ impl Core {
         &mut self,
         src: ProcId,
         dst: ProcId,
-        kind: MessageKind,
-        words: u64,
+        RecvMeta { words, kind }: RecvMeta,
         send_time: Cycles,
     ) -> (Cycles, Option<Cycles>) {
         let was_migration_ctx = self.migration_ctx;
@@ -438,22 +436,21 @@ impl Core {
         (overhead, Some(latency))
     }
 
-    /// Booking prologue of every first send: charge the sender side of a
-    /// `kind` message of `words` wire words and, when the network took it,
-    /// count the message (and the migration it performs). Returns what
+    /// Booking prologue of every first send: charge the sender side of the
+    /// message `meta` describes and, when the network took it, count the
+    /// message (and the migration it performs). Returns what
     /// [`Core::charge_send`] returns.
     fn book_send(
         &mut self,
         src: ProcId,
         dst: ProcId,
-        kind: MessageKind,
-        words: u64,
+        meta: RecvMeta,
         send_time: Cycles,
     ) -> (Cycles, Option<Cycles>) {
-        let sent = self.charge_send(src, dst, kind, words, send_time);
+        let sent = self.charge_send(src, dst, meta, send_time);
         if sent.1.is_some() {
-            self.msg_counts[kind as usize] += 1;
-            if kind == MessageKind::Migration {
+            self.msg_counts[meta.kind as usize] += 1;
+            if meta.kind == MessageKind::Migration {
                 self.migrations += 1;
             }
         }
@@ -462,11 +459,11 @@ impl Core {
 
     /// Charge the receive path of a message; returns the processor-busy
     /// overhead.
-    fn charge_recv(&mut self, RecvMeta { words, kind, short }: RecvMeta) -> Cycles {
+    fn charge_recv(&mut self, RecvMeta { words, kind }: RecvMeta) -> Cycles {
         let was = self.migration_ctx;
         self.migration_ctx = was || kind == MessageKind::Migration;
         let mut overhead = Cycles::ZERO;
-        for (category, cycles) in self.cost.receive_charges(words, short) {
+        for (category, cycles) in self.cost.receive_charges(words, !kind.creates_thread()) {
             overhead += self.charge(category, cycles);
         }
         self.migration_ctx = was;
@@ -716,20 +713,58 @@ impl System {
         send_time: Cycles,
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
+        let meta = self.core.recv_meta(&payload);
         if let Some(faults) = self.faults.as_mut().filter(|_| src != dst) {
-            return faults.send(&mut self.core, src, dst, payload, send_time, queue);
+            return faults.send(&mut self.core, src, dst, meta, payload, send_time, queue);
         }
-        let words = self.core.wire_words(&payload);
-        let (overhead, latency) = self
-            .core
-            .book_send(src, dst, payload.kind(), words, send_time);
+        let (overhead, latency) = self.core.book_send(src, dst, meta, send_time);
         if let Some(latency) = latency {
-            queue.schedule_at(
-                send_time + overhead + latency,
-                Event::Arrive(dst, Message { src, payload }),
-            );
+            let arrival = Event::Arrive {
+                dst,
+                src,
+                words: meta.words,
+                payload,
+            };
+            queue.schedule_at(send_time + overhead + latency, arrival);
         }
         overhead
+    }
+
+    /// One copy of a message from `src` lands at `dst`: a plain message
+    /// with its `payload`, or a copy of envelope `seq`, whose payload the
+    /// sender's retransmission buffer holds. A destination mid
+    /// crash-restart loses the copy (an envelope's sender will retransmit
+    /// it); a self-addressed plain message is a local hand-off, not wire
+    /// traffic, and cannot be lost. Otherwise queue its delivery: an
+    /// envelope copy takes the buffered payload if no copy was delivered
+    /// before it, and is a suppressed duplicate if one was.
+    #[allow(clippy::too_many_arguments)]
+    fn arrive(
+        &mut self,
+        now: Cycles,
+        dst: ProcId,
+        src: ProcId,
+        meta: RecvMeta,
+        seq: Option<u64>,
+        mut payload: Option<Payload>,
+        queue: &mut EventQueue<Event>,
+    ) {
+        if let Some(faults) = self.faults.as_mut().filter(|_| seq.is_some() || src != dst) {
+            let detail = || format!("src={} seq={seq:?} (destination crashed)", src.index());
+            if faults.swallows(&self.core.tracer, now, dst, detail) {
+                return;
+            }
+            if let Some(seq) = seq {
+                payload = faults.window.deliver(seq);
+            }
+        }
+        let work = Work::Deliver {
+            src,
+            meta,
+            seq,
+            payload,
+        };
+        self.enqueue(dst, work, now, queue);
     }
 
     fn ensure_poll(&mut self, proc: ProcId, now: Cycles, queue: &mut EventQueue<Event>) {
@@ -753,7 +788,7 @@ impl Simulation for System {
 
     fn event_label(event: &Event) -> &'static str {
         match event {
-            Event::Arrive(..) => "arrive",
+            Event::Arrive { .. } => "arrive",
             Event::ArriveSeq { .. } => "arrive_seq",
             Event::Poll(_) => "poll",
             Event::Wake(_) => "wake",
@@ -766,38 +801,24 @@ impl Simulation for System {
 
     fn handle(&mut self, now: Cycles, event: Event, queue: &mut EventQueue<Event>) {
         match event {
-            Event::Arrive(dest, Message { src, payload }) => {
-                // A destination mid crash-restart loses fire-and-forget
-                // traffic (acks) arriving now. Envelope traffic never takes
-                // this path, and self-addressed retries are local, not wire
-                // traffic.
-                let detail = || format!("src={} (destination crashed)", src.index());
-                let tracer = &self.core.tracer;
-                if src != dest
-                    && self
-                        .faults
-                        .as_mut()
-                        .is_some_and(|f| f.swallows(tracer, now, dest, detail))
-                {
-                    return;
-                }
-                self.enqueue(
-                    dest,
-                    Work::Message {
-                        src,
-                        payload,
-                        seq: None,
-                    },
-                    now,
-                    queue,
-                );
+            Event::Arrive {
+                dst,
+                src,
+                words,
+                payload,
+            } => {
+                let meta = RecvMeta {
+                    words,
+                    kind: payload.kind(),
+                };
+                self.arrive(now, dst, src, meta, None, Some(payload), queue);
             }
             Event::ArriveSeq {
                 dst,
                 src,
                 seq,
                 meta,
-            } => self.on_arrive_seq(now, dst, src, seq, meta, queue),
+            } => self.arrive(now, dst, src, meta, Some(seq), None, queue),
             Event::Timeout(seq) => self.on_timeout(now, seq, queue),
             Event::Disrupt {
                 proc,

@@ -13,7 +13,7 @@ use crate::cost::Category;
 use crate::error::RuntimeError;
 use crate::frame::{Frame, Invoke, StepCtx, StepResult};
 use crate::mechanism::{Annotation, DataAccess, DispatchKind};
-use crate::message::{Message, Payload};
+use crate::message::Payload;
 use crate::policy::PolicyEngine;
 use crate::types::{Goid, ThreadId, WordVec};
 
@@ -30,33 +30,50 @@ impl System {
         work: Work,
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
-        let (mut acc, ack) = match &work {
-            Work::Message { src, payload, seq } => (
-                self.charge_delivery(proc, *src, payload),
-                seq.map(|s| (*src, s)),
-            ),
-            Work::DuplicateDrop { src, seq, meta } => {
-                (self.core.charge_recv(*meta), Some((*src, *seq)))
-            }
-            _ => (Cycles::ZERO, None),
-        };
-        if let Some((src, seq)) = ack {
-            // Acknowledge the envelope as part of processing it, so the ack's
-            // send-side charges stay inside this task's busy window.
-            self.transport().stats.acks_sent += 1;
-            acc += self.send_message(proc, src, Payload::Ack { seq }, now + acc, queue);
-        }
         match work {
-            Work::Step(tid) => self.run_thread_slice(now, proc, tid, None, acc, queue),
-            Work::Message { payload, .. } => self.deliver(now, proc, payload, acc, queue),
-            Work::DuplicateDrop { seq, .. } => {
-                self.transport().stats.duplicates_suppressed += 1;
-                let error = RuntimeError::DuplicateDelivery { seq, at: proc };
-                self.core.record_error(now + acc, error);
-                acc + self.charge(Category::RecoveryDedup, self.core.cost.dedup_check)
+            Work::Step(tid) => self.run_thread_slice(now, proc, tid, None, Cycles::ZERO, queue),
+            Work::Deliver {
+                src,
+                meta,
+                seq,
+                payload,
+            } => {
+                // The receive path: the Table 5 message categories, sized
+                // at send — except a first-copy replica update, which takes
+                // the lightweight apply path, and a self-addressed object
+                // pull, a local retry with no receive path to pay.
+                let mut acc = match &payload {
+                    Some(Payload::ReplicaUpdate { .. }) => {
+                        self.charge(Category::ReplicaApply, self.core.cost.replica_apply)
+                    }
+                    Some(Payload::ObjectPull { .. }) if src == proc => Cycles::ZERO,
+                    _ => self.core.charge_recv(meta),
+                };
+                if let Some(seq) = seq {
+                    // Acknowledge the envelope as part of processing it, so
+                    // the ack's send-side charges stay inside this task's
+                    // busy window.
+                    self.transport().stats.acks_sent += 1;
+                    acc += self.send_message(proc, src, Payload::Ack { seq }, now + acc, queue);
+                }
+                // `deliver` keeps this one call site, so it inlines here: a
+                // second one cost `mp` about a tenth of its host time.
+                match (payload, seq) {
+                    (Some(payload), _) => self.deliver(now, proc, payload, acc, queue),
+                    // Already delivered (an injected duplicate, a
+                    // retransmission racing its own ack, or a tombstone left
+                    // by a fallback): suppress it.
+                    (None, Some(seq)) => {
+                        self.transport().stats.duplicates_suppressed += 1;
+                        let error = RuntimeError::DuplicateDelivery { seq, at: proc };
+                        self.core.record_error(now + acc, error);
+                        acc + self.charge(Category::RecoveryDedup, self.core.cost.dedup_check)
+                    }
+                    (None, None) => unreachable!("a plain message carries its payload"),
+                }
             }
-            Work::Retransmit { seq } => self.retransmit(seq, now, proc, acc, queue),
-            Work::HeartbeatProbe { to } => self.probe(now, proc, to, acc, queue),
+            Work::Retransmit { seq } => self.retransmit(seq, now, proc, queue),
+            Work::HeartbeatProbe { to } => self.probe(now, proc, to, queue),
             Work::Outage { duration, crash } => {
                 // The injected disruption occupies the processor for its
                 // duration; charge it so the audit identity holds.
@@ -65,22 +82,8 @@ impl System {
                 } else {
                     Category::FaultStall
                 };
-                acc + self.charge(category, duration)
+                self.charge(category, duration)
             }
-        }
-    }
-
-    /// Charge the receive path of a payload delivered at `proc`: the Table 5
-    /// message categories, sized by its wire words — except a replica
-    /// update, which takes the lightweight apply path, and a self-addressed
-    /// object pull, a local retry with no receive path to pay.
-    fn charge_delivery(&mut self, proc: ProcId, src: ProcId, payload: &Payload) -> Cycles {
-        match payload {
-            Payload::ReplicaUpdate { .. } => {
-                self.charge(Category::ReplicaApply, self.core.cost.replica_apply)
-            }
-            Payload::ObjectPull { .. } if src == proc => Cycles::ZERO,
-            _ => self.core.charge_recv(self.core.recv_meta(payload)),
         }
     }
 
@@ -833,11 +836,14 @@ impl System {
         if self.objects.entry(target).behavior.is_none() {
             // In flight towards us: retry after a short delay.
             acc += self.charge(Category::Scheduler, self.core.cost.scheduler);
-            let retry = Message {
+            // A local retry pays no receive path, so it carries no words.
+            let retry = Event::Arrive {
+                dst: proc,
                 src: proc,
+                words: 0,
                 payload: pull,
             };
-            queue.schedule_at(now + acc + Cycles(200), Event::Arrive(proc, retry));
+            queue.schedule_at(now + acc + Cycles(200), retry);
             return acc;
         }
         // Pack the object and rehome it at the requester *now*, so later

@@ -1,8 +1,10 @@
 //! Fail-stop tolerance layer: the ring heartbeat detector, primary-backup
 //! replication deltas, declaring a processor dead, re-homing its objects
 //! and rerouting in-flight envelopes away from it. It exists exactly when
-//! [`super::FailoverConfig::enabled`] is set, and needs no fault plan: a
-//! fault-free machine still probes and replicates, it just never suspects.
+//! [`super::FailoverConfig::enabled`] is set, and rides the transport
+//! layer: probes are acked envelopes, so a machine with failover also has a
+//! fault plan ([`FaultPlan::disabled`](proteus::FaultPlan::disabled) when it
+//! injects nothing).
 //!
 //! Permanent processor loss itself ([`super::Event::Kill`], from a fault
 //! plan) also lives here: it hands queued deliveries back to the senders'
@@ -178,26 +180,26 @@ impl System {
         queue.schedule_at(now + HEARTBEAT_INTERVAL, Event::HeartbeatTick);
     }
 
-    /// Send one heartbeat probe from `proc` to `to`.
+    /// Send one heartbeat probe from `proc` to `to`; returns the task's busy
+    /// cycles.
     pub(super) fn probe(
         &mut self,
         now: Cycles,
         proc: ProcId,
         to: ProcId,
-        acc: Cycles,
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
         if self.is_failed(proc) {
-            return acc; // the prober died since the tick fanned out
+            return Cycles::ZERO; // the prober died since the tick fanned out
         }
         let Some(failover) = &mut self.failover else {
-            return acc;
+            return Cycles::ZERO;
         };
         if failover.is_declared_dead(to) {
-            return acc; // nothing left to probe
+            return Cycles::ZERO; // nothing left to probe
         }
         failover.stats.heartbeats_sent += 1;
-        let acc = acc + self.charge(Category::RecoveryHeartbeat, self.core.cost.heartbeat_probe);
+        let acc = self.charge(Category::RecoveryHeartbeat, self.core.cost.heartbeat_probe);
         acc + self.send_message(proc, to, Payload::Heartbeat, now + acc, queue)
     }
 
@@ -370,9 +372,9 @@ impl System {
         // declared, reroutes. Locally generated work and duplicate
         // suppressions die with the node.
         for task in self.procs[v].drain() {
-            if let Work::Message {
-                payload,
+            if let Work::Deliver {
                 seq: Some(seq),
+                payload: Some(payload),
                 ..
             } = task
             {
@@ -420,10 +422,10 @@ mod tests {
     use proteus::{Cycles, FaultPlan, ProcId};
 
     use super::super::transport::InFlight;
-    use super::super::{FailoverConfig, MachineConfig, System, ThreadStatus, Work};
+    use super::super::{FailoverConfig, MachineConfig, RecvMeta, System, ThreadStatus, Work};
     use crate::error::RuntimeError;
     use crate::frame::{Frame, Invoke, StepCtx, StepResult};
-    use crate::mechanism::Scheme;
+    use crate::mechanism::{Annotation, Scheme};
     use crate::message::Payload;
     use crate::types::{Goid, MethodId, ThreadId, Word};
 
@@ -440,9 +442,14 @@ mod tests {
     }
 
     /// Buffer `payload` as an envelope from `src` to `dst` and hand its
-    /// first copy to the receiver: the delivered payload and its sequence
-    /// number, as the arrival path leaves them.
-    fn deliver_envelope(sys: &mut System, src: ProcId, dst: ProcId, p: Payload) -> (u64, Payload) {
+    /// first copy to the receiver: its record, its sequence number and the
+    /// delivered payload, as the arrival path leaves them.
+    fn deliver_envelope(
+        sys: &mut System,
+        src: ProcId,
+        dst: ProcId,
+        p: Payload,
+    ) -> (RecvMeta, u64, Payload) {
         let meta = sys.core.recv_meta(&p);
         let window = &mut sys.faults.as_mut().unwrap().window;
         let seq = window.push(InFlight {
@@ -452,7 +459,7 @@ mod tests {
             payload: Some(p),
             attempt: 1,
         });
-        (seq, window.deliver(seq).expect("first copy delivers"))
+        (meta, seq, window.deliver(seq).expect("first copy delivers"))
     }
 
     #[test]
@@ -463,7 +470,7 @@ mod tests {
         let mut sys = System::new(cfg);
         let (src, victim) = (ProcId(0), ProcId(1));
         let target = Goid(0);
-        let invoke = || Invoke::rpc(target, MethodId(0), [7]);
+        let invoke = || Invoke::new(target, MethodId(0), [7], Annotation::Rpc);
         let payloads = [
             Payload::Migration {
                 thread: ThreadId(0),
@@ -486,23 +493,23 @@ mod tests {
         ];
         let mut restored = Vec::new();
         for p in payloads {
-            let kind = p.kind();
-            let (seq, payload) = deliver_envelope(&mut sys, src, victim, p);
-            sys.procs[victim.index()].enqueue(Work::Message {
+            let (meta, seq, payload) = deliver_envelope(&mut sys, src, victim, p);
+            sys.procs[victim.index()].enqueue(Work::Deliver {
                 src,
-                payload,
+                meta,
                 seq: Some(seq),
+                payload: Some(payload),
             });
-            restored.push((seq, kind));
+            restored.push((seq, meta.kind));
         }
         // A copy of an envelope whose first delivery already executed: its
         // suppression task has nothing to hand back.
-        let (dup, _executed) = deliver_envelope(&mut sys, src, victim, Payload::Heartbeat);
-        let meta = sys.core.recv_meta(&Payload::Heartbeat);
-        sys.procs[victim.index()].enqueue(Work::DuplicateDrop {
+        let (meta, dup, _executed) = deliver_envelope(&mut sys, src, victim, Payload::Heartbeat);
+        sys.procs[victim.index()].enqueue(Work::Deliver {
             src,
-            seq: dup,
             meta,
+            seq: Some(dup),
+            payload: None,
         });
         // Locally generated work dies with the node.
         sys.procs[victim.index()].enqueue(Work::Step(ThreadId(0)));

@@ -83,13 +83,7 @@ impl Frame for ChainOp {
             return StepResult::Return([self.acc].into());
         }
         let target = self.targets[self.idx];
-        let inv = match self.annotation {
-            Annotation::Migrate => Invoke::migrate(target, MethodId(0), []),
-            Annotation::MigrateAll => Invoke::migrate_all(target, MethodId(0), []),
-            Annotation::Rpc => Invoke::rpc(target, MethodId(0), []),
-            Annotation::Auto => Invoke::auto(target, MethodId(0), []),
-        };
-        StepResult::Invoke(inv)
+        StepResult::Invoke(Invoke::new(target, MethodId(0), [], self.annotation))
     }
     fn on_result(&mut self, results: &[Word]) {
         self.acc += results[0];
@@ -331,6 +325,80 @@ fn default_recycle_child_drops_the_finished_op() {
     }
 }
 
+/// A chain op that counts how often the runtime sizes it.
+struct SizeCounted {
+    op: ChainOp,
+    sized: std::rc::Rc<std::cell::Cell<u64>>,
+}
+
+impl Frame for SizeCounted {
+    fn step(&mut self, ctx: &StepCtx) -> StepResult {
+        self.op.step(ctx)
+    }
+    fn on_result(&mut self, results: &[Word]) {
+        self.op.on_result(results);
+    }
+    fn live_words(&self) -> u64 {
+        self.sized.set(self.sized.get() + 1);
+        self.op.live_words()
+    }
+    fn is_operation(&self) -> bool {
+        true
+    }
+}
+
+/// A driver that runs one op and halts.
+struct OneOp(Option<Box<dyn Frame>>);
+
+impl Frame for OneOp {
+    fn step(&mut self, _ctx: &StepCtx) -> StepResult {
+        self.0.take().map_or(StepResult::Halt, StepResult::Call)
+    }
+    fn on_result(&mut self, _results: &[Word]) {}
+    fn live_words(&self) -> u64 {
+        4
+    }
+}
+
+#[test]
+fn a_migration_is_sized_once_at_send() {
+    // The sender sizes the migrating frame once; the receive charge uses
+    // the record every copy of the message carries.
+    for faults in [None, Some(FaultPlan::disabled())] {
+        let mut cfg = MachineConfig::new(4, Scheme::computation_migration());
+        cfg.faults = faults;
+        let mut runner = Runner::new(cfg);
+        let targets = (1..4)
+            .map(|p| {
+                let cell = Cell {
+                    value: 0,
+                    compute: 100,
+                };
+                runner
+                    .system
+                    .create_object(Box::new(cell), ProcId(p), false)
+            })
+            .collect();
+        let sized = std::rc::Rc::new(std::cell::Cell::new(0));
+        let op = SizeCounted {
+            op: ChainOp::new(targets, Annotation::Migrate, 1),
+            sized: sized.clone(),
+        };
+        runner.spawn(ProcId(0), Box::new(OneOp(Some(Box::new(op)))));
+        let m = runner.run(Cycles::ZERO, Cycles(1_000_000));
+        assert_eq!(m.ops, 1);
+        assert_eq!(m.migrations, 3);
+        assert_eq!(sized.get(), m.migrations, "{:?}", runner.system.cfg.faults);
+    }
+}
+
+#[test]
+fn an_event_stays_within_112_bytes() {
+    // Every event is copied through the queue's tiers; a plain arrival
+    // carries only its wire words beside the payload.
+    assert!(std::mem::size_of::<Event>() <= 112);
+}
+
 #[test]
 fn migration_chain_passes_linkage_and_short_circuits() {
     // Figure 1's pattern: m=3 items on 3 different processors, n=1: the
@@ -490,7 +558,9 @@ fn replication_serves_reads_locally() {
                 return StepResult::Return([].into());
             }
             self.done = true;
-            StepResult::Invoke(Invoke::migrate(self.target, MethodId(0), []).reading())
+            StepResult::Invoke(
+                Invoke::new(self.target, MethodId(0), [], Annotation::Migrate).reading(),
+            )
         }
         fn on_result(&mut self, results: &[Word]) {
             assert_eq!(results, &[7]);
@@ -553,7 +623,7 @@ fn replicated_write_broadcasts_updates() {
             match self.state {
                 0 => {
                     self.state = 1;
-                    StepResult::Invoke(Invoke::rpc(self.target, MethodId(1), []))
+                    StepResult::Invoke(Invoke::new(self.target, MethodId(1), [], Annotation::Rpc))
                 }
                 _ => StepResult::Halt,
             }
@@ -779,7 +849,12 @@ impl Frame for GroupParent {
                 // Move the whole group (just this frame so far) to the
                 // first target.
                 self.phase = 1;
-                StepResult::Invoke(Invoke::migrate_all(self.targets[0], MethodId(0), []))
+                StepResult::Invoke(Invoke::new(
+                    self.targets[0],
+                    MethodId(0),
+                    [],
+                    Annotation::MigrateAll,
+                ))
             }
             1 => {
                 // While migrated: call a child that works on the second
@@ -818,7 +893,12 @@ impl Frame for GroupChild {
             return StepResult::Return([100].into());
         }
         self.done = true;
-        StepResult::Invoke(Invoke::migrate_all(self.target, MethodId(0), []))
+        StepResult::Invoke(Invoke::new(
+            self.target,
+            MethodId(0),
+            [],
+            Annotation::MigrateAll,
+        ))
     }
     fn on_result(&mut self, _results: &[Word]) {}
     fn live_words(&self) -> u64 {
@@ -1133,21 +1213,19 @@ fn malformed_migration_is_recorded_not_fatal() {
             thinking: false,
         }),
     );
-    runner.engine.queue_mut().schedule_at(
-        Cycles(10),
-        Event::Arrive(
-            ProcId(1),
-            Message {
-                src: ProcId(0),
-                payload: Payload::Migration {
-                    thread: victim,
-                    reply_to: ProcId(0),
-                    frames: Vec::new(),
-                    invoke: Invoke::rpc(targets[0], MethodId(0), []),
-                },
-            },
-        ),
-    );
+    let payload = Payload::Migration {
+        thread: victim,
+        reply_to: ProcId(0),
+        frames: Vec::new(),
+        invoke: Invoke::new(targets[0], MethodId(0), [], Annotation::Rpc),
+    };
+    let arrival = Event::Arrive {
+        dst: ProcId(1),
+        src: ProcId(0),
+        words: runner.system.core.recv_meta(&payload).words,
+        payload,
+    };
+    runner.engine.queue_mut().schedule_at(Cycles(10), arrival);
     let m = runner.run(Cycles::ZERO, Cycles(2_000_000));
     assert_eq!(m.runtime_errors, 1);
     assert!(matches!(
@@ -1181,7 +1259,12 @@ impl Frame for StrayOp {
     fn step(&mut self, _ctx: &StepCtx) -> StepResult {
         if !self.invoked {
             self.invoked = true;
-            return StepResult::Invoke(Invoke::migrate(self.target, MethodId(0), []));
+            return StepResult::Invoke(Invoke::new(
+                self.target,
+                MethodId(0),
+                [],
+                Annotation::Migrate,
+            ));
         }
         match self.sleep {
             Some(d) => StepResult::Sleep(d),
@@ -1339,9 +1422,9 @@ fn a_parked_group_whose_home_died_is_reclaimed_not_resumed() {
         .collect();
     let op: Box<dyn Frame> = Box::new(ScriptOp {
         invokes: vec![
-            Invoke::migrate(cells[0], MethodId(0), []),
-            Invoke::rpc(cells[1], MethodId(0), []),
-            Invoke::migrate(cells[0], MethodId(0), []),
+            Invoke::new(cells[0], MethodId(0), [], Annotation::Migrate),
+            Invoke::new(cells[1], MethodId(0), [], Annotation::Rpc),
+            Invoke::new(cells[0], MethodId(0), [], Annotation::Migrate),
         ],
         done: 0,
     });
@@ -1515,6 +1598,20 @@ fn a_kill_victim_outside_the_machine_is_rejected() {
             processors: 4
         })
     );
+}
+
+#[test]
+fn failover_without_a_fault_plan_is_rejected() {
+    let failover = |cfg: &mut MachineConfig| cfg.failover = FailoverConfig { enabled: true };
+    assert_eq!(
+        validated(4, failover),
+        Err(ConfigError::FailoverWithoutFaultPlan)
+    );
+    let with_plan = validated(4, |cfg| {
+        failover(cfg);
+        cfg.faults = Some(FaultPlan::disabled());
+    });
+    assert_eq!(with_plan, Ok(()));
 }
 
 #[test]

@@ -38,7 +38,7 @@ use super::{Core, Event, RecvMeta, System, ThreadStatus, Work};
 use crate::cost::Category;
 use crate::error::RuntimeError;
 use crate::mechanism::DispatchKind;
-use crate::message::{Message, MessageKind, Payload};
+use crate::message::{MessageKind, Payload};
 
 /// Counters of recovery-protocol activity in a window (only collected under
 /// fault injection).
@@ -144,38 +144,35 @@ impl Faults {
         lost
     }
 
-    /// Send a remote message: acks go fire-and-forget, everything else in a
-    /// sequence-numbered envelope whose payload stays in the sender's
-    /// retransmission buffer until acknowledged. Only envelope metadata
-    /// travels through the event queue, so drops and duplicates are handled
-    /// without cloning (unclonable) frames. Returns the send overhead.
+    /// Send a remote message that `meta` sizes: acks go fire-and-forget,
+    /// everything else in a sequence-numbered envelope whose payload stays
+    /// in the sender's retransmission buffer until acknowledged. Only
+    /// envelope metadata travels through the event queue, so drops and
+    /// duplicates are handled without cloning (unclonable) frames. Returns
+    /// the send overhead.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn send(
         &mut self,
         core: &mut Core,
         src: ProcId,
         dst: ProcId,
+        meta: RecvMeta,
         payload: Payload,
         send_time: Cycles,
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
-        // One walk of the payload's frames serves both the send booking and
-        // the receive charge the envelope carries.
-        let meta = core.recv_meta(&payload);
-        let (overhead, latency) = core.book_send(src, dst, meta.kind, meta.words, send_time);
+        let (overhead, latency) = core.book_send(src, dst, meta, send_time);
         let Some(latency) = latency else {
             return overhead;
         };
         if let Payload::Ack { seq } = payload {
             // Never buffered: a lost ack is recovered by the data sender's
             // retransmission, which the receiver dedups and re-acks.
-            let ack = || {
-                Event::Arrive(
-                    dst,
-                    Message {
-                        src,
-                        payload: Payload::Ack { seq },
-                    },
-                )
+            let ack = || Event::Arrive {
+                dst,
+                src,
+                words: meta.words,
+                payload: Payload::Ack { seq },
             };
             self.schedule_copy(send_time, overhead + latency, src, dst, ack, queue);
             return overhead;
@@ -272,11 +269,11 @@ impl Faults {
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
         let entry = self.window.get(seq).expect("relaunching unknown envelope");
-        let (src, dst, RecvMeta { kind, words, .. }) = (entry.src, entry.dst, entry.meta);
-        let (overhead, latency) = core.charge_send(src, dst, kind, words, now);
+        let (src, dst, meta) = (entry.src, entry.dst, entry.meta);
+        let (overhead, latency) = core.charge_send(src, dst, meta, now);
         // A rejected route was recorded and nothing went on the wire.
         if let Some(latency) = latency {
-            core.msg_counts[kind as usize] += 1;
+            core.msg_counts[meta.kind as usize] += 1;
             core.tracer.emit_with(|| TraceEvent {
                 at: now + overhead,
                 source: "runtime",
@@ -296,42 +293,6 @@ impl System {
         self.faults
             .as_mut()
             .expect("transport work without the transport layer")
-    }
-
-    /// A copy of envelope `seq` lands at `dst`: queue its delivery — or,
-    /// if a copy was already delivered, its suppression — with the ack
-    /// ticket.
-    pub(super) fn on_arrive_seq(
-        &mut self,
-        now: Cycles,
-        dst: ProcId,
-        src: ProcId,
-        seq: u64,
-        meta: RecvMeta,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let Some(faults) = &mut self.faults else {
-            return; // only the transport layer sends envelopes
-        };
-        // A crash-restart swallows the copy; the sender's timeout will
-        // retransmit it.
-        if faults.swallows(&self.core.tracer, now, dst, || {
-            format!("seq={seq} (destination crashed)")
-        }) {
-            return;
-        }
-        let work = match faults.window.deliver(seq) {
-            Some(payload) => Work::Message {
-                src,
-                payload,
-                seq: Some(seq),
-            },
-            // Already processed (an injected duplicate, a retransmission
-            // racing its own ack, or a tombstone left by a fallback):
-            // suppress, but still charge the receive path and re-ack.
-            None => Work::DuplicateDrop { src, seq, meta },
-        };
-        self.enqueue(dst, work, now, queue);
     }
 
     /// The retransmission timer of envelope `seq` fired.
@@ -371,22 +332,21 @@ impl System {
     /// it (with backoff) or — for a migration out of attempts — degrade to a
     /// plain RPC at the same call site. With failover, an envelope to a
     /// declared-dead processor is rerouted, and a heartbeat out of attempts
-    /// declares its destination dead.
+    /// declares its destination dead. Returns the task's busy cycles.
     pub(super) fn retransmit(
         &mut self,
         seq: u64,
         now: Cycles,
         proc: ProcId,
-        acc: Cycles,
         queue: &mut EventQueue<Event>,
     ) -> Cycles {
         let faults = self.transport();
         let Some(entry) = faults.window.get(seq) else {
-            return acc; // acked between timer fire and task execution
+            return Cycles::ZERO; // acked between timer fire and task execution
         };
         let (dst, kind, attempt) = (entry.dst, entry.meta.kind, entry.attempt);
         debug_assert_eq!(entry.src, proc, "retransmit task ran off the sender");
-        let acc = acc + self.charge(Category::RecoveryTimeout, self.core.cost.timeout_handler);
+        let acc = self.charge(Category::RecoveryTimeout, self.core.cost.timeout_handler);
         if let Some(failover) = &self.failover {
             if failover.is_declared_dead(dst) {
                 // The destination was declared dead (by this processor or
@@ -714,7 +674,6 @@ mod tests {
             meta: RecvMeta {
                 words: tag,
                 kind: MessageKind::Heartbeat,
-                short: true,
             },
             payload: Some(Payload::Ack { seq: tag }),
             attempt: 1,

@@ -7,7 +7,7 @@
 //! never change the wire size the accounting books.
 
 use migrate_rt::frame::{Frame, Invoke, StepCtx, StepResult};
-use migrate_rt::{Goid, MethodId, Payload, ThreadId, Word};
+use migrate_rt::{Annotation, Goid, MethodId, Payload, ThreadId, Word};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use proteus::ProcId;
@@ -32,7 +32,7 @@ fn migration(frame_sizes: &[u64], args: usize) -> Payload {
             .iter()
             .map(|&w| Box::new(Sized(w)) as _)
             .collect(),
-        invoke: Invoke::migrate(Goid(1), MethodId(0), vec![7; args]),
+        invoke: Invoke::new(Goid(1), MethodId(0), vec![7; args], Annotation::Migrate),
     }
 }
 

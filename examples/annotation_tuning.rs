@@ -49,13 +49,12 @@ impl Frame for ChainOp {
             return StepResult::Return([self.sum].into());
         }
         let target = self.items[self.idx];
-        let inv = match self.annotation {
-            Annotation::Migrate => Invoke::migrate(target, MethodId(0), [self.sum]),
-            Annotation::MigrateAll => Invoke::migrate_all(target, MethodId(0), [self.sum]),
-            Annotation::Rpc => Invoke::rpc(target, MethodId(0), [self.sum]),
-            Annotation::Auto => Invoke::auto(target, MethodId(0), [self.sum]),
-        };
-        StepResult::Invoke(inv)
+        StepResult::Invoke(Invoke::new(
+            target,
+            MethodId(0),
+            [self.sum],
+            self.annotation,
+        ))
     }
     fn on_result(&mut self, results: &[Word]) {
         self.sum = results[0];

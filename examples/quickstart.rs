@@ -8,8 +8,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use migrate_rt::{
-    Behavior, Frame, Invoke, MachineConfig, MethodEnv, MethodId, Runner, Scheme, StepCtx,
-    StepResult, Word, WordVec,
+    Annotation, Behavior, Frame, Invoke, MachineConfig, MethodEnv, MethodId, Runner, Scheme,
+    StepCtx, StepResult, Word, WordVec,
 };
 use proteus::{Cycles, ProcId};
 
@@ -49,7 +49,12 @@ impl Frame for BumpOp {
         if self.remaining == 0 {
             return StepResult::Return([self.last].into());
         }
-        StepResult::Invoke(Invoke::migrate(self.counter, MethodId(0), []))
+        StepResult::Invoke(Invoke::new(
+            self.counter,
+            MethodId(0),
+            [],
+            Annotation::Migrate,
+        ))
     }
     fn on_result(&mut self, results: &[Word]) {
         self.last = results[0];

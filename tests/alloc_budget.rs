@@ -26,8 +26,8 @@ use std::cell::Cell;
 use migrate_apps::btree::BTreeExperiment;
 use migrate_apps::counting::CountingExperiment;
 use migrate_rt::{
-    Behavior, Frame, Goid, Invoke, MachineConfig, MethodEnv, MethodId, Runner, Scheme, StepCtx,
-    StepResult, Word, WordVec,
+    Annotation, Behavior, Frame, Goid, Invoke, MachineConfig, MethodEnv, MethodId, Runner, Scheme,
+    StepCtx, StepResult, Word, WordVec,
 };
 use proteus::{Cycles, DirectoryAllocations, FaultPlan, ProcId};
 
@@ -115,7 +115,12 @@ struct Invoker {
 impl Frame for Invoker {
     fn step(&mut self, _ctx: &StepCtx) -> StepResult {
         self.round += 1;
-        StepResult::Invoke(Invoke::rpc(self.target, MethodId(0), [self.round, 2]))
+        StepResult::Invoke(Invoke::new(
+            self.target,
+            MethodId(0),
+            [self.round, 2],
+            Annotation::Rpc,
+        ))
     }
     fn on_result(&mut self, results: &[Word]) {
         assert_eq!(results.len(), 4);

@@ -28,10 +28,13 @@ use proteus::{Cycles, FaultPlan, ProcId, Tracer};
 /// kill and its declaration are both still there at the end.
 const TRACE_CAPACITY: usize = 1 << 16;
 
-/// A small fault-free counting run with the failure detector on.
+/// A small fault-free counting run with the failure detector on. The
+/// fault plan injects nothing; it gives the probes acked envelopes, so a
+/// probe that went unacknowledged would time out and be suspected.
 fn fault_free_failover_run(seed: u64, scheme: migrate_rt::Scheme) -> migrate_rt::Runner {
     let exp = CountingExperiment {
         requests_per_thread: Some(4),
+        faults: Some(FaultPlan::disabled()),
         failover: FailoverConfig { enabled: true },
         audit: true,
         seed: 0xC0DE ^ seed,

@@ -213,6 +213,32 @@ fn frame_reclaim_charges_are_fallbacks_times_their_cost() {
 }
 
 #[test]
+fn dedup_charges_are_suppressed_duplicates_times_their_cost() {
+    // One recovery.dedup charge per suppressed duplicate copy, whatever
+    // kind of message it duplicates.
+    let scheme = Scheme::computation_migration();
+    let exp = CountingExperiment {
+        requests_per_thread: Some(8),
+        faults: Some(FaultPlan::chaos(0)),
+        audit: true,
+        ..CountingExperiment::paper(8, 0, scheme)
+    };
+    let (mut runner, _spec) = exp.build();
+    runner.run_until(Cycles(200_000_000));
+    let m = runner.system.metrics(Cycles(200_000_000));
+    let suppressed = m
+        .recovery
+        .as_ref()
+        .expect("recovery stats")
+        .duplicates_suppressed;
+    assert!(suppressed > 0, "chaos seed 0 suppresses no duplicate");
+    assert_eq!(
+        m.accounting.total(Category::RecoveryDedup),
+        suppressed * scheme.cost_model().dedup_check.get()
+    );
+}
+
+#[test]
 fn exhausted_migrations_degrade_to_rpc() {
     let m = fallback_metrics(3);
     assert!(

@@ -46,13 +46,7 @@ impl Frame for ChainOp {
             return StepResult::Return([self.acc].into());
         }
         let t = self.items[self.idx];
-        let inv = match self.annotation {
-            Annotation::Migrate => Invoke::migrate(t, MethodId(0), [self.acc]).reading(),
-            Annotation::MigrateAll => Invoke::migrate_all(t, MethodId(0), [self.acc]).reading(),
-            Annotation::Rpc => Invoke::rpc(t, MethodId(0), [self.acc]).reading(),
-            Annotation::Auto => Invoke::auto(t, MethodId(0), [self.acc]).reading(),
-        };
-        StepResult::Invoke(inv)
+        StepResult::Invoke(Invoke::new(t, MethodId(0), [self.acc], self.annotation).reading())
     }
     fn on_result(&mut self, r: &[Word]) {
         self.acc = r[0];

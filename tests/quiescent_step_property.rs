@@ -125,7 +125,6 @@ fn drained_logs(requesters: u32, per_thread: u64, scheme: Scheme) -> Vec<Log> {
             let traversals = Traversals {
                 spec: spec.clone(),
                 entry_wire: r % 8,
-                step_compute: 10,
             };
             let mut driver = Requester::new(traversals, Cycles::ZERO);
             driver.max_requests = per_thread;
