@@ -596,17 +596,19 @@ pub fn bulk_load(
 /// Place one level of a bulk-loaded tree. `nodes` yields each node's
 /// `(low key, keys, children)` left to right; they are placed right to
 /// left, each on a random data processor, so every right link names a
-/// placed node and each high key is the next node's low key. Returns the
-/// level's `(low key, GOID)` pairs, left to right.
+/// placed node and each high key is the next node's low key. The object
+/// table makes room for the whole level first. Returns the level's
+/// `(low key, GOID)` pairs, left to right.
 fn place_level(
     system: &mut System,
     rng: &mut SplitMix64,
     data_procs: u32,
     fanout: usize,
     compute: u64,
-    nodes: impl DoubleEndedIterator<Item = (u64, Vec<u64>, Option<Vec<Goid>>)>,
+    nodes: impl DoubleEndedIterator<Item = (u64, Vec<u64>, Option<Vec<Goid>>)> + ExactSizeIterator,
 ) -> Vec<(u64, Goid)> {
-    let mut placed: Vec<(u64, Goid)> = Vec::new();
+    system.reserve_objects(nodes.len());
+    let mut placed: Vec<(u64, Goid)> = Vec::with_capacity(nodes.len());
     for (low, keys, children) in nodes.rev() {
         let next = placed.last();
         let high_key = next.map_or(u64::MAX, |&(next_low, _)| next_low);

@@ -79,6 +79,9 @@ pub struct ObjectEntry {
     pub lock_free_at: Cycles,
 }
 
+/// The fewest entries the object table grows by when it is full.
+const MIN_GROWTH: usize = 16;
+
 /// The global object table (GOID → entry). GOIDs are dense indices.
 pub struct ObjectTable {
     entries: Vec<ObjectEntry>,
@@ -132,7 +135,16 @@ impl ObjectTable {
     pub fn create(&mut self, behavior: Box<dyn Behavior>, home: ProcId) -> Goid {
         let size = behavior.size_bytes().max(8);
         let base_addr = self.place(home, size);
-        let goid = Goid(self.entries.len() as u64);
+        let len = self.entries.len();
+        let goid = Goid(len as u64);
+        if len == self.entries.capacity() {
+            // Grow by an eighth rather than doubling, so a table of 128 or
+            // more objects is at most an eighth empty slots; never past the
+            // power of two that doubling reaches, so the table is never the
+            // larger one.
+            let grown = (len + (len / 8).max(MIN_GROWTH)).min((len + 1).next_power_of_two());
+            self.entries.reserve_exact(grown - len);
+        }
         self.entries.push(ObjectEntry {
             home,
             behavior: Some(behavior),
@@ -142,6 +154,12 @@ impl ObjectTable {
             lock_free_at: Cycles::ZERO,
         });
         goid
+    }
+
+    /// Make room for `additional` more objects, exactly: for set-up code
+    /// that knows how many it is about to create.
+    pub fn reserve(&mut self, additional: usize) {
+        self.entries.reserve_exact(additional);
     }
 
     /// Re-home an object at `new_home`, allocating fresh line-aligned memory
@@ -356,6 +374,25 @@ mod tests {
         assert_ne!(e.base_addr, t.entry(other).base_addr);
         // State survives the move.
         assert!(t.state::<Dummy>(g).is_some());
+    }
+
+    #[test]
+    fn the_table_grows_by_an_eighth() {
+        let mut t = ObjectTable::new(4, 16);
+        let mut growths = 0;
+        for n in 1..=5_000 {
+            let capacity = t.entries.capacity();
+            t.create(Box::new(Dummy { size: 8, hits: 0 }), ProcId(n % 4));
+            growths += usize::from(t.entries.capacity() != capacity);
+            let slack = t.entries.capacity() - t.len();
+            assert!(
+                slack <= (t.len() / 8).max(MIN_GROWTH),
+                "{n} objects in {} slots",
+                t.entries.capacity()
+            );
+            assert!(t.entries.capacity() <= t.len().next_power_of_two());
+        }
+        assert!(growths > 20, "{growths} growth steps");
     }
 
     #[test]

@@ -604,6 +604,12 @@ impl System {
         &self.objects
     }
 
+    /// Make room in the object table for `additional` more objects, for
+    /// set-up code that knows how many it is about to create.
+    pub fn reserve_objects(&mut self, additional: usize) {
+        self.objects.reserve(additional);
+    }
+
     /// Create an object at `home`; `replicated` marks it for software
     /// replication (effective only when the scheme enables replication).
     pub fn create_object(

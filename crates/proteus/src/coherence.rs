@@ -211,12 +211,15 @@ pub struct ProtocolStats {
 /// count bumped only where the allocation happens.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct DirectoryAllocations {
-    /// Directory pages (64 entries in 1 KB), each allocated by the first
+    /// Directory pages (85 entries in 1,020 B), each allocated by the first
     /// miss on one of its lines.
     pub pages: u64,
-    /// P64–P127 sharer side arrays (512 B), each allocated when a processor
+    /// P64–P127 sharer side arrays (680 B), each allocated when a processor
     /// above P63 first joins a sharer set on its page.
     pub side_arrays: u64,
+    /// High occupancy side arrays (340 B), each allocated when a line of
+    /// its page is first occupied until a time of 2^31 cycles or more.
+    pub time_arrays: u64,
 }
 
 /// Bit 63 of [`DirEntry::busy`]: the line is dirty at its single sharer.
@@ -224,8 +227,9 @@ const DIRTY: u64 = 1 << 63;
 
 /// The home directory's state for one line, as the protocol reads and
 /// writes it: the full sharer set and the occupancy word. A [`Page`] stores
-/// it in 16 bytes plus, on lines with a sharer above P63, one side-array
-/// word. A dirty line's Modified owner is its only sharer — the invariant
+/// it in 12 bytes plus, on lines with a sharer above P63, one side-array
+/// word and, on pages occupied past 2^31 cycles, one high-time word. A
+/// dirty line's Modified owner is its only sharer — the invariant
 /// [`CoherenceSystem::check_invariants`] enforces — so the owner is not
 /// stored apart from the sharers, only the dirty flag is.
 #[derive(Copy, Clone, Debug, Default)]
@@ -274,61 +278,128 @@ impl DirEntry {
     }
 }
 
-/// A [`DirEntry`] as its page stores it, in 16 bytes: the sharer word for
-/// P0–P63 and the occupancy word.
+/// The occupancy time bits a [`StoredEntry`] keeps; the bits above go to
+/// its page's high-time side array.
+const LOW_TIME_BITS: u32 = 31;
+
+/// Bit 31 of [`StoredEntry::occupancy`]: the dirty flag.
+const STORED_DIRTY: u32 = 1 << LOW_TIME_BITS;
+
+/// A [`DirEntry`] as its page stores it, in 12 bytes: the sharer word for
+/// P0–P63, and the occupancy word with the time's low 31 bits and the dirty
+/// flag in bit 31. Packed to 4-byte alignment, so a page of them has no
+/// padding.
 #[derive(Copy, Clone, Debug, Default)]
+#[repr(C, packed(4))]
 struct StoredEntry {
     sharers: u64,
-    busy: u64,
+    occupancy: u32,
 }
 
-/// Directory entries per page. A home's directory is a table of pages, each
-/// allocated by the first miss on one of its lines.
-const PAGE_LINES: usize = 64;
+/// Directory entries per page: the most 12-byte entries that fit 1 KB. A
+/// home's directory is a table of pages, each allocated by the first miss
+/// on one of its lines.
+const PAGE_LINES: usize = 85;
 
-/// One page of a home's directory: its 64 lines' stored entries in 1 KB,
-/// and their P64–P127 sharer words in a 512-byte side array. The side array
-/// is allocated when a processor above P63 first joins a sharer set on the
-/// page, so it never exists on machines of 64 processors or fewer; once
-/// allocated it stays, and a word whose high sharers all left is 0.
+/// One page of a home's directory: its 85 lines' stored entries in 1,020 B,
+/// plus two side arrays that only some pages ever need, each allocated when
+/// the first of its page's lines needs it and kept from then on:
+///
+/// * `high_sharers`, the lines' P64–P127 sharer words (680 B), when a
+///   processor above P63 first joins a sharer set on the page, so it never
+///   exists on machines of 64 processors or fewer; a word whose high
+///   sharers all left is 0;
+/// * `high_times`, the lines' occupancy bits 31–62 (340 B), when a line of
+///   the page is first occupied until 2^31 cycles or later, so every time
+///   below 2^63 is stored exactly.
 #[derive(Clone, Debug)]
 struct Page {
     entries: Box<[StoredEntry; PAGE_LINES]>,
-    high: Option<Box<[u64; PAGE_LINES]>>,
+    high_sharers: Option<Box<[u64; PAGE_LINES]>>,
+    high_times: Option<Box<[u32; PAGE_LINES]>>,
+}
+
+/// Write `word` into `side[index]`, allocating the side array (and counting
+/// it in `allocated`) if the word is its page's first non-zero one. A zero
+/// word needs no array, but overwrites a stale word in one that exists.
+#[inline]
+fn store_side<T: Copy + Default + PartialEq>(
+    side: &mut Option<Box<[T; PAGE_LINES]>>,
+    index: usize,
+    word: T,
+    allocated: &mut u64,
+) {
+    match side {
+        Some(words) => words[index] = word,
+        None if word != T::default() => *side = Some(new_side(index, word, allocated)),
+        None => {}
+    }
+}
+
+/// A side array holding only `word` at `index`, counted in `allocated`. Out
+/// of line: a page allocates each side array at most once.
+#[cold]
+#[inline(never)]
+fn new_side<T: Copy + Default>(index: usize, word: T, allocated: &mut u64) -> Box<[T; PAGE_LINES]> {
+    *allocated += 1;
+    let mut words = Box::new([T::default(); PAGE_LINES]);
+    words[index] = word;
+    words
 }
 
 impl Page {
     fn new() -> Page {
         Page {
             entries: Box::new([StoredEntry::default(); PAGE_LINES]),
-            high: None,
+            high_sharers: None,
+            high_times: None,
         }
     }
 
-    /// The entry of the page's line `index`, with its full sharer set.
+    /// The entry of the page's line `index`, with its full sharer set and
+    /// occupancy time.
     fn load(&self, index: usize) -> DirEntry {
         let stored = self.entries[index];
-        let high = self.high.as_ref().map_or(0, |words| words[index]);
+        let high_sharers = self.high_sharers.as_ref().map_or(0, |words| words[index]);
+        let high_time = self.high_times.as_ref().map_or(0, |words| words[index]);
+        let occupancy = stored.occupancy;
+        let dirty = if occupancy & STORED_DIRTY != 0 {
+            DIRTY
+        } else {
+            0
+        };
         DirEntry {
-            sharers: SharerSet([stored.sharers, high]),
-            busy: stored.busy,
+            sharers: SharerSet([stored.sharers, high_sharers]),
+            busy: dirty
+                | u64::from(high_time) << LOW_TIME_BITS
+                | u64::from(occupancy & !STORED_DIRTY),
         }
     }
 
-    /// Store `entry` as the page's line `index`, allocating the side array
-    /// if the entry is the page's first with a sharer above P63. Returns
-    /// whether it allocated the side array.
-    fn store(&mut self, index: usize, entry: DirEntry) -> bool {
+    /// Store `entry` as the page's line `index`, allocating each side array
+    /// that the entry is the first on the page to need and counting it in
+    /// `allocations`.
+    #[inline]
+    fn store(&mut self, index: usize, entry: DirEntry, allocations: &mut DirectoryAllocations) {
         let [low, high] = entry.sharers.0;
+        let time = entry.busy_until().get();
+        let dirty = if entry.dirty() { STORED_DIRTY } else { 0 };
         self.entries[index] = StoredEntry {
             sharers: low,
-            busy: entry.busy,
+            occupancy: dirty | (time as u32 & !STORED_DIRTY),
         };
-        let allocate = high != 0 && self.high.is_none();
-        if high != 0 || self.high.is_some() {
-            self.high.get_or_insert_with(|| Box::new([0; PAGE_LINES]))[index] = high;
-        }
-        allocate
+        store_side(
+            &mut self.high_sharers,
+            index,
+            high,
+            &mut allocations.side_arrays,
+        );
+        store_side(
+            &mut self.high_times,
+            index,
+            (time >> LOW_TIME_BITS) as u32,
+            &mut allocations.time_arrays,
+        );
     }
 }
 
@@ -347,10 +418,10 @@ pub struct AccessOutcome {
 pub struct CoherenceSystem {
     caches: Vec<Cache>,
     /// The full-map directory, kept where Alewife keeps it: at each line's
-    /// home. `directory[home][offset / 64]` is the page holding the entry of
+    /// home. `directory[home][offset / 85]` is the page holding the entry of
     /// the line at node-local line offset `offset` in `home`'s memory, at
-    /// `offset % 64`. A page is allocated by the first miss on one of its
-    /// lines and never moves; only the page table, 16 bytes a page, grows
+    /// `offset % 85`. A page is allocated by the first miss on one of its
+    /// lines and never moves; only the page table, 24 bytes a page, grows
     /// with the highest line missed. A miss indexes the table instead of
     /// hashing.
     directory: Vec<Vec<Option<Page>>>,
@@ -438,18 +509,20 @@ impl CoherenceSystem {
         (home, offset / PAGE_LINES, offset % PAGE_LINES)
     }
 
-    /// The directory page `page` of `home`, allocating it on first use. A
-    /// home outside the machine is a model bug, the same one [`xfer`] stops
-    /// on.
-    fn page_mut(&mut self, home: usize, page: usize) -> &mut Page {
+    /// The directory page `page` of `home`, allocating it on first use, and
+    /// the counters its stores bump. A home outside the machine is a model
+    /// bug, the same one [`xfer`] stops on.
+    fn page_mut(&mut self, home: usize, page: usize) -> (&mut Page, &mut DirectoryAllocations) {
         let pages = self.directory.get_mut(home).expect(OUTSIDE_MACHINE);
         if page >= pages.len() {
             pages.resize_with(page + 1, || None);
         }
-        pages[page].get_or_insert_with(|| {
-            self.allocations.pages += 1;
+        let allocations = &mut self.allocations;
+        let page = pages[page].get_or_insert_with(|| {
+            allocations.pages += 1;
             Page::new()
-        })
+        });
+        (page, allocations)
     }
 
     /// Apply `update` to the directory entry of `line`, if its page has ever
@@ -466,9 +539,7 @@ impl CoherenceSystem {
         };
         let mut entry = page.load(index);
         update(&mut entry);
-        if page.store(index, entry) {
-            self.allocations.side_arrays += 1;
-        }
+        page.store(index, entry, &mut self.allocations);
     }
 
     /// One line's access: the cache hit test here, inline in every caller;
@@ -518,7 +589,7 @@ impl CoherenceSystem {
         at: Cycles,
     ) -> Cycles {
         let (home, page, index) = self.coords(line);
-        let mut entry = self.page_mut(home, page).load(index);
+        let mut entry = self.page_mut(home, page).0.load(index);
         let (latency, state) = match kind {
             Access::Read => (
                 self.read_miss(proc, line, &mut entry, net),
@@ -533,9 +604,8 @@ impl CoherenceSystem {
         let start = at.max(entry.busy_until());
         let wait = start - at;
         entry.set_busy_until(start + latency);
-        if self.page_mut(home, page).store(index, entry) {
-            self.allocations.side_arrays += 1;
-        }
+        let (page, allocations) = self.page_mut(home, page);
+        page.store(index, entry, allocations);
         self.fill(proc, line, state, net);
         self.tracer.emit_with(|| TraceEvent {
             at,
@@ -696,7 +766,7 @@ impl CoherenceSystem {
         &self.stats
     }
 
-    /// Directory pages and side arrays allocated so far.
+    /// Directory pages and their side arrays allocated so far.
     pub fn allocations(&self) -> DirectoryAllocations {
         self.allocations
     }
@@ -823,19 +893,52 @@ mod tests {
     }
 
     #[test]
-    fn a_stored_entry_is_16_bytes_and_a_page_1_kb() {
-        assert_eq!(std::mem::size_of::<StoredEntry>(), 16);
-        assert_eq!(std::mem::size_of::<[StoredEntry; PAGE_LINES]>(), 1024);
-        assert_eq!(std::mem::size_of::<[u64; PAGE_LINES]>(), 512);
-        // A page-table slot is the two pointers, with no tag word.
-        assert_eq!(std::mem::size_of::<Option<Page>>(), 16);
+    fn a_stored_entry_is_12_bytes_and_a_page_1020_bytes() {
+        assert_eq!(std::mem::size_of::<StoredEntry>(), 12);
+        assert_eq!(std::mem::size_of::<[StoredEntry; PAGE_LINES]>(), 1020);
+        assert_eq!(std::mem::size_of::<[u64; PAGE_LINES]>(), 680);
+        assert_eq!(std::mem::size_of::<[u32; PAGE_LINES]>(), 340);
+        // A page-table slot is the three pointers, with no tag word.
+        assert_eq!(std::mem::size_of::<Option<Page>>(), 24);
     }
 
-    /// The side array of the page holding line `a`, if it has one.
+    /// The P64–P127 sharer side array of the page holding line `a`, if it
+    /// has one.
     fn side_array(sys: &CoherenceSystem, a: u64) -> Option<[u64; PAGE_LINES]> {
         let (home, page, _) = sys.coords(sys.line_of(a));
         let page = sys.directory[home][page].as_ref().expect("the page missed");
-        page.high.as_deref().copied()
+        page.high_sharers.as_deref().copied()
+    }
+
+    #[test]
+    fn a_page_stores_every_time_below_2_63_exactly() {
+        let mut page = Page::new();
+        let mut allocations = DirectoryAllocations::default();
+        let times = [0, 1, (1 << 31) - 1, 1 << 31, (1 << 32) + 5, DIRTY - 1];
+        for (index, &time) in times.iter().enumerate() {
+            for dirty in [false, true] {
+                let mut entry = DirEntry::default();
+                entry.sharers.insert(ProcId(3));
+                if dirty {
+                    entry.set_owner(ProcId(3));
+                }
+                entry.set_busy_until(Cycles(time));
+                page.store(index, entry, &mut allocations);
+                let back = page.load(index);
+                assert_eq!(back.busy_until(), Cycles(time), "dirty {dirty}");
+                assert_eq!((back.dirty(), back.sharers), (dirty, entry.sharers));
+            }
+        }
+        // The lines stored before 2^31 read back from the side array's 0s.
+        assert_eq!(page.load(2).busy_until(), Cycles((1 << 31) - 1));
+        assert_eq!(
+            allocations,
+            DirectoryAllocations {
+                pages: 0,
+                side_arrays: 0,
+                time_arrays: 1,
+            }
+        );
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Differential property tests: the paged per-home directory, whose 16-byte
-//! entries keep the P0–P63 sharer word (P64–P127 go to a page's side array)
-//! and a dirty line's owner as its single sharer, must be observationally
+//! Differential property tests: the paged per-home directory, whose 12-byte
+//! entries keep the P0–P63 sharer word (P64–P127 go to a page's side array),
+//! the low 31 bits of the line's occupancy time (bits 31–62 go to a second
+//! side array) and a dirty line's owner as its single sharer, must be
+//! observationally
 //! identical to the old hash-map directory with an explicit owner — same
 //! access outcomes, protocol counters and network traffic after every
 //! access, and the same per-cache counters at the end — under arbitrary
@@ -8,7 +10,9 @@
 //! caches small enough that evictions happen all the time. A second
 //! property runs at 128 processors, so requesters, homes and owners land in
 //! both sharer words, and sharers above P63 join and leave pages that
-//! P0–P63 allocated.
+//! P0–P63 allocated. A third runs that machine from just below 2^31, 2^32
+//! or 2^62 + 2^31 cycles, so line occupancies cross into the high-time side
+//! array partway through the run.
 
 use std::collections::HashMap;
 
@@ -307,14 +311,24 @@ fn phased(first: Vec<Op>, mixed: Vec<Op>) -> Vec<Op> {
     [first, mixed, sweep].concat()
 }
 
+/// Start times just below the boundaries of the stored time bits: the first
+/// time with bit 31 set, the first with bit 32 set (the high bits step from
+/// 1 to 2 as the low bits wrap), and one near the top of the 63-bit time.
+const LATE_ORIGINS: [u64; 3] = [
+    (1 << 31) - 2_000,
+    (1 << 32) - 2_000,
+    (1 << 62) + (1 << 31) - 2_000,
+];
+
 /// Replay `ops` on the paged directory and the reference on a machine of
-/// `processors`, comparing every outcome and the traffic after every access.
-fn replay(processors: u32, ops: &[Op]) -> Result<(), TestCaseError> {
+/// `processors` from time `origin`, comparing every outcome and the traffic
+/// after every access.
+fn replay(processors: u32, origin: Cycles, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut paged = CoherenceSystem::new(processors, tiny_cache(), CoherenceCosts::default());
     let mut paged_net = Network::new(processors);
     let mut reference = RefCoherence::new(processors, tiny_cache(), CoherenceCosts::default());
     let mut ref_net = Network::new(processors);
-    let mut at = Cycles::ZERO;
+    let mut at = origin;
     for (i, op) in ops.iter().enumerate() {
         at += Cycles(op.advance);
         let kind = if op.write {
@@ -359,7 +373,7 @@ proptest! {
     fn dense_directory_matches_hash_map_directory(
         ops in proptest::collection::vec(op_strategy(&SMALL, &SMALL), 1..300)
     ) {
-        replay(PROCS, &ops)?;
+        replay(PROCS, Cycles::ZERO, &ops)?;
     }
 
     #[test]
@@ -367,6 +381,15 @@ proptest! {
         first in proptest::collection::vec(op_strategy(&LOW, &WIDE), 1..100),
         mixed in proptest::collection::vec(op_strategy(&WIDE, &WIDE), 1..200),
     ) {
-        replay(MAX_PROCS, &phased(first, mixed))?;
+        replay(MAX_PROCS, Cycles::ZERO, &phased(first, mixed))?;
+    }
+
+    #[test]
+    fn paged_directory_matches_with_occupancy_past_2_31(
+        origin in 0..LATE_ORIGINS.len(),
+        first in proptest::collection::vec(op_strategy(&LOW, &WIDE), 1..100),
+        mixed in proptest::collection::vec(op_strategy(&WIDE, &WIDE), 1..200),
+    ) {
+        replay(MAX_PROCS, Cycles(LATE_ORIGINS[origin]), &phased(first, mixed))?;
     }
 }

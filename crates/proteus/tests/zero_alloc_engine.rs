@@ -3,11 +3,12 @@
 //! its coarse wheel is a fixed array of lists through those nodes, its
 //! overflow heap keeps its capacity, and the lazy `emit_with` closure
 //! never runs. The coherence caches own no storage until their first fill,
-//! and allocate nothing after it; the directory allocates one 1 KB page per
-//! 64 lines at the first miss on one of them, and nothing for the lines
-//! below, plus one 512-byte side array when a processor above P63 first
-//! shares one of the page's lines. Verified with a counting global
-//! allocator rather than inspection.
+//! and allocate nothing after it; the directory allocates one 1,020-byte
+//! page per 85 lines at the first miss on one of them, and nothing for the
+//! lines below, plus one 680-byte side array when a processor above P63
+//! first shares one of the page's lines and one 340-byte side array when
+//! one of its lines is first occupied past 2^31 cycles. Verified with a
+//! counting global allocator rather than inspection.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -245,18 +246,21 @@ fn a_cache_allocates_once_on_its_first_fill_and_never_after() {
     assert!(cache.stats().writebacks > 0 && cache.stats().invalidations_received > 0);
 }
 
-/// A line this far into its home cost the dense directory, a 32-byte entry
-/// for every line up to it, 33.5 MB.
-const FAR_LINE: u64 = 1 << 20;
+/// The first line of the last page that starts below 2^20 lines into its
+/// home. A line this far in cost the dense directory, a 32-byte entry for
+/// every line up to it, 33.5 MB.
+const FAR_LINE: u64 = (1 << 20) / PAGE_LINES * PAGE_LINES;
 
 /// Directory entries per page.
-const PAGE_LINES: u64 = 64;
-/// Bytes of a page: 64 entries of 16 bytes.
-const PAGE_BYTES: u64 = 1024;
+const PAGE_LINES: u64 = 85;
+/// Bytes of a page: 85 entries of 12 bytes.
+const PAGE_BYTES: u64 = 1020;
 /// Bytes of a page's side array: the P64–P127 sharer words of its lines.
-const SIDE_ARRAY_BYTES: u64 = 512;
-/// Bytes of a page-table slot: the page and side-array pointers.
-const SLOT_BYTES: u64 = 16;
+const SIDE_ARRAY_BYTES: u64 = 680;
+/// Bytes of a page's time array: bits 31–62 of its lines' occupancy times.
+const TIME_ARRAY_BYTES: u64 = 340;
+/// Bytes of a page-table slot: the page and two side-array pointers.
+const SLOT_BYTES: u64 = 24;
 
 /// A coherence system of `processors` whose caches at `warm` have made
 /// their first fill (which allocates their tag arrays) on a line of the
@@ -361,5 +365,51 @@ fn the_first_sharer_above_p63_on_a_page_allocates_its_side_array_and_later_ones_
         }
     });
     assert_eq!(allocations, 0, "sharers above P63 allocated again");
+    sys.check_invariants().unwrap();
+}
+
+/// The first cycle past the directory's 31 stored low time bits.
+const TIME_2_31: u64 = 1 << 31;
+
+#[test]
+fn the_first_occupancy_past_2_31_on_a_page_allocates_its_time_array_and_later_ones_nothing() {
+    let (mut sys, mut net) = warmed(64, &[1, 63]);
+    sys.access(ProcId(1), far(0), Access::Write, &mut net, Cycles(100));
+
+    // A miss issued just before 2^31 whose occupancy ends after it.
+    let (out, allocations, bytes) = allocations_in(|| {
+        sys.access(
+            ProcId(63),
+            far(1),
+            Access::Write,
+            &mut net,
+            Cycles(TIME_2_31 - 1),
+        )
+    });
+    assert!(!out.hit);
+    assert_eq!(
+        (allocations, bytes),
+        (1, TIME_ARRAY_BYTES),
+        "a page's first occupancy past 2^31 must allocate its time array"
+    );
+    assert_eq!(sys.allocations().time_arrays, 1);
+
+    // The two requesters take the page's lines from each other, every
+    // line is occupied past 2^31 and then past 2^32, and nothing allocates.
+    let ((), allocations, _) = allocations_in(|| {
+        for i in 0..10_000u64 {
+            let proc = ProcId(if i % 2 == 0 { 1 } else { 63 });
+            let kind = if i % 4 == 3 {
+                Access::Read
+            } else {
+                Access::Write
+            };
+            let line = (i / 2 * 7) % PAGE_LINES;
+            let at = TIME_2_31 + (i % 5_000) * (TIME_2_31 / 2_000);
+            sys.access(proc, far(line), kind, &mut net, Cycles(at));
+        }
+    });
+    assert_eq!(allocations, 0, "occupancy past 2^31 allocated again");
+    assert_eq!(sys.allocations().time_arrays, 1);
     sys.check_invariants().unwrap();
 }
