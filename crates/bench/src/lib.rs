@@ -638,7 +638,7 @@ pub fn ablation_costs() -> Vec<Row> {
     ];
     labelled_rows(&cells, |(scheme, cost)| {
         BTreeExperiment {
-            cost_override: Some(cost.clone()),
+            cost_override: Some(*cost),
             ..BTreeExperiment::paper(0, *scheme)
         }
         .run(ABLATION_WARMUP, ABLATION_WINDOW)
@@ -685,13 +685,12 @@ pub fn ablation_contention() -> Vec<Row> {
                 max_spin_reads: 0,
                 limitless_trap: Cycles::ZERO,
                 limitless_per_sharer: Cycles::ZERO,
-                ..CoherenceCosts::default()
             },
         ),
     ];
     labelled_rows(&cells, |(scheme, coherence)| {
         CountingExperiment {
-            coherence_override: coherence.clone(),
+            coherence_override: *coherence,
             ..CountingExperiment::paper(48, 0, *scheme)
         }
         .run(ABLATION_WARMUP, ABLATION_WINDOW)

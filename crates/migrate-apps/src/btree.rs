@@ -478,7 +478,7 @@ impl BTreeExperiment {
         let processors = self.data_procs + self.requesters;
         let mut cfg = MachineConfig::new(processors, self.scheme);
         cfg.seed = self.seed;
-        cfg.cost_override = self.cost_override.clone();
+        cfg.cost_override = self.cost_override;
         cfg.audit = self.audit;
         cfg.faults = self.faults.clone();
         cfg.failover = self.failover.clone();

@@ -462,7 +462,7 @@ pub struct CountingExperiment {
     /// Capped requesters halt, letting the network drain to quiescence — the
     /// precondition for the exact step property.
     pub requests_per_thread: Option<u64>,
-    /// Override the coherence protocol constants (ablations).
+    /// Override the coherence protocol's contention costs (ablations).
     pub coherence_override: Option<proteus::CoherenceCosts>,
     /// Placement/workload seed.
     pub seed: u64,
@@ -514,8 +514,8 @@ impl CountingExperiment {
         cfg.audit = self.audit;
         cfg.faults = self.faults.clone();
         cfg.failover = self.failover.clone();
-        if let Some(coh) = &self.coherence_override {
-            cfg.coherence = coh.clone();
+        if let Some(coh) = self.coherence_override {
+            cfg.coherence = coh;
         }
         let mut runner = Runner::new(cfg);
 

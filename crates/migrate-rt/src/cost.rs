@@ -7,8 +7,10 @@
 //! ("an fairly accurate breakdown") and do not sum exactly, which
 //! EXPERIMENTS.md notes.
 //!
-//! The two hardware-support estimates from §4 are modelled exactly as the
-//! paper describes:
+//! The costs are constants of this module; [`CostModel`] holds only what a
+//! run varies. The two hardware-support estimates from §4 are modelled
+//! exactly as the paper describes, each constant they change a
+//! `[software, hardware]` pair:
 //!
 //! * **register-mapped network interface** (Henry & Joerg): packet copying
 //!   drops to ~12 cycles, packet allocation disappears (messages are composed
@@ -170,45 +172,97 @@ impl Accounting {
     }
 }
 
-/// Cycle costs of the message-passing runtime.
-#[derive(Clone, Debug, PartialEq, Eq)]
+// Table 5's rows that no hardware estimate changes.
+
+/// Creating a server thread for a request (Table 5: 66). The runtime
+/// charges it for RPC requests and arriving activations only; every other
+/// message takes the short receive path of [`CostModel::receive_charges`].
+pub const THREAD_CREATION: Cycles = Cycles(66);
+/// Receiver-side procedure linkage (Table 5: 66).
+pub const LINKAGE_RECV: Cycles = Cycles(66);
+/// Scheduling the new activation (Table 5: 36).
+pub const SCHEDULER: Cycles = Cycles(36);
+/// Forwarding check: has the object migrated away? (Table 5: 23).
+pub const FORWARDING_CHECK: Cycles = Cycles(23);
+/// Sender-side procedure linkage (Table 5: 44).
+pub const LINKAGE_SEND: Cycles = Cycles(44);
+/// Injecting the message into the network (Table 5: 23).
+pub const MESSAGE_SEND: Cycles = Cycles(23);
+
+// Table 5's rows that the two hardware estimates change, each as
+// `[software, hardware]`: `CostModel::hw_message` picks the register-NIC
+// value of the first seven, `CostModel::hw_goid` the last.
+
+/// Copying the received packet out of the network buffer (Table 5: 76; 12
+/// with a register NIC).
+pub const COPY_PACKET: [Cycles; 2] = [Cycles(76), Cycles(12)];
+/// Allocating a packet on the receive path (Table 5: 16; none with a
+/// register NIC, which composes messages in registers).
+pub const ALLOC_PACKET_RECV: [Cycles; 2] = [Cycles(16), Cycles::ZERO];
+/// Allocating the outgoing packet (Table 5: 35; none with a register NIC).
+pub const ALLOC_PACKET_SEND: [Cycles; 2] = [Cycles(35), Cycles::ZERO];
+/// Fixed part of marshalling, halved by a register NIC.
+pub const MARSHAL_BASE: [Cycles; 2] = [Cycles(10), Cycles(10 / 2)];
+/// Per-word marshalling cost, halved (rounded up) by a register NIC.
+pub const MARSHAL_PER_WORD: [Cycles; 2] = [Cycles(3), Cycles(3u64.div_ceil(2))];
+/// Fixed part of unmarshalling, halved by a register NIC.
+pub const UNMARSHAL_BASE: [Cycles; 2] = [Cycles(31), Cycles(31 / 2)];
+/// Per-word unmarshalling cost, halved (rounded up) by a register NIC.
+pub const UNMARSHAL_PER_WORD: [Cycles; 2] = [Cycles(5), Cycles(5u64.div_ceil(2))];
+/// Translating the GOID in a message to a local pointer (Table 5: 36; free
+/// with J-Machine-style hardware translation).
+pub const GOID_TRANSLATION: [Cycles; 2] = [Cycles(36), Cycles::ZERO];
+
+/// The locality check made on every instance-method call (charged for local
+/// and remote calls alike: "not an extra cost for computation migration").
+pub const LOCALITY_CHECK: Cycles = Cycles(5);
+/// Local (same-processor) procedure call/return linkage.
+pub const LOCAL_CALL: Cycles = Cycles(10);
+/// Applying a replica update message at a receiving processor.
+pub const REPLICA_APPLY: Cycles = Cycles(30);
+
+// The recovery, failover and policy extensions.
+
+/// Checking an arriving envelope's sequence number against the delivered
+/// set (charged under fault injection, for suppressed duplicates only).
+pub const DEDUP_CHECK: Cycles = Cycles(12);
+/// Running the retransmission-timeout handler for one unacked envelope.
+pub const TIMEOUT_HANDLER: Cycles = Cycles(24);
+/// Reclaiming the buffered frames of a migration that fell back to RPC.
+pub const FRAME_RECLAIM: Cycles = Cycles(60);
+/// Composing or handling one failure-detector heartbeat probe.
+pub const HEARTBEAT_PROBE: Cycles = Cycles(20);
+/// Declaring a silent processor dead (failure detector).
+pub const SUSPICION: Cycles = Cycles(40);
+/// Fixed cost of promoting a backup after a death declaration.
+pub const PROMOTION: Cycles = Cycles(400);
+/// Re-homing one object from a dead processor to its backup.
+pub const REHOME_PER_OBJECT: Cycles = Cycles(80);
+/// Rerouting one in-flight envelope away from a dead processor.
+pub const REROUTE: Cycles = Cycles(60);
+/// Composing and shipping one replication state delta (plus normal per-word
+/// marshalling at the sender).
+pub const DELTA_SEND: Cycles = Cycles(40);
+/// Applying one replication state delta at the backup.
+pub const DELTA_APPLY: Cycles = Cycles(30);
+/// Consulting the adaptive dispatch policy at one `Auto` call site: a table
+/// lookup plus an integer threshold compare (charged when a scheme with
+/// migration enabled dispatches an `Auto` invoke remotely).
+pub const POLICY_DECIDE: Cycles = Cycles(6);
+/// Folding one finished operation's remote-access count into its call
+/// site's sliding window (ring-buffer store plus running-sum update).
+pub const POLICY_UPDATE: Cycles = Cycles(12);
+
+/// The cycle costs a run varies: the two hardware-support estimates and the
+/// two RPC calibration values. Every other cost is a constant of this
+/// module.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CostModel {
-    /// Copying the received packet (76 in Table 5; 12 with a register NIC).
-    pub copy_packet: Cycles,
-    /// Creating a server thread for a request (66). The runtime charges it
-    /// for RPC requests and arriving activations only; every other message
-    /// takes the short receive path of [`CostModel::receive_charges`].
-    pub thread_creation: Cycles,
-    /// Receiver-side procedure linkage (66).
-    pub linkage_recv: Cycles,
-    /// Fixed part of unmarshalling (plus [`CostModel::unmarshal_per_word`]).
-    pub unmarshal_base: Cycles,
-    /// Per-word unmarshalling cost.
-    pub unmarshal_per_word: Cycles,
-    /// Translating the GOID in the message to a local pointer (36; 0 in HW).
-    pub goid_translation: Cycles,
-    /// Scheduling the new activation (36).
-    pub scheduler: Cycles,
-    /// Forwarding check (23): has the object migrated away?
-    pub forwarding_check: Cycles,
-    /// Allocating a packet on the receive path (16; 0 with a register NIC).
-    pub alloc_packet_recv: Cycles,
-    /// Sender-side procedure linkage (44).
-    pub linkage_send: Cycles,
-    /// Allocating the outgoing packet (35; 0 with a register NIC).
-    pub alloc_packet_send: Cycles,
-    /// Injecting the message (23).
-    pub message_send: Cycles,
-    /// Fixed part of marshalling (plus [`CostModel::marshal_per_word`]).
-    pub marshal_base: Cycles,
-    /// Per-word marshalling cost.
-    pub marshal_per_word: Cycles,
-    /// The locality check made on every instance-method call (charged for
-    /// local and remote calls alike — "not an extra cost for computation
-    /// migration").
-    pub locality_check: Cycles,
-    /// Local (same-processor) procedure call/return linkage.
-    pub local_call: Cycles,
+    /// The register-mapped network-interface estimate (Henry & Joerg):
+    /// cheap copies, no packet allocation, half-price (un)marshalling.
+    pub hw_message: bool,
+    /// The J-Machine-style hardware GOID translation estimate.
+    pub hw_goid: bool,
     /// Extra server-side cost of an RPC dispatched through Prelude's
     /// *general-purpose* stubs: the request thread is set up and torn down
     /// through the scheduler and its arguments are copied a second time
@@ -217,7 +271,7 @@ pub struct CostModel {
     /// for the thread (which were already copied once before)", plus the
     /// general-stub overhead of §4.3's final paragraph). Computation
     /// migration uses compiler-generated special-purpose continuation stubs
-    /// (§3.2) and does not pay this.
+    /// (§3.2) and does not pay this. Calibration, 600 cycles by default.
     pub rpc_dispatch: Cycles,
     /// Extra words a general-purpose RPC stub marshals per message: the
     /// fixed argument/linkage record the generic stubs ship both ways,
@@ -225,122 +279,64 @@ pub struct CostModel {
     /// (§3.2 generates special continuation stubs; §4.3 notes the
     /// general-stub overhead and double-copied arguments). Reflected in
     /// both marshalling cost and network bandwidth; calibrated against the
-    /// RPC-vs-CP bandwidth ratio of Table 2 (see DESIGN.md §6).
+    /// RPC-vs-CP bandwidth ratio of Table 2 (see DESIGN.md §6), 16 by
+    /// default.
     pub rpc_stub_words: u64,
-    /// Applying a replica update message at a receiving processor.
-    pub replica_apply: Cycles,
-    /// Checking an arriving envelope's sequence number against the
-    /// delivered set (recovery protocol; only charged under fault
-    /// injection, and only for suppressed duplicates).
-    pub dedup_check: Cycles,
-    /// Running the retransmission-timeout handler for one unacked envelope
-    /// (recovery protocol; only charged under fault injection).
-    pub timeout_handler: Cycles,
-    /// Reclaiming the buffered frames of a migration that fell back to RPC
-    /// (recovery protocol; only charged under fault injection).
-    pub frame_reclaim: Cycles,
-    /// Composing or handling one failure-detector heartbeat probe (only
-    /// charged when failover is enabled).
-    pub heartbeat_probe: Cycles,
-    /// Declaring a silent processor dead (failure detector).
-    pub suspicion: Cycles,
-    /// Fixed cost of promoting a backup after a death declaration.
-    pub promotion: Cycles,
-    /// Re-homing one object from a dead processor to its backup.
-    pub rehome_per_object: Cycles,
-    /// Rerouting one in-flight envelope away from a dead processor.
-    pub reroute: Cycles,
-    /// Composing and shipping one replication state delta (plus normal
-    /// per-word marshalling at the sender).
-    pub delta_send: Cycles,
-    /// Applying one replication state delta at the backup.
-    pub delta_apply: Cycles,
-    /// Consulting the adaptive dispatch policy at one `Auto` call site: a
-    /// table lookup plus an integer threshold compare (only charged when a
-    /// scheme with migration enabled dispatches an `Auto` invoke remotely).
-    pub policy_decide: Cycles,
-    /// Folding one finished operation's remote-access count into its call
-    /// site's sliding window (ring-buffer store plus running-sum update).
-    pub policy_update: Cycles,
 }
 
 impl Default for CostModel {
     /// The software runtime measured in Table 5.
     fn default() -> Self {
         CostModel {
-            copy_packet: Cycles(76),
-            thread_creation: Cycles(66),
-            linkage_recv: Cycles(66),
-            unmarshal_base: Cycles(31),
-            unmarshal_per_word: Cycles(5),
-            goid_translation: Cycles(36),
-            scheduler: Cycles(36),
-            forwarding_check: Cycles(23),
-            alloc_packet_recv: Cycles(16),
-            linkage_send: Cycles(44),
-            alloc_packet_send: Cycles(35),
-            message_send: Cycles(23),
-            marshal_base: Cycles(10),
-            marshal_per_word: Cycles(3),
-            locality_check: Cycles(5),
-            local_call: Cycles(10),
+            hw_message: false,
+            hw_goid: false,
             rpc_dispatch: Cycles(600),
             rpc_stub_words: 16,
-            replica_apply: Cycles(30),
-            dedup_check: Cycles(12),
-            timeout_handler: Cycles(24),
-            frame_reclaim: Cycles(60),
-            heartbeat_probe: Cycles(20),
-            suspicion: Cycles(40),
-            promotion: Cycles(400),
-            rehome_per_object: Cycles(80),
-            reroute: Cycles(60),
-            delta_send: Cycles(40),
-            delta_apply: Cycles(30),
-            policy_decide: Cycles(6),
-            policy_update: Cycles(12),
         }
     }
 }
 
 impl CostModel {
-    /// Apply the register-mapped network-interface estimate (Henry & Joerg):
-    /// cheap copies, no packet allocation, half-price (un)marshalling.
+    /// Apply the register-mapped network-interface estimate.
     pub fn with_hw_message_support(mut self) -> CostModel {
-        self.copy_packet = Cycles(12);
-        self.alloc_packet_recv = Cycles::ZERO;
-        self.alloc_packet_send = Cycles::ZERO;
-        self.marshal_base = Cycles(self.marshal_base.get() / 2);
-        self.marshal_per_word = Cycles(self.marshal_per_word.get().div_ceil(2));
-        self.unmarshal_base = Cycles(self.unmarshal_base.get() / 2);
-        self.unmarshal_per_word = Cycles(self.unmarshal_per_word.get().div_ceil(2));
+        self.hw_message = true;
         self
     }
 
-    /// Apply the J-Machine-style hardware GOID translation estimate.
+    /// Apply the hardware GOID translation estimate.
     pub fn with_hw_goid_support(mut self) -> CostModel {
-        self.goid_translation = Cycles::ZERO;
+        self.hw_goid = true;
         self
+    }
+
+    /// Translating a GOID to a local pointer.
+    pub fn goid_translation(&self) -> Cycles {
+        GOID_TRANSLATION[usize::from(self.hw_goid)]
     }
 
     /// Marshalling cost for a `words`-word payload.
     pub fn marshal(&self, words: u64) -> Cycles {
-        self.marshal_base + self.marshal_per_word * words
+        let nic = usize::from(self.hw_message);
+        MARSHAL_BASE[nic] + MARSHAL_PER_WORD[nic] * words
     }
 
     /// Unmarshalling cost for a `words`-word payload.
     pub fn unmarshal(&self, words: u64) -> Cycles {
-        self.unmarshal_base + self.unmarshal_per_word * words
+        let nic = usize::from(self.hw_message);
+        UNMARSHAL_BASE[nic] + UNMARSHAL_PER_WORD[nic] * words
     }
 
     /// The sender-side charges of a `words`-word message, one per
     /// category, in the order the runtime books them.
     pub fn send_charges(&self, words: u64) -> [(Category, Cycles); 4] {
         [
-            (Category::LinkageSend, self.linkage_send),
-            (Category::AllocPacketSend, self.alloc_packet_send),
+            (Category::LinkageSend, LINKAGE_SEND),
+            (
+                Category::AllocPacketSend,
+                ALLOC_PACKET_SEND[usize::from(self.hw_message)],
+            ),
             (Category::Marshal, self.marshal(words)),
-            (Category::MessageSend, self.message_send),
+            (Category::MessageSend, MESSAGE_SEND),
         ]
     }
 
@@ -351,20 +347,17 @@ impl CostModel {
     /// thread creation (§4.3/§4.4), which acks, replies and the other
     /// runtime messages take.
     pub fn receive_charges(&self, words: u64, short: bool) -> [(Category, Cycles); 8] {
-        let thread = if short {
-            Cycles::ZERO
-        } else {
-            self.thread_creation
-        };
+        let nic = usize::from(self.hw_message);
+        let thread = if short { Cycles::ZERO } else { THREAD_CREATION };
         [
-            (Category::CopyPacket, self.copy_packet),
+            (Category::CopyPacket, COPY_PACKET[nic]),
             (Category::ThreadCreation, thread),
-            (Category::LinkageRecv, self.linkage_recv),
+            (Category::LinkageRecv, LINKAGE_RECV),
             (Category::Unmarshal, self.unmarshal(words)),
-            (Category::GoidTranslation, self.goid_translation),
-            (Category::Scheduler, self.scheduler),
-            (Category::ForwardingCheck, self.forwarding_check),
-            (Category::AllocPacketRecv, self.alloc_packet_recv),
+            (Category::GoidTranslation, self.goid_translation()),
+            (Category::Scheduler, SCHEDULER),
+            (Category::ForwardingCheck, FORWARDING_CHECK),
+            (Category::AllocPacketRecv, ALLOC_PACKET_RECV[nic]),
         ]
     }
 
@@ -442,7 +435,7 @@ mod tests {
     fn short_method_skips_thread_creation() {
         let c = CostModel::default();
         let diff = c.receive(2, false) - c.receive(2, true);
-        assert_eq!(diff, c.thread_creation);
+        assert_eq!(diff, THREAD_CREATION);
     }
 
     #[test]
@@ -454,13 +447,72 @@ mod tests {
     }
 
     #[test]
-    fn hw_builders_compose() {
-        let c = CostModel::default()
-            .with_hw_message_support()
-            .with_hw_goid_support();
-        assert_eq!(c.goid_translation, Cycles::ZERO);
-        assert_eq!(c.alloc_packet_send, Cycles::ZERO);
-        assert_eq!(c.copy_packet, Cycles(12));
+    fn charges_of_a_four_word_message_are_exact_for_every_hardware_estimate() {
+        use Category::*;
+        // (register NIC, hardware GOID, send, full receive): Table 5's rows,
+        // with the NIC's halvings rounded as 10/2, 3.div_ceil(2), 31/2 and
+        // 5.div_ceil(2).
+        let software_send = [
+            (LinkageSend, 44),
+            (AllocPacketSend, 35),
+            (Marshal, 10 + 3 * 4),
+            (MessageSend, 23),
+        ];
+        let nic_send = [
+            (LinkageSend, 44),
+            (AllocPacketSend, 0),
+            (Marshal, 5 + 2 * 4),
+            (MessageSend, 23),
+        ];
+        let receive = |copy, unmarshal, goid, alloc| {
+            [
+                (CopyPacket, copy),
+                (ThreadCreation, 66),
+                (LinkageRecv, 66),
+                (Unmarshal, unmarshal),
+                (GoidTranslation, goid),
+                (Scheduler, 36),
+                (ForwardingCheck, 23),
+                (AllocPacketRecv, alloc),
+            ]
+        };
+        let cases = [
+            (false, false, software_send, receive(76, 31 + 5 * 4, 36, 16)),
+            (true, false, nic_send, receive(12, 15 + 3 * 4, 36, 0)),
+            (false, true, software_send, receive(76, 31 + 5 * 4, 0, 16)),
+            (true, true, nic_send, receive(12, 15 + 3 * 4, 0, 0)),
+        ];
+        let cycles = |charges: &[(Category, u64)]| -> Vec<(Category, Cycles)> {
+            charges.iter().map(|&(c, n)| (c, Cycles(n))).collect()
+        };
+        for (hw_message, hw_goid, send, full) in cases {
+            let c = CostModel {
+                hw_message,
+                hw_goid,
+                ..CostModel::default()
+            };
+            let mut short = full;
+            short[1].1 = 0;
+            assert_eq!(c.send_charges(4).to_vec(), cycles(&send));
+            assert_eq!(c.receive_charges(4, false).to_vec(), cycles(&full));
+            assert_eq!(c.receive_charges(4, true).to_vec(), cycles(&short));
+        }
+        let software = CostModel::default();
+        let nic = software.with_hw_message_support();
+        let goid = software.with_hw_goid_support();
+        assert_eq!(
+            (software.send(4), software.receive(4, false)),
+            (Cycles(124), Cycles(370))
+        );
+        assert_eq!(
+            (nic.send(4), nic.receive(4, false)),
+            (Cycles(80), Cycles(266))
+        );
+        assert_eq!(goid.receive(4, false), Cycles(370 - 36));
+        assert_eq!(
+            software.receive(4, false) - software.receive(4, true),
+            Cycles(66)
+        );
     }
 
     #[test]

@@ -293,11 +293,10 @@ impl Scheme {
 
     /// The cost model this scheme implies.
     pub fn cost_model(&self) -> CostModel {
-        let c = CostModel::default();
-        if self.hardware {
-            c.with_hw_message_support().with_hw_goid_support()
-        } else {
-            c
+        CostModel {
+            hw_message: self.hardware,
+            hw_goid: self.hardware,
+            ..CostModel::default()
         }
     }
 
@@ -393,7 +392,7 @@ mod tests {
         let hw = Scheme::computation_migration().with_hardware().cost_model();
         assert!(hw.send(4) < sw.send(4));
         assert!(hw.receive(4, false) < sw.receive(4, false));
-        assert_eq!(hw.goid_translation, Cycles::ZERO);
+        assert_eq!(hw.goid_translation(), Cycles::ZERO);
     }
 
     #[test]

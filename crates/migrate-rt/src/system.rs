@@ -74,7 +74,7 @@ pub struct MachineConfig {
     pub processors: u32,
     /// The remote-access scheme (one table row).
     pub scheme: Scheme,
-    /// Coherence protocol constants.
+    /// The coherence protocol's contention costs (ablation studies).
     pub coherence: CoherenceCosts,
     /// Seed for all runtime-internal randomness (object placement).
     pub seed: u64,
@@ -83,7 +83,9 @@ pub struct MachineConfig {
     pub data_procs: Vec<ProcId>,
     /// Processors holding software replicas of replicated objects.
     pub replica_procs: Vec<ProcId>,
-    /// Override the scheme-derived cost model (ablation studies).
+    /// Override the scheme-derived cost model (ablation studies): its two
+    /// hardware-support flags and two RPC calibration values. Every other
+    /// runtime cost is a constant of [`crate::cost`].
     pub cost_override: Option<CostModel>,
     /// Cycle-accounting audit mode: cross-check, for every executed task,
     /// that the processor-busy duration equals the cycles charged to busy
@@ -514,10 +516,7 @@ impl System {
         }
         System {
             core: Core {
-                cost: cfg
-                    .cost_override
-                    .clone()
-                    .unwrap_or_else(|| cfg.scheme.cost_model()),
+                cost: cfg.cost_override.unwrap_or_else(|| cfg.scheme.cost_model()),
                 net: Network::new(n),
                 tracer: Tracer::disabled(),
                 acct: Accounting::default(),
@@ -530,7 +529,7 @@ impl System {
                 error_counts: [0; RuntimeError::CODES.len()],
             },
             objects: ObjectTable::new(n, cache.line_bytes),
-            coherence: CoherenceSystem::new(n, cache, cfg.coherence.clone()),
+            coherence: CoherenceSystem::new(n, cache, cfg.coherence),
             procs: (0..n).map(|i| Processor::new(ProcId(i))).collect(),
             poll_pending: vec![false; n as usize],
             replica_at,
@@ -893,9 +892,9 @@ pub struct EngineProfile {
     /// Where the event queue put the run's schedules beyond its fine
     /// wheel, and how many moved back into it, warm-up included.
     pub queue: QueueCounters,
-    /// Coherence directory pages and P64–P127 side arrays allocated since
-    /// the machine was built, warm-up included (zero when the run makes no
-    /// shared-memory access).
+    /// Coherence directory pages, P64–P127 side arrays and high-time side
+    /// arrays allocated since the machine was built, warm-up included (zero
+    /// when the run makes no shared-memory access).
     pub directory: DirectoryAllocations,
 }
 

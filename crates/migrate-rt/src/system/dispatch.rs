@@ -9,7 +9,7 @@ use proteus::{Cycles, ProcId};
 
 use super::env::{MpEnv, SmEnv};
 use super::{Event, ParkedGroup, ResumingGroup, System, ThreadStatus, Work};
-use crate::cost::Category;
+use crate::cost::{self, Category};
 use crate::error::RuntimeError;
 use crate::frame::{Frame, Invoke, StepCtx, StepResult};
 use crate::mechanism::{Annotation, DataAccess, DispatchKind};
@@ -44,7 +44,7 @@ impl System {
                 // pull, a local retry with no receive path to pay.
                 let mut acc = match &payload {
                     Some(Payload::ReplicaUpdate { .. }) => {
-                        self.charge(Category::ReplicaApply, self.core.cost.replica_apply)
+                        self.charge(Category::ReplicaApply, cost::REPLICA_APPLY)
                     }
                     Some(Payload::ObjectPull { .. }) if src == proc => Cycles::ZERO,
                     _ => self.core.charge_recv(meta),
@@ -67,7 +67,7 @@ impl System {
                         self.transport().stats.duplicates_suppressed += 1;
                         let error = RuntimeError::DuplicateDelivery { seq, at: proc };
                         self.core.record_error(now + acc, error);
-                        acc + self.charge(Category::RecoveryDedup, self.core.cost.dedup_check)
+                        acc + self.charge(Category::RecoveryDedup, cost::DEDUP_CHECK)
                     }
                     (None, None) => unreachable!("a plain message carries its payload"),
                 }
@@ -196,7 +196,7 @@ impl System {
                 // which is now local.
                 debug_assert_eq!(self.objects.home(target), proc, "object landed off-home");
                 let acc =
-                    acc + self.charge(Category::GoidTranslation, self.core.cost.goid_translation);
+                    acc + self.charge(Category::GoidTranslation, self.core.cost.goid_translation());
                 self.objects.put_behavior(target, behavior);
                 if self.threads[thread.index()].status == ThreadStatus::Done {
                     // The puller died with its processor; the object was
@@ -226,7 +226,7 @@ impl System {
                 acc
             }
             Payload::BackupDelta { .. } => {
-                acc + self.charge(Category::ReplicationDeltaApply, self.core.cost.delta_apply)
+                acc + self.charge(Category::ReplicationDeltaApply, cost::DELTA_APPLY)
             }
             // The receive path was the whole job: a replica update is
             // applied by its charge, and the ack a heartbeat's receive path
@@ -438,7 +438,7 @@ impl System {
         };
         let remote = std::mem::take(&mut self.threads[t].auto_remote);
         self.policy().record_episode(site, remote);
-        self.charge(Category::PolicyUpdate, self.core.cost.policy_update)
+        self.charge(Category::PolicyUpdate, cost::POLICY_UPDATE)
     }
 
     /// Track one `Auto` invoke for the thread's open policy episode: open
@@ -487,7 +487,7 @@ impl System {
             Annotation::Migrate | Annotation::MigrateAll => true,
             Annotation::Rpc => false,
             Annotation::Auto => {
-                *acc += self.charge(Category::PolicyDecide, self.core.cost.policy_decide);
+                *acc += self.charge(Category::PolicyDecide, cost::POLICY_DECIDE);
                 let d = self.policy().decide(site);
                 if d.flipped {
                     let at = now + *acc;
@@ -523,7 +523,7 @@ impl System {
         acc: &mut Cycles,
         queue: &mut EventQueue<Event>,
     ) -> Result<WordVec, ProcId> {
-        *acc += self.charge(Category::LocalityCheck, self.core.cost.locality_check);
+        *acc += self.charge(Category::LocalityCheck, cost::LOCALITY_CHECK);
         let home = self.objects.home(inv.target);
         let replica_served = home != proc && self.replica_readable(proc, inv);
         if inv.annotation == Annotation::Auto && self.cfg.scheme.migration {
@@ -620,7 +620,7 @@ impl System {
                     continue;
                 }
                 StepResult::Call(child) => {
-                    acc += self.charge(Category::LocalLinkage, self.core.cost.local_call);
+                    acc += self.charge(Category::LocalLinkage, cost::LOCAL_CALL);
                     if child.is_operation() {
                         self.threads[t].op_started = Some(now + acc);
                     }
@@ -676,7 +676,7 @@ impl System {
                         self.threads[t].status = ThreadStatus::Done;
                         return acc;
                     };
-                    acc += self.charge(Category::LocalLinkage, self.core.cost.local_call);
+                    acc += self.charge(Category::LocalLinkage, cost::LOCAL_CALL);
                     parent.on_result(&vals);
                     parent.recycle_child(frame);
                     frame = parent;
@@ -713,7 +713,7 @@ impl System {
                 // Rehomed to us but still in flight (another thread on this
                 // processor pulled it): retry once it has had time to
                 // arrive.
-                acc += self.charge(Category::LocalityCheck, self.core.cost.locality_check);
+                acc += self.charge(Category::LocalityCheck, cost::LOCALITY_CHECK);
                 lower.push(frame);
                 self.park_home(tid, lower);
                 queue.schedule_at(now + acc + Cycles(200), Event::Wake(tid));
@@ -829,13 +829,13 @@ impl System {
         if home != proc {
             // The object moved away: forward the pull (forwarding check +
             // chase message).
-            acc += self.charge(Category::ForwardingCheck, self.core.cost.forwarding_check);
+            acc += self.charge(Category::ForwardingCheck, cost::FORWARDING_CHECK);
             acc += self.send_message(proc, home, pull, now + acc, queue);
             return acc;
         }
         if self.objects.entry(target).behavior.is_none() {
             // In flight towards us: retry after a short delay.
-            acc += self.charge(Category::Scheduler, self.core.cost.scheduler);
+            acc += self.charge(Category::Scheduler, cost::SCHEDULER);
             // A local retry pays no receive path, so it carries no words.
             let retry = Event::Arrive {
                 dst: proc,
@@ -850,7 +850,7 @@ impl System {
         // pulls chase it to its new location.
         let behavior = self.objects.take_behavior(target);
         self.objects.entry_mut(target).home = reply_to;
-        acc += self.charge(Category::GoidTranslation, self.core.cost.goid_translation);
+        acc += self.charge(Category::GoidTranslation, self.core.cost.goid_translation());
         let payload = Payload::ObjectMove {
             thread,
             target,

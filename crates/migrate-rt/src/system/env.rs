@@ -9,6 +9,10 @@ use proteus::{CoherenceSystem, Cycles, Network, ProcId};
 use crate::object::{Behavior, MethodEnv, ObjectTable};
 use crate::types::Goid;
 
+/// Interval between test-and-set probes of a contended lock line by a
+/// spinning processor.
+const SPIN_INTERVAL: Cycles = Cycles(150);
+
 /// Create an object at `home`, or at a random data processor.
 fn create(
     objects: &mut ObjectTable,
@@ -139,11 +143,10 @@ impl MethodEnv for SmEnv<'_> {
             // miss. This is the coherence activity that throttles
             // write-shared objects in the paper's SM runs. The probes'
             // latency is subsumed by the stall itself.
-            let costs = self.coherence.costs();
-            let (interval, max_reads) = (costs.spin_interval, costs.max_spin_reads);
-            let n = ((stall.get() / interval.get().max(1)) + 1).min(u64::from(max_reads));
+            let max_reads = self.coherence.costs().max_spin_reads;
+            let n = ((stall.get() / SPIN_INTERVAL.get()) + 1).min(u64::from(max_reads));
             for i in 0..n {
-                let at = t_now + interval * i;
+                let at = t_now + SPIN_INTERVAL * i;
                 let _ = self
                     .coherence
                     .access(self.proc, self.base, Access::Write, self.net, at);

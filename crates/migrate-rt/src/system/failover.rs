@@ -18,7 +18,7 @@ use proteus::{Cycles, ProcId};
 
 use super::transport::rto;
 use super::{Event, System, ThreadStatus, Work};
-use crate::cost::Category;
+use crate::cost::{self, Category};
 use crate::error::RuntimeError;
 use crate::message::{MessageKind, Payload};
 use crate::types::{Goid, ThreadId};
@@ -155,7 +155,7 @@ impl System {
         let words = wrote_bytes.div_ceil(8).max(1);
         failover.stats.replication_deltas += 1;
         failover.stats.replication_words += words;
-        let cost = self.charge(Category::ReplicationDeltaSend, self.core.cost.delta_send);
+        let cost = self.charge(Category::ReplicationDeltaSend, cost::DELTA_SEND);
         let payload = Payload::BackupDelta {
             target,
             delta_seq,
@@ -199,7 +199,7 @@ impl System {
             return Cycles::ZERO; // nothing left to probe
         }
         failover.stats.heartbeats_sent += 1;
-        let acc = self.charge(Category::RecoveryHeartbeat, self.core.cost.heartbeat_probe);
+        let acc = self.charge(Category::RecoveryHeartbeat, cost::HEARTBEAT_PROBE);
         acc + self.send_message(proc, to, Payload::Heartbeat, now + acc, queue)
     }
 
@@ -234,7 +234,7 @@ impl System {
         failover.stats.promotions += 1;
         failover.stats.rehomed_objects += dead_objects.len() as u64;
         let rehomed_total = failover.stats.rehomed_objects;
-        let mut acc = acc + self.charge(Category::RecoverySuspicion, self.core.cost.suspicion);
+        let mut acc = acc + self.charge(Category::RecoverySuspicion, cost::SUSPICION);
         self.core.tracer.emit_with(|| TraceEvent {
             at: now + acc,
             source: "runtime",
@@ -242,10 +242,10 @@ impl System {
             proc: Some(proc),
             detail: format!("declared {} dead (heartbeat silence)", victim.index()),
         });
-        acc += self.charge(Category::RecoveryPromotion, self.core.cost.promotion);
+        acc += self.charge(Category::RecoveryPromotion, cost::PROMOTION);
         for g in dead_objects {
             self.objects.rehome(g, backup);
-            acc += self.charge(Category::RecoveryRehome, self.core.cost.rehome_per_object);
+            acc += self.charge(Category::RecoveryRehome, cost::REHOME_PER_OBJECT);
         }
         self.core.tracer.emit_with(|| TraceEvent {
             at: now + acc,
@@ -317,7 +317,7 @@ impl System {
             if let Some(failover) = &mut self.failover {
                 failover.stats.rerouted_calls += 1;
             }
-            let acc = acc + self.charge(Category::RecoveryReroute, self.core.cost.reroute);
+            let acc = acc + self.charge(Category::RecoveryReroute, cost::REROUTE);
             return acc + self.redirect(seq, to, now + acc, queue);
         }
         // No live destination (or the work already happened): retire the

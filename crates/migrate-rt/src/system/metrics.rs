@@ -5,7 +5,6 @@
 use std::collections::BTreeMap;
 
 use proteus::fault::FaultStats;
-use proteus::stats::Histogram;
 use proteus::Cycles;
 
 use super::{FailoverStats, RecoveryStats, System};
@@ -120,7 +119,7 @@ impl System {
         self.core.migrations = 0;
         self.core.msg_counts = [0; MessageKind::ALL.len()];
         self.ops_completed = 0;
-        self.op_latency = Histogram::new(100, 4096);
+        self.op_latency.clear();
         self.dispatch = DispatchStats::default();
         self.audit_tasks = 0;
         self.audit_violations.clear();

@@ -35,7 +35,7 @@ use proteus::{Cycles, ProcId};
 
 use super::failover::MAX_HEARTBEAT_ATTEMPTS;
 use super::{Core, Event, RecvMeta, System, ThreadStatus, Work};
-use crate::cost::Category;
+use crate::cost::{self, Category};
 use crate::error::RuntimeError;
 use crate::mechanism::DispatchKind;
 use crate::message::{MessageKind, Payload};
@@ -346,7 +346,7 @@ impl System {
         };
         let (dst, kind, attempt) = (entry.dst, entry.meta.kind, entry.attempt);
         debug_assert_eq!(entry.src, proc, "retransmit task ran off the sender");
-        let acc = self.charge(Category::RecoveryTimeout, self.core.cost.timeout_handler);
+        let acc = self.charge(Category::RecoveryTimeout, cost::TIMEOUT_HANDLER);
         if let Some(failover) = &self.failover {
             if failover.is_declared_dead(dst) {
                 // The destination was declared dead (by this processor or
@@ -439,7 +439,7 @@ impl System {
         else {
             return acc; // tombstone — a copy was delivered after all
         };
-        let acc = acc + self.charge(Category::RecoveryReclaim, self.core.cost.frame_reclaim);
+        let acc = acc + self.charge(Category::RecoveryReclaim, cost::FRAME_RECLAIM);
         self.transport().stats.fallbacks += 1;
         self.core.record_error(
             now + acc,

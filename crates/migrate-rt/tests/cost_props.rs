@@ -1,5 +1,6 @@
 //! Property tests for the cost model and scheme algebra.
 
+use migrate_rt::cost::{Category, THREAD_CREATION};
 use migrate_rt::{CostModel, Scheme};
 use proptest::prelude::*;
 use proteus::Cycles;
@@ -30,7 +31,7 @@ proptest! {
         let c = CostModel::default();
         prop_assert_eq!(
             c.receive(words, false) - c.receive(words, true),
-            c.thread_creation
+            THREAD_CREATION
         );
     }
 
@@ -64,6 +65,9 @@ proptest! {
         let b = CostModel::default().with_hw_goid_support().with_hw_message_support();
         prop_assert_eq!(a.send(words), b.send(words));
         prop_assert_eq!(a.receive(words, false), b.receive(words, false));
-        prop_assert_eq!(a.goid_translation, Cycles::ZERO);
+        prop_assert_eq!(a, b);
+        prop_assert!(a
+            .receive_charges(words, false)
+            .contains(&(Category::GoidTranslation, Cycles::ZERO)));
     }
 }

@@ -136,26 +136,25 @@ pub enum Access {
     Write,
 }
 
-/// Protocol cost constants, in cycles.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A cache hit.
+pub const HIT: Cycles = Cycles(2);
+/// Directory lookup/update at the home node.
+pub const DIRECTORY: Cycles = Cycles(5);
+/// Memory array access at the home node.
+pub const MEMORY: Cycles = Cycles(8);
+/// Cache-array manipulation at a third party (downgrade/flush).
+pub const CACHE_OP: Cycles = Cycles(4);
+/// LimitLESS hardware pointer count (Alewife: 5). Invalidating more sharers
+/// than this traps to software at the home node.
+pub const HW_SHARER_LIMIT: usize = 5;
+
+/// The protocol costs a run varies: the contention terms the shared-memory
+/// ablation switches off. Every other cost is a constant of this module.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CoherenceCosts {
-    /// A cache hit.
-    pub hit: Cycles,
-    /// Directory lookup/update at the home node.
-    pub directory: Cycles,
-    /// Memory array access at the home node.
-    pub memory: Cycles,
-    /// Cache-array manipulation at a third party (downgrade/flush).
-    pub cache_op: Cycles,
-    /// Interval between test-and-set probes of a contended lock line by a
-    /// spinning processor.
-    pub spin_interval: Cycles,
     /// Cap on modelled spin probes per lock acquisition (bounds the
     /// synthetic burst; real spinners back off).
     pub max_spin_reads: u32,
-    /// LimitLESS hardware pointer count (Alewife: 5). Invalidating more
-    /// sharers than this traps to software at the home node.
-    pub hw_sharer_limit: usize,
     /// Fixed cost of the LimitLESS software trap.
     pub limitless_trap: Cycles,
     /// Per-sharer cost of software-issued invalidations inside the trap
@@ -173,13 +172,7 @@ pub struct CoherenceCosts {
 impl Default for CoherenceCosts {
     fn default() -> Self {
         CoherenceCosts {
-            hit: Cycles(2),
-            directory: Cycles(5),
-            memory: Cycles(8),
-            cache_op: Cycles(4),
-            spin_interval: Cycles(150),
             max_spin_reads: 4,
-            hw_sharer_limit: 5,
             limitless_trap: Cycles(50),
             limitless_per_sharer: Cycles(15),
             contended_lock_penalty: Cycles(450),
@@ -563,7 +556,7 @@ impl CoherenceSystem {
         };
         if hit {
             return AccessOutcome {
-                latency: self.costs.hit,
+                latency: HIT,
                 hit: true,
             };
         }
@@ -659,13 +652,13 @@ impl CoherenceSystem {
         self.stats.read_misses += 1;
         let home = self.home_of_line(line);
         // Request to home directory (1 word: address).
-        let mut latency = xfer(net, proc, home, 1) + self.costs.directory;
+        let mut latency = xfer(net, proc, home, 1) + DIRECTORY;
         match entry.owner() {
             Some(o) if o != proc => {
                 // Intervention: home forwards to owner; owner downgrades,
                 // sends data to requester and a sharing writeback home.
                 self.stats.owner_forwards += 1;
-                latency += xfer(net, home, o, 1) + self.costs.cache_op;
+                latency += xfer(net, home, o, 1) + CACHE_OP;
                 latency += xfer(net, o, proc, self.words_per_line);
                 xfer(net, o, home, self.words_per_line); // writeback, off critical path
                 self.caches[o.index()].set_state(line, LineState::Shared);
@@ -673,7 +666,7 @@ impl CoherenceSystem {
             _ => {
                 // Clean at home (or we were the stale "owner" after eviction):
                 // memory supplies the line.
-                latency += self.costs.memory + xfer(net, home, proc, self.words_per_line);
+                latency += MEMORY + xfer(net, home, proc, self.words_per_line);
             }
         }
         // A former owner stays on as a sharer.
@@ -698,11 +691,11 @@ impl CoherenceSystem {
         let mut sharers = entry.sharers;
         sharers.remove(proc);
         // Exclusive request to home (1 word: address).
-        let mut latency = xfer(net, proc, home, 1) + self.costs.directory;
+        let mut latency = xfer(net, proc, home, 1) + DIRECTORY;
         if let Some(o) = entry.owner().filter(|&o| o != proc) {
             // Home forwards to the dirty owner; owner flushes to requester.
             self.stats.owner_forwards += 1;
-            latency += xfer(net, home, o, 1) + self.costs.cache_op;
+            latency += xfer(net, home, o, 1) + CACHE_OP;
             latency += xfer(net, o, proc, self.words_per_line);
             self.caches[o.index()].invalidate(line);
         } else {
@@ -717,11 +710,11 @@ impl CoherenceSystem {
                 self.stats.invalidations_sent += 1;
                 let there = xfer(net, home, s, 1);
                 let back = xfer(net, s, home, 1);
-                inval_wait = inval_wait.max(there + self.costs.cache_op + back);
+                inval_wait = inval_wait.max(there + CACHE_OP + back);
                 self.caches[s.index()].invalidate(line);
             }
-            if sharers.len() > self.costs.hw_sharer_limit {
-                let overflow = (sharers.len() - self.costs.hw_sharer_limit) as u64;
+            if sharers.len() > HW_SHARER_LIMIT {
+                let overflow = (sharers.len() - HW_SHARER_LIMIT) as u64;
                 self.stats.limitless_traps += 1;
                 inval_wait +=
                     self.costs.limitless_trap + self.costs.limitless_per_sharer * overflow;
@@ -732,7 +725,7 @@ impl CoherenceSystem {
             if upgrade {
                 latency += xfer(net, home, proc, 1);
             } else {
-                latency += self.costs.memory + xfer(net, home, proc, self.words_per_line);
+                latency += MEMORY + xfer(net, home, proc, self.words_per_line);
             }
         }
         entry.set_owner(proc);
@@ -756,7 +749,7 @@ impl CoherenceSystem {
         }
     }
 
-    /// The protocol cost constants in force.
+    /// The protocol costs in force.
     pub fn costs(&self) -> &CoherenceCosts {
         &self.costs
     }

@@ -109,6 +109,12 @@ impl Histogram {
         }
     }
 
+    /// Forget every sample, keeping the bucket shape and its storage.
+    pub fn clear(&mut self) {
+        self.buckets.fill(0);
+        (self.overflow, self.count, self.sum, self.max) = (0, 0, 0, 0);
+    }
+
     /// Record one sample.
     pub fn record(&mut self, value: Cycles) {
         let v = value.get();
@@ -241,6 +247,19 @@ mod tests {
         assert_eq!(h.percentile(100.0), 0);
         assert_eq!(h.percentile(-1.0), 0);
         assert_eq!(h.percentile(1e9), 0);
+    }
+
+    #[test]
+    fn a_cleared_histogram_reads_like_a_fresh_one() {
+        let mut h = Histogram::new(10, 4);
+        for v in [5u64, 25, 1234] {
+            h.record(Cycles(v));
+        }
+        h.clear();
+        assert_eq!((h.count(), h.max(), h.mean()), (0, 0, 0.0));
+        assert_eq!(h.percentile(100.0), 0);
+        h.record(Cycles(31));
+        assert_eq!((h.count(), h.max(), h.percentile(0.0)), (1, 31, 30));
     }
 
     #[test]

@@ -17,7 +17,10 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use proteus::coherence::{make_addr, Access, AccessOutcome, ProtocolStats};
+use proteus::coherence::{
+    make_addr, Access, AccessOutcome, ProtocolStats, CACHE_OP, DIRECTORY, HIT, HW_SHARER_LIMIT,
+    MEMORY,
+};
 use proteus::{
     Cache, CacheConfig, CacheStats, CoherenceCosts, CoherenceSystem, Cycles, LineState, Network,
     ProcId,
@@ -141,18 +144,18 @@ impl RefCoherence {
     fn read(&mut self, proc: ProcId, line: u64, net: &mut Network) -> AccessOutcome {
         if self.caches[proc.index()].hit_read(line).is_some() {
             return AccessOutcome {
-                latency: self.costs.hit,
+                latency: HIT,
                 hit: true,
             };
         }
         self.stats.read_misses += 1;
         let home = self.home_of_line(line);
         let owner = self.directory.entry(line).or_default().owner;
-        let mut latency = xfer(net, proc, home, 1) + self.costs.directory;
+        let mut latency = xfer(net, proc, home, 1) + DIRECTORY;
         match owner {
             Some(o) if o != proc => {
                 self.stats.owner_forwards += 1;
-                latency += xfer(net, home, o, 1) + self.costs.cache_op;
+                latency += xfer(net, home, o, 1) + CACHE_OP;
                 latency += xfer(net, o, proc, self.words_per_line);
                 xfer(net, o, home, self.words_per_line);
                 self.caches[o.index()].set_state(line, LineState::Shared);
@@ -162,7 +165,7 @@ impl RefCoherence {
                 entry.sharers |= 1 << proc.0;
             }
             _ => {
-                latency += self.costs.memory + xfer(net, home, proc, self.words_per_line);
+                latency += MEMORY + xfer(net, home, proc, self.words_per_line);
                 let entry = self.directory.get_mut(&line).expect("entry exists");
                 entry.owner = None;
                 entry.sharers |= 1 << proc.0;
@@ -178,7 +181,7 @@ impl RefCoherence {
     fn write(&mut self, proc: ProcId, line: u64, net: &mut Network) -> AccessOutcome {
         if self.caches[proc.index()].hit_write(line) == Some(LineState::Modified) {
             return AccessOutcome {
-                latency: self.costs.hit,
+                latency: HIT,
                 hit: true,
             };
         }
@@ -186,10 +189,10 @@ impl RefCoherence {
         let home = self.home_of_line(line);
         let entry = *self.directory.entry(line).or_default();
         let sharers = entry.sharers & !(1 << proc.0);
-        let mut latency = xfer(net, proc, home, 1) + self.costs.directory;
+        let mut latency = xfer(net, proc, home, 1) + DIRECTORY;
         if let Some(o) = entry.owner.filter(|&o| o != proc) {
             self.stats.owner_forwards += 1;
-            latency += xfer(net, home, o, 1) + self.costs.cache_op;
+            latency += xfer(net, home, o, 1) + CACHE_OP;
             latency += xfer(net, o, proc, self.words_per_line);
             self.caches[o.index()].invalidate(line);
         } else {
@@ -201,12 +204,12 @@ impl RefCoherence {
                 self.stats.invalidations_sent += 1;
                 let there = xfer(net, home, s, 1);
                 let back = xfer(net, s, home, 1);
-                inval_wait = inval_wait.max(there + self.costs.cache_op + back);
+                inval_wait = inval_wait.max(there + CACHE_OP + back);
                 self.caches[s.index()].invalidate(line);
             }
             let count = sharers.count_ones() as usize;
-            if count > self.costs.hw_sharer_limit {
-                let overflow = (count - self.costs.hw_sharer_limit) as u64;
+            if count > HW_SHARER_LIMIT {
+                let overflow = (count - HW_SHARER_LIMIT) as u64;
                 self.stats.limitless_traps += 1;
                 inval_wait +=
                     self.costs.limitless_trap + self.costs.limitless_per_sharer * overflow;
@@ -215,7 +218,7 @@ impl RefCoherence {
             if self.caches[proc.index()].probe(line).is_some() {
                 latency += xfer(net, home, proc, 1);
             } else {
-                latency += self.costs.memory + xfer(net, home, proc, self.words_per_line);
+                latency += MEMORY + xfer(net, home, proc, self.words_per_line);
             }
         }
         let entry = self.directory.get_mut(&line).expect("entry exists");

@@ -11,7 +11,7 @@
 use bench::metrics_to_json;
 use migrate_apps::btree::BTreeExperiment;
 use migrate_apps::counting::CountingExperiment;
-use migrate_rt::{Annotation, Category, DispatchKind, RunMetrics, Scheme};
+use migrate_rt::{cost, Annotation, Category, DispatchKind, RunMetrics, Scheme};
 use proptest::prelude::*;
 use proteus::Cycles;
 
@@ -79,17 +79,16 @@ fn policy_charges_are_decisions_and_episodes_times_their_cost() {
     // with one counter: a swapped category there would pass every golden,
     // since no golden runs `Auto`.
     let scheme = Scheme::computation_migration();
-    let cost = scheme.cost_model();
     for m in [adaptive_btree(3, scheme), adaptive_counting(3, scheme)] {
         let p = m.policy.as_ref().expect("policy stats under Auto");
         assert!(p.decisions > 0 && p.episodes > 0, "{p:?}");
         assert_eq!(
             m.accounting.total(Category::PolicyDecide),
-            p.decisions * cost.policy_decide.get()
+            p.decisions * cost::POLICY_DECIDE.get()
         );
         assert_eq!(
             m.accounting.total(Category::PolicyUpdate),
-            p.episodes * cost.policy_update.get()
+            p.episodes * cost::POLICY_UPDATE.get()
         );
     }
 }

@@ -13,7 +13,7 @@ use bench::json::{parse, Json};
 use bench::{failover_schemes, metrics_to_json, rows_to_json, Row};
 use migrate_apps::btree::BTreeExperiment;
 use migrate_apps::counting::CountingExperiment;
-use migrate_rt::{Category, MessageKind, RunMetrics, Scheme};
+use migrate_rt::{cost, Category, MessageKind, RunMetrics, Scheme};
 use proteus::Cycles;
 
 fn audited_counting(scheme: Scheme) -> RunMetrics {
@@ -156,9 +156,8 @@ fn replica_apply_charges_are_replica_updates_times_their_cost() {
     assert_eq!(m.ops, u64::from(exp.requesters) * per_thread, "not drained");
     let updates = m.message_kinds[&MessageKind::ReplicaUpdate];
     assert!(updates > 0);
-    let cost = exp.scheme.cost_model();
     assert_eq!(
         m.accounting.total(Category::ReplicaApply),
-        updates * cost.replica_apply.get()
+        updates * cost::REPLICA_APPLY.get()
     );
 }

@@ -21,7 +21,7 @@
 use bench::{failover_cell_btree, failover_cell_counting, failover_schemes};
 use migrate_apps::counting::CountingExperiment;
 use migrate_rt::system::DETECTION_LATENCY_BOUND;
-use migrate_rt::{Category, FailoverConfig};
+use migrate_rt::{cost, Category, FailoverConfig};
 use proteus::{Cycles, FaultPlan, ProcId, Tracer};
 
 /// Trace events a crash run keeps: every event of the run fits, so the
@@ -216,6 +216,6 @@ fn reroute_charges_are_rerouted_calls_times_their_cost() {
     assert!(rerouted > 0, "seed 1 reroutes no envelope");
     assert_eq!(
         m.accounting.total(Category::RecoveryReroute),
-        rerouted * scheme.cost_model().reroute.get()
+        rerouted * cost::REROUTE.get()
     );
 }

@@ -16,7 +16,7 @@ use bench::json::Json;
 use bench::{failover_schemes, metrics_to_json};
 use migrate_apps::btree::{lookup_pure, verify_tree, BTreeExperiment};
 use migrate_apps::counting::{has_step_property, CountingExperiment, OutputCounter};
-use migrate_rt::{Annotation, Category, DispatchKind, RunMetrics, Scheme};
+use migrate_rt::{cost, Annotation, Category, DispatchKind, RunMetrics, Scheme};
 use proteus::{Cycles, FaultPlan, QueueCounters};
 
 /// Drained counting run under a fault plan: capped drivers, far horizon, so
@@ -205,10 +205,9 @@ fn frame_reclaim_charges_are_fallbacks_times_their_cost() {
     let m = fallback_metrics(3);
     let fallbacks = m.recovery.as_ref().expect("recovery stats").fallbacks;
     assert!(fallbacks > 0);
-    let cost = Scheme::computation_migration().cost_model();
     assert_eq!(
         m.accounting.total(Category::RecoveryReclaim),
-        fallbacks * cost.frame_reclaim.get()
+        fallbacks * cost::FRAME_RECLAIM.get()
     );
 }
 
@@ -234,7 +233,7 @@ fn dedup_charges_are_suppressed_duplicates_times_their_cost() {
     assert!(suppressed > 0, "chaos seed 0 suppresses no duplicate");
     assert_eq!(
         m.accounting.total(Category::RecoveryDedup),
-        suppressed * scheme.cost_model().dedup_check.get()
+        suppressed * cost::DEDUP_CHECK.get()
     );
 }
 
