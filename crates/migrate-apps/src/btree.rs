@@ -56,51 +56,120 @@ pub const R_SPLIT: Word = 4;
 /// child array after the maximal key array. A fanout-100 node spans ~100
 /// cache lines; a linear key scan under shared memory touches every line
 /// holding live keys.
+///
+/// On the host a node is a small header and one block of words, allocated
+/// when the node is created and never regrown: `fanout + 1` key words (a
+/// node holds one key too many between an insert and its split) and, for
+/// an internal node, `fanout + 2` child words after them.
 pub struct BTreeNode {
     /// Upper bound (exclusive) of this node's key range; `u64::MAX` at the
     /// right edge of its level.
-    pub high_key: u64,
+    high_key: u64,
     /// Right sibling at the same level (B-link pointer).
-    pub right: Option<Goid>,
-    /// Sorted keys. For internal nodes these are separators:
-    /// `children[i]` covers keys `< keys[i]`, `children[len]` the rest.
-    pub keys: Vec<u64>,
-    /// `None` for leaves.
-    pub children: Option<Vec<Goid>>,
+    right: Option<Goid>,
+    /// Cycles of user code per visit, before the per-key scan cost.
+    compute: u32,
+    /// The key words, then an internal node's child words. Keys are sorted;
+    /// for internal nodes they are separators: child `i` covers keys
+    /// `< keys[i]`, child `count` the rest.
+    block: Box<[u64]>,
+    /// Live keys; an internal node has one more live child.
+    count: u16,
+    leaf: bool,
     /// Only the root grows in place (its GOID must remain stable so
     /// replication and the application handle stay valid).
-    pub is_root: bool,
-    /// Maximum keys per node (the paper's "at most one hundred children or
-    /// keys").
-    pub fanout: usize,
-    compute: u64,
+    is_root: bool,
 }
 
 const HDR: u64 = 32;
 
+/// A zeroed block for a node of `fanout`: `fanout + 1` key words, and
+/// `fanout + 2` child words after them in an internal node.
+fn new_block(fanout: usize, leaf: bool) -> Box<[u64]> {
+    let words = if leaf { fanout + 1 } else { 2 * fanout + 3 };
+    vec![0; words].into_boxed_slice()
+}
+
 impl BTreeNode {
-    fn new(
-        keys: Vec<u64>,
-        children: Option<Vec<Goid>>,
-        high_key: u64,
-        right: Option<Goid>,
-        fanout: usize,
-        compute: u64,
-    ) -> Self {
+    /// An empty node of `fanout`, at the right edge of its level, in a
+    /// fresh block.
+    fn empty(fanout: usize, leaf: bool, compute: u32) -> BTreeNode {
         BTreeNode {
-            high_key,
-            right,
-            keys,
-            children,
-            is_root: false,
-            fanout,
+            high_key: u64::MAX,
+            right: None,
             compute,
+            block: new_block(fanout, leaf),
+            count: 0,
+            leaf,
+            is_root: false,
         }
+    }
+
+    /// A leaf of `fanout` holding `keys`.
+    fn leaf(fanout: usize, keys: &[u64], compute: u32) -> BTreeNode {
+        let mut node = BTreeNode::empty(fanout, true, compute);
+        node.block[..keys.len()].copy_from_slice(keys);
+        node.count = keys.len() as u16;
+        node
+    }
+
+    /// An internal node of `fanout` whose children are `children`, each
+    /// after the first led by its low key (the separator before it).
+    fn internal(fanout: usize, children: &[(u64, Goid)], compute: u32) -> BTreeNode {
+        let mut node = BTreeNode::empty(fanout, false, compute);
+        let base = node.child_base();
+        for (i, &(low, child)) in children.iter().enumerate() {
+            if i > 0 {
+                node.block[i - 1] = low;
+            }
+            node.block[base + i] = child.0;
+        }
+        node.count = (children.len() - 1) as u16;
+        node
+    }
+
+    /// Maximum keys per node (the paper's "at most one hundred children or
+    /// keys"), read off the block's length.
+    fn fanout(&self) -> usize {
+        if self.leaf {
+            self.block.len() - 1
+        } else {
+            (self.block.len() - 3) / 2
+        }
+    }
+
+    /// The live keys, sorted.
+    pub fn keys(&self) -> &[u64] {
+        &self.block[..usize::from(self.count)]
+    }
+
+    /// The live children's GOID words, left to right; `None` for a leaf.
+    pub fn children(&self) -> Option<&[u64]> {
+        let base = self.child_base();
+        (!self.leaf).then(|| &self.block[base..=base + usize::from(self.count)])
     }
 
     /// `true` if this node is a leaf.
     pub fn is_leaf(&self) -> bool {
-        self.children.is_none()
+        self.leaf
+    }
+
+    /// Where the child words start in the block.
+    fn child_base(&self) -> usize {
+        self.fanout() + 1
+    }
+
+    /// Bytes of the key array from `pos` to the last live key.
+    fn tail_bytes(&self, pos: usize) -> u64 {
+        (usize::from(self.count) - pos) as u64 * 8
+    }
+
+    /// Put `key` at `pos`, moving the keys after it up by one.
+    fn insert_key(&mut self, pos: usize, key: u64) {
+        let count = usize::from(self.count);
+        self.block.copy_within(pos..count, pos + 1);
+        self.block[pos] = key;
+        self.count += 1;
     }
 
     fn scan(&self, env: &mut dyn MethodEnv) {
@@ -108,14 +177,15 @@ impl BTreeNode {
         // compare-and-branch, plus the fixed method body. This is why the
         // §4.2 fanout-10 variant services activations faster ("activations
         // accessing smaller nodes require less time to service").
+        let count = u64::from(self.count);
         env.read(8, 24);
-        env.read(HDR, (self.keys.len().max(1) as u64) * 8);
-        env.compute(Cycles(self.compute + self.keys.len() as u64 * 5));
+        env.read(HDR, count.max(1) * 8);
+        env.compute(Cycles(u64::from(self.compute) + count * 5));
     }
 
     /// Index of the child covering `key`.
     fn child_index(&self, key: u64) -> usize {
-        self.keys.partition_point(|&k| k <= key)
+        self.keys().partition_point(|&k| k <= key)
     }
 
     fn moved_right(&self, key: u64) -> Option<Goid> {
@@ -127,13 +197,13 @@ impl BTreeNode {
         if let Some(r) = self.moved_right(key) {
             return [R_MOVED, r.0].into();
         }
-        match &self.children {
+        match self.children() {
             Some(children) => {
                 let idx = self.child_index(key);
-                env.read(HDR + (self.fanout as u64) * 8 + idx as u64 * 8, 8);
-                [R_CHILD, children[idx].0].into()
+                env.read(HDR + (self.fanout() as u64) * 8 + idx as u64 * 8, 8);
+                [R_CHILD, children[idx]].into()
             }
-            None => [R_LEAF, u64::from(self.keys.binary_search(&key).is_ok())].into(),
+            None => [R_LEAF, u64::from(self.keys().binary_search(&key).is_ok())].into(),
         }
     }
 
@@ -157,13 +227,13 @@ impl BTreeNode {
         if let Some(moved) = self.lock_for(key, env) {
             return moved;
         }
-        let Err(pos) = self.keys.binary_search(&key) else {
+        let Err(pos) = self.keys().binary_search(&key) else {
             env.unlock();
             return [R_OK, 0].into();
         };
-        self.keys.insert(pos, key);
+        self.insert_key(pos, key);
         // Shift the tail of the key array.
-        env.write(HDR + pos as u64 * 8, (self.keys.len() - pos) as u64 * 8);
+        env.write(HDR + pos as u64 * 8, self.tail_bytes(pos));
         self.settle(env)
     }
 
@@ -172,14 +242,18 @@ impl BTreeNode {
         if let Some(moved) = self.lock_for(sep, env) {
             return moved;
         }
-        let pos = self.keys.partition_point(|&k| k < sep);
-        self.keys.insert(pos, sep);
-        let children = self.children.as_mut().expect("internal node");
-        children.insert(pos + 1, child);
-        env.write(HDR + pos as u64 * 8, (self.keys.len() - pos) as u64 * 8);
+        let pos = self.keys().partition_point(|&k| k < sep);
+        // The children after `pos` move up by one, then the keys.
+        let base = self.child_base();
+        let last = base + usize::from(self.count);
+        self.block
+            .copy_within(base + pos + 1..=last, base + pos + 2);
+        self.block[base + pos + 1] = child.0;
+        self.insert_key(pos, sep);
+        env.write(HDR + pos as u64 * 8, self.tail_bytes(pos));
         env.write(
-            HDR + (self.fanout as u64) * 8 + (pos + 1) as u64 * 8,
-            (self.keys.len() - pos) as u64 * 8,
+            HDR + (self.fanout() as u64) * 8 + (pos + 1) as u64 * 8,
+            self.tail_bytes(pos),
         );
         self.settle(env)
     }
@@ -187,7 +261,7 @@ impl BTreeNode {
     /// Finish a locked mutation: an overfull node splits (the root grows in
     /// place instead), then the lock is released.
     fn settle(&mut self, env: &mut dyn MethodEnv) -> WordVec {
-        let out = if self.keys.len() <= self.fanout {
+        let out = if usize::from(self.count) <= self.fanout() {
             [R_OK, 1].into()
         } else if self.is_root {
             self.grow_root(env)
@@ -199,31 +273,27 @@ impl BTreeNode {
     }
 
     /// Halve an overfull node: the upper half moves into a new node that
-    /// takes over this node's high key and right link. Returns the
-    /// separator between the halves with the upper node. A leaf's separator
-    /// is the upper half's first key, which stays in the leaf; an internal
-    /// node's separator leaves both halves, since it moves up.
+    /// takes over this node's high key and right link; this node keeps the
+    /// lower half in its own block. Returns the separator between the
+    /// halves with the upper node. A leaf's separator is the upper half's
+    /// first key, which stays in the leaf; an internal node's separator
+    /// leaves both halves, since it moves up.
     fn split_upper(&mut self) -> (u64, BTreeNode) {
-        let mid = self.keys.len() / 2;
-        let (sep, keys, children) = match &mut self.children {
-            None => {
-                let upper = self.keys.split_off(mid);
-                (upper[0], upper, None)
-            }
-            Some(children) => {
-                let upper = self.keys.split_off(mid + 1);
-                let sep = self.keys.pop().expect("separator");
-                (sep, upper, Some(children.split_off(mid + 1)))
-            }
-        };
-        let upper = BTreeNode::new(
-            keys,
-            children,
-            self.high_key,
-            self.right,
-            self.fanout,
-            self.compute,
-        );
+        let count = usize::from(self.count);
+        let mid = count / 2;
+        let sep = self.block[mid];
+        let first = if self.leaf { mid } else { mid + 1 };
+        let mut upper = BTreeNode::empty(self.fanout(), self.leaf, self.compute);
+        upper.block[..count - first].copy_from_slice(&self.block[first..count]);
+        if !self.leaf {
+            let base = self.child_base();
+            upper.block[base..=base + count - first]
+                .copy_from_slice(&self.block[base + first..=base + count]);
+        }
+        upper.count = (count - first) as u16;
+        upper.high_key = self.high_key;
+        upper.right = self.right;
+        self.count = mid as u16;
         (sep, upper)
     }
 
@@ -240,22 +310,28 @@ impl BTreeNode {
     }
 
     /// The root grows in place: its halves move into two fresh children
-    /// and the root becomes (or stays) internal with a single separator.
+    /// (the lower one takes the root's old block) and the root becomes (or
+    /// stays) internal with a single separator, in a new internal block.
     /// The GOID of the root never changes.
     fn grow_root(&mut self, env: &mut dyn MethodEnv) -> WordVec {
         let (sep, upper) = self.split_upper();
         let right = env.create(Box::new(upper), None);
-        let lower = BTreeNode::new(
-            std::mem::take(&mut self.keys),
-            self.children.as_mut().map(std::mem::take),
-            sep,
-            Some(right),
-            self.fanout,
-            self.compute,
-        );
+        let fanout = self.fanout();
+        let lower = BTreeNode {
+            high_key: sep,
+            right: Some(right),
+            compute: self.compute,
+            block: std::mem::replace(&mut self.block, new_block(fanout, false)),
+            count: self.count,
+            leaf: self.leaf,
+            is_root: false,
+        };
         let left = env.create(Box::new(lower), None);
-        self.keys = vec![sep];
-        self.children = Some(vec![left, right]);
+        self.leaf = false;
+        self.count = 1;
+        self.block[0] = sep;
+        let base = self.child_base();
+        self.block[base..=base + 1].copy_from_slice(&[left.0, right.0]);
         env.write(8, 24);
         env.write(HDR, 8);
         [R_OK, 1].into()
@@ -273,7 +349,7 @@ impl Behavior for BTreeNode {
     }
     fn size_bytes(&self) -> u64 {
         // lock + header + key array + child array.
-        HDR + (self.fanout as u64 + 1) * 8 * 2
+        HDR + (self.fanout() as u64 + 1) * 8 * 2
     }
 }
 
@@ -556,6 +632,11 @@ pub fn bulk_load(
     seed: u64,
 ) -> Goid {
     assert!(fanout >= 4, "fanout too small");
+    assert!(
+        fanout < usize::from(u16::MAX),
+        "fanout too large for a u16 key count"
+    );
+    let node_compute = u32::try_from(node_compute).expect("node compute fits 32 bits");
     assert!(!sorted_keys.is_empty(), "cannot load an empty tree");
     assert!(
         sorted_keys.windows(2).all(|w| w[0] < w[1]),
@@ -567,9 +648,9 @@ pub fn bulk_load(
         system,
         &mut rng,
         data_procs,
-        fanout,
-        node_compute,
-        sorted_keys.chunks(fill).map(|c| (c[0], c.to_vec(), None)),
+        sorted_keys
+            .chunks(fill)
+            .map(|c| (c[0], BTreeNode::leaf(fanout, c, node_compute))),
     );
     // Upper levels, `fill` children per node, until the survivors fit in
     // one node, which gathers them under the root. Stopping at `fanout`
@@ -578,12 +659,10 @@ pub fn bulk_load(
     // post-replication parallelism.
     while level.len() > 1 {
         let width = if level.len() > fanout { fill } else { fanout };
-        let parents = level.chunks(width).map(|group| {
-            let keys = group[1..].iter().map(|&(low, _)| low).collect();
-            let children = group.iter().map(|&(_, g)| g).collect();
-            (group[0].0, keys, Some(children))
-        });
-        level = place_level(system, &mut rng, data_procs, fanout, node_compute, parents);
+        let parents = level
+            .chunks(width)
+            .map(|group| (group[0].0, BTreeNode::internal(fanout, group, node_compute)));
+        level = place_level(system, &mut rng, data_procs, parents);
     }
     let root = level[0].1;
     // The root grows in place (stable GOID) and is eligible for software
@@ -593,27 +672,25 @@ pub fn bulk_load(
     root
 }
 
-/// Place one level of a bulk-loaded tree. `nodes` yields each node's
-/// `(low key, keys, children)` left to right; they are placed right to
-/// left, each on a random data processor, so every right link names a
-/// placed node and each high key is the next node's low key. The object
+/// Place one level of a bulk-loaded tree. `nodes` yields each node with
+/// its low key, left to right; they are placed right to left, each on a
+/// random data processor, so every right link names a placed node and each
+/// high key is the next node's low key. The object
 /// table makes room for the whole level first. Returns the level's
 /// `(low key, GOID)` pairs, left to right.
 fn place_level(
     system: &mut System,
     rng: &mut SplitMix64,
     data_procs: u32,
-    fanout: usize,
-    compute: u64,
-    nodes: impl DoubleEndedIterator<Item = (u64, Vec<u64>, Option<Vec<Goid>>)> + ExactSizeIterator,
+    nodes: impl DoubleEndedIterator<Item = (u64, BTreeNode)> + ExactSizeIterator,
 ) -> Vec<(u64, Goid)> {
     system.reserve_objects(nodes.len());
     let mut placed: Vec<(u64, Goid)> = Vec::with_capacity(nodes.len());
-    for (low, keys, children) in nodes.rev() {
-        let next = placed.last();
-        let high_key = next.map_or(u64::MAX, |&(next_low, _)| next_low);
-        let right = next.map(|&(_, g)| g);
-        let node = BTreeNode::new(keys, children, high_key, right, fanout, compute);
+    for (low, mut node) in nodes.rev() {
+        if let Some(&(next_low, next)) = placed.last() {
+            node.high_key = next_low;
+            node.right = Some(next);
+        }
         let home = ProcId(rng.below(u64::from(data_procs)) as u32);
         placed.push((low, system.create_object(Box::new(node), home, false)));
     }
@@ -638,12 +715,12 @@ pub struct TreeStats {
     pub root_children: usize,
 }
 
-/// Walk each level's B-link chain from its leftmost node and check: sorted
-/// distinct keys in every node, each below the node's own high key, fanout
-/// bounds, one more child than keys in an internal node, an unbounded high
-/// key only at the end of a chain, and each level's keys sorted left to
-/// right. Returns stats. A child's keys are not checked against its
-/// parent's separators.
+/// Walk each level's B-link chain from its leftmost node and check: every
+/// node's block is one of the root's fanout and of its kind, and its key
+/// count fits the fanout; sorted distinct keys in every node, each below
+/// the node's own high key, an unbounded high key only at the end of a
+/// chain, and each level's keys sorted left to right. Returns stats. A
+/// child's keys are not checked against its parent's separators.
 pub fn verify_tree(system: &System, root: Goid) -> Result<TreeStats, String> {
     let objects = system.objects();
     let node = |g: Goid| -> Result<&BTreeNode, String> {
@@ -651,6 +728,7 @@ pub fn verify_tree(system: &System, root: Goid) -> Result<TreeStats, String> {
             .state::<BTreeNode>(g)
             .ok_or_else(|| format!("{g:?} is not a B-tree node"))
     };
+    let fanout = node(root)?.fanout();
 
     let mut nodes = 0u64;
     let mut keys = 0u64;
@@ -668,36 +746,35 @@ pub fn verify_tree(system: &System, root: Goid) -> Result<TreeStats, String> {
             let n = node(g)?;
             nodes += 1;
             is_leaf_level = n.is_leaf();
-            if !n.keys.windows(2).all(|w| w[0] < w[1]) {
+            if n.fanout() != fanout {
+                let kind = if n.is_leaf() { "leaf" } else { "internal" };
+                return Err(format!(
+                    "{g:?}: a {}-word block is no fanout-{fanout} {kind} block",
+                    n.block.len()
+                ));
+            }
+            if usize::from(n.count) > fanout {
+                return Err(format!("{g:?}: overfull ({} keys)", n.count));
+            }
+            let node_keys = n.keys();
+            if !node_keys.windows(2).all(|w| w[0] < w[1]) {
                 return Err(format!("{g:?}: keys not sorted/distinct"));
             }
-            if n.keys.len() > n.fanout {
-                return Err(format!("{g:?}: overfull ({} keys)", n.keys.len()));
-            }
-            if let Some(k) = n.keys.last() {
+            if let Some(k) = node_keys.last() {
                 if *k >= n.high_key {
                     return Err(format!("{g:?}: key {k} >= high key {}", n.high_key));
                 }
             }
             if let Some(prev) = last_key {
-                if let Some(first_key) = n.keys.first() {
+                if let Some(first_key) = node_keys.first() {
                     if *first_key < prev {
                         return Err(format!("{g:?}: level order violated at key {first_key}"));
                     }
                 }
             }
-            last_key = n.keys.last().copied().or(last_key);
+            last_key = node_keys.last().copied().or(last_key);
             if n.is_leaf() {
-                keys += n.keys.len() as u64;
-            } else {
-                let children = n.children.as_ref().expect("internal");
-                if children.len() != n.keys.len() + 1 {
-                    return Err(format!(
-                        "{g:?}: {} children for {} keys",
-                        children.len(),
-                        n.keys.len()
-                    ));
-                }
+                keys += node_keys.len() as u64;
             }
             if n.right.is_none() && n.high_key != u64::MAX {
                 return Err(format!("{g:?}: rightmost node with bounded high key"));
@@ -707,8 +784,7 @@ pub fn verify_tree(system: &System, root: Goid) -> Result<TreeStats, String> {
         if is_leaf_level {
             break;
         }
-        let n = node(first)?;
-        leftmost = n.children.as_ref().and_then(|c| c.first().copied());
+        leftmost = node(first)?.children().map(|c| Goid(c[0]));
         level_index += 1;
         if level_index > 64 {
             return Err("tree too deep: cycle suspected".to_string());
@@ -720,7 +796,7 @@ pub fn verify_tree(system: &System, root: Goid) -> Result<TreeStats, String> {
         keys,
         height,
         nodes,
-        root_children: root_node.children.as_ref().map_or(0, Vec::len),
+        root_children: root_node.children().map_or(0, <[u64]>::len),
     })
 }
 
@@ -735,9 +811,9 @@ pub fn lookup_pure(system: &System, root: Goid, key: u64) -> bool {
             current = n.right.expect("bounded node has right link");
             continue;
         }
-        match &n.children {
-            Some(children) => current = children[n.child_index(key)],
-            None => return n.keys.binary_search(&key).is_ok(),
+        match n.children() {
+            Some(children) => current = Goid(children[n.child_index(key)]),
+            None => return n.keys().binary_search(&key).is_ok(),
         }
     }
     panic!("lookup did not terminate");
@@ -832,12 +908,33 @@ mod tests {
 
     fn shape(n: &BTreeNode) -> Shape {
         (
-            n.keys.clone(),
-            n.children.clone(),
+            n.keys().to_vec(),
+            n.children().map(|c| c.iter().copied().map(Goid).collect()),
             n.high_key,
             n.right,
             n.is_root,
         )
+    }
+
+    /// A node of fanout 4 and compute 10 holding `keys` and, if internal,
+    /// `children`, with the given high key and right link.
+    fn node(
+        keys: &[u64],
+        children: Option<Vec<Goid>>,
+        high_key: u64,
+        right: Option<Goid>,
+    ) -> BTreeNode {
+        let mut n = match children {
+            None => BTreeNode::leaf(4, keys, 10),
+            Some(children) => {
+                let lows = std::iter::once(0).chain(keys.iter().copied());
+                let group: Vec<(u64, Goid)> = lows.zip(children).collect();
+                BTreeNode::internal(4, &group, 10)
+            }
+        };
+        n.high_key = high_key;
+        n.right = right;
+        n
     }
 
     /// Run one overflowing mutation on `n`; returns the reply, the effects
@@ -864,7 +961,7 @@ mod tests {
 
         // A leaf split keeps the lower half; the upper half, led by the
         // separator, moves right and inherits the high key and right link.
-        let mut leaf = BTreeNode::new(vec![10, 20, 30, 40], None, 50, Some(Goid(7)), 4, 10);
+        let mut leaf = node(&[10, 20, 30, 40], None, 50, Some(Goid(7)));
         let (reply, effects, created) = overflow(&mut leaf, M_INSERT, &[25]);
         assert_eq!(&reply[..], &[R_SPLIT, 100, 25]);
         assert_eq!(
@@ -887,13 +984,11 @@ mod tests {
         );
 
         // An internal split moves its middle key up and out of both halves.
-        let mut inner = BTreeNode::new(
-            vec![10, 20, 30, 40],
+        let mut inner = node(
+            &[10, 20, 30, 40],
             goids(&[1, 2, 3, 4, 5]),
             50,
             Some(Goid(7)),
-            4,
-            10,
         );
         let (reply, effects, created) = overflow(&mut inner, M_ADD_CHILD, &[35, 9]);
         assert_eq!(&reply[..], &[R_SPLIT, 100, 30]);
@@ -919,7 +1014,7 @@ mod tests {
 
         // A leaf root grows in place: the upper half is created first, then
         // the lower half linked to it, then the root's headers are written.
-        let mut root = BTreeNode::new(vec![10, 20, 30, 40], None, MAX, None, 4, 10);
+        let mut root = node(&[10, 20, 30, 40], None, MAX, None);
         root.is_root = true;
         let (reply, effects, created) = overflow(&mut root, M_INSERT, &[50]);
         assert_eq!(&reply[..], &[R_OK, 1]);
@@ -948,14 +1043,7 @@ mod tests {
         );
 
         // An internal root grows the same way, its separator moving up.
-        let mut root = BTreeNode::new(
-            vec![10, 20, 30, 40],
-            goids(&[1, 2, 3, 4, 5]),
-            MAX,
-            None,
-            4,
-            10,
-        );
+        let mut root = node(&[10, 20, 30, 40], goids(&[1, 2, 3, 4, 5]), MAX, None);
         root.is_root = true;
         let (reply, effects, created) = overflow(&mut root, M_ADD_CHILD, &[45, 9]);
         assert_eq!(&reply[..], &[R_OK, 1]);
@@ -985,12 +1073,120 @@ mod tests {
         );
     }
 
+    /// Where a node's block lives and how many words it holds.
+    fn block_of(n: &BTreeNode) -> (*const u64, usize) {
+        (n.block.as_ptr(), n.block.len())
+    }
+
+    #[test]
+    fn a_node_is_a_48_byte_header_and_one_block() {
+        assert_eq!(std::mem::size_of::<BTreeNode>(), 48);
+        assert_eq!(block_of(&node(&[1], None, u64::MAX, None)).1, 5);
+        assert_eq!(block_of(&node(&[1], goids(&[1, 2]), u64::MAX, None)).1, 11);
+    }
+
+    #[test]
+    fn inserts_up_to_one_key_past_the_fanout_keep_the_block() {
+        // A leaf fills to its fanout, then takes the fanout + 1st key and
+        // splits, keeping its lower half in the same block.
+        let mut leaf = node(&[10], None, 100, None);
+        let block = block_of(&leaf);
+        for key in [20, 30, 40, 50] {
+            let reply = leaf.invoke(M_INSERT, &[key], &mut Recorder::default());
+            assert_eq!(block_of(&leaf), block, "insert of {key} moved the block");
+            assert_eq!(reply[0], if key == 50 { R_SPLIT } else { R_OK });
+        }
+        assert_eq!(leaf.keys(), [10, 20]);
+
+        // An internal node the same, keys and children both.
+        let mut inner = node(&[10], goids(&[1, 2]), 100, None);
+        let block = block_of(&inner);
+        for (sep, child) in [(20, 3), (30, 4), (40, 5), (50, 6)] {
+            let reply = inner.invoke(M_ADD_CHILD, &[sep, child], &mut Recorder::default());
+            assert_eq!(block_of(&inner), block, "adding {sep} moved the block");
+            assert_eq!(reply[0], if sep == 50 { R_SPLIT } else { R_OK });
+        }
+        assert_eq!(inner.keys(), [10, 20]);
+        assert_eq!(inner.children(), Some(&[1, 2, 3][..]));
+    }
+
+    #[test]
+    fn splits_and_root_growth_allocate_blocks_of_the_exact_size() {
+        // Runs one overflowing mutation; returns the node's block before
+        // and after, and the created nodes' blocks.
+        let run = |mut n: BTreeNode, is_root: bool, method: MethodId, args: &[Word]| {
+            n.is_root = is_root;
+            let before = block_of(&n);
+            let mut env = Recorder::default();
+            n.invoke(method, args, &mut env);
+            let created: Vec<_> = env.created.iter().map(block_of).collect();
+            (before, block_of(&n), created)
+        };
+        let leaf = || node(&[10, 20, 30, 40], None, u64::MAX, None);
+        let inner = || node(&[10, 20, 30, 40], goids(&[1, 2, 3, 4, 5]), u64::MAX, None);
+
+        // Fanout 4: a leaf block holds 5 keys, an internal one 5 keys and
+        // 6 children. A split keeps its block and allocates one of the same
+        // size for the upper half.
+        let (before, after, created) = run(leaf(), false, M_INSERT, &[25]);
+        assert_eq!((after, created.len(), created[0].1), (before, 1, 5));
+        let (before, after, created) = run(inner(), false, M_ADD_CHILD, &[35, 9]);
+        assert_eq!((after, created.len(), created[0].1), (before, 1, 11));
+
+        // A growing root allocates the upper child's block and its own new
+        // internal one, and hands its old block to the lower child.
+        let (before, after, created) = run(leaf(), true, M_INSERT, &[50]);
+        assert_eq!((after.1, created.len(), created[0].1), (11, 2, 5));
+        assert_eq!(created[1], before);
+        let (before, after, created) = run(inner(), true, M_ADD_CHILD, &[45, 9]);
+        assert_eq!((after.1, created.len(), created[0].1), (11, 2, 11));
+        assert_eq!(created[1], before);
+    }
+
+    #[test]
+    fn verify_tree_checks_the_key_count_against_the_block() {
+        let check = |root: BTreeNode, child: Option<BTreeNode>| {
+            let mut runner = Runner::new(MachineConfig::new(2, Scheme::rpc()));
+            let system = &mut runner.system;
+            let mut root = root;
+            if let Some(child) = child {
+                let g = system.create_object(Box::new(child), ProcId(1), false);
+                root.block[root.child_base()] = g.0;
+            }
+            let g = system.create_object(Box::new(root), ProcId(0), false);
+            verify_tree(&runner.system, g)
+        };
+        let leaf = |count: u16| {
+            let mut n = node(&[1, 2, 3, 4], None, u64::MAX, None);
+            n.count = count;
+            n
+        };
+        assert_eq!(check(leaf(4), None).map(|s| s.keys), Ok(4));
+        // A fanout + 1st key fits the block but is one too many at rest.
+        assert_eq!(check(leaf(5), None), Err("g0: overfull (5 keys)".into()));
+        // A count past the block is reported, not read.
+        assert_eq!(check(leaf(9), None), Err("g0: overfull (9 keys)".into()));
+        // A child whose block is of another fanout, or of the other kind.
+        let root = || node(&[], goids(&[0]), u64::MAX, None);
+        let wide = BTreeNode::leaf(5, &[1], 10);
+        assert_eq!(
+            check(root(), Some(wide)),
+            Err("g0: a 6-word block is no fanout-4 leaf block".into())
+        );
+        let mut internal_sized = BTreeNode::leaf(4, &[1], 10);
+        internal_sized.block = new_block(4, false);
+        assert_eq!(
+            check(root(), Some(internal_sized)),
+            Err("g0: a 11-word block is no fanout-4 leaf block".into())
+        );
+    }
+
     #[test]
     fn an_insert_that_finds_its_leaf_root_grown_descends_again() {
         // The descent read the root as a leaf; the root then grew in place.
         let mut op = BTreeOp::new(Goid(4), 25, true, Annotation::Migrate);
         op.on_result(&[R_LEAF, 0]);
-        let mut root = BTreeNode::new(vec![30], goids(&[101, 100]), u64::MAX, None, 4, 10);
+        let mut root = node(&[30], goids(&[101, 100]), u64::MAX, None);
         root.is_root = true;
         let mut env = Recorder::default();
         let reply = root.invoke(M_INSERT, &[25], &mut env);

@@ -59,24 +59,32 @@ pub trait Behavior: Any {
     fn size_bytes(&self) -> u64;
 }
 
-/// Directory entry for one object.
+/// Directory entry for one object, in 40 bytes.
 pub struct ObjectEntry {
     /// Home processor (where the object's memory lives and, under message
     /// passing, where its methods run).
     pub home: ProcId,
+    /// Offset of the object's memory in its home's 4 GB address space (lock
+    /// word at offset 0 of its first line); see [`ObjectEntry::base_addr`].
+    pub offset: u32,
+    /// Size in bytes.
+    pub size_bytes: u32,
     /// The object's state/methods. `None` transiently while a method is
     /// executing on it (taken out to satisfy the borrow checker; reentrant
     /// invocation is not supported and would be a bug in the app).
     pub behavior: Option<Box<dyn Behavior>>,
-    /// Base global address of the object's memory (lock word at offset 0 of
-    /// its first line).
-    pub base_addr: u64,
-    /// Size in bytes.
-    pub size_bytes: u64,
     /// Whether the application marked this object for software replication.
     pub replicated: bool,
     /// Shared-memory lock window: the lock word is free again at this time.
     pub lock_free_at: Cycles,
+}
+
+impl ObjectEntry {
+    /// Base global address of the object's memory.
+    #[inline]
+    pub fn base_addr(&self) -> u64 {
+        make_addr(self.home, u64::from(self.offset))
+    }
 }
 
 /// The fewest entries the object table grows by when it is full.
@@ -103,18 +111,19 @@ impl ObjectTable {
     }
 
     /// Allocate `size` bytes of `home`'s memory, starting on a fresh line,
-    /// and return the base address. Panics if the home's 4 GB address space
-    /// is exhausted: past it, addresses would alias the next home's memory.
-    fn place(&mut self, home: ProcId, size: u64) -> u64 {
+    /// and return their offset in it. Panics if the home's 4 GB address
+    /// space is exhausted: past it, addresses would alias the next home's
+    /// memory.
+    fn place(&mut self, home: ProcId, size: u64) -> u32 {
         let offset = &mut self.next_offset[home.index()];
-        let base_addr = make_addr(home, *offset);
+        let base = *offset;
         *offset += size.next_multiple_of(self.line_bytes);
         assert!(
-            *offset <= 1 << 32,
+            *offset <= 1 << 32 && size < 1 << 32,
             "P{} has no memory left for a {size}-byte object",
             home.0
         );
-        base_addr
+        base as u32
     }
 
     /// Number of objects created.
@@ -134,7 +143,7 @@ impl ObjectTable {
     /// real machine).
     pub fn create(&mut self, behavior: Box<dyn Behavior>, home: ProcId) -> Goid {
         let size = behavior.size_bytes().max(8);
-        let base_addr = self.place(home, size);
+        let offset = self.place(home, size);
         let len = self.entries.len();
         let goid = Goid(len as u64);
         if len == self.entries.capacity() {
@@ -147,9 +156,10 @@ impl ObjectTable {
         }
         self.entries.push(ObjectEntry {
             home,
+            offset,
+            // `place` bounds the size below 4 GB.
+            size_bytes: size as u32,
             behavior: Some(behavior),
-            base_addr,
-            size_bytes: size,
             replicated: false,
             lock_free_at: Cycles::ZERO,
         });
@@ -170,10 +180,10 @@ impl ObjectTable {
     /// realistic.
     pub fn rehome(&mut self, goid: Goid, new_home: ProcId) {
         let size = self.entry(goid).size_bytes;
-        let base_addr = self.place(new_home, size);
+        let offset = self.place(new_home, u64::from(size));
         let entry = self.entry_mut(goid);
         entry.home = new_home;
-        entry.base_addr = base_addr;
+        entry.offset = offset;
         entry.lock_free_at = Cycles::ZERO;
     }
 
@@ -278,10 +288,10 @@ mod tests {
         let b = t.create(Box::new(Dummy { size: 8, hits: 0 }), ProcId(3));
         let ea = t.entry(a);
         let eb = t.entry(b);
-        assert_eq!(home_of_addr(ea.base_addr), ProcId(3));
-        assert_eq!(ea.base_addr % 16, 0);
+        assert_eq!(home_of_addr(ea.base_addr()), ProcId(3));
+        assert_eq!(ea.base_addr() % 16, 0);
         // 24 bytes round to 32; next object starts one line later.
-        assert_eq!(eb.base_addr - ea.base_addr, 32);
+        assert_eq!(eb.base_addr() - ea.base_addr(), 32);
     }
 
     #[test]
@@ -293,12 +303,12 @@ mod tests {
             .collect();
         let lines: Vec<u64> = objects
             .iter()
-            .map(|&g| t.entry(g).base_addr / LINE)
+            .map(|&g| t.entry(g).base_addr() / LINE)
             .collect();
         assert_eq!(lines, [0, 1, 2, 3].map(|l| lines[0] + l));
         let moved = t.create(Box::new(Dummy { size: 72, hits: 0 }), ProcId(2));
         t.rehome(moved, ProcId(1));
-        assert_eq!(t.entry(moved).base_addr / LINE, lines[0] + 4);
+        assert_eq!(t.entry(moved).base_addr() / LINE, lines[0] + 4);
     }
 
     #[test]
@@ -319,7 +329,7 @@ mod tests {
         let mut t = ObjectTable::new(4, 16);
         let a = t.create(Box::new(Dummy { size: 16, hits: 0 }), ProcId(0));
         let b = t.create(Box::new(Dummy { size: 16, hits: 0 }), ProcId(1));
-        assert_ne!(t.entry(a).base_addr, t.entry(b).base_addr);
+        assert_ne!(t.entry(a).base_addr(), t.entry(b).base_addr());
     }
 
     #[test]
@@ -369,9 +379,9 @@ mod tests {
         t.rehome(g, ProcId(2));
         assert_eq!(t.home(g), ProcId(2));
         let e = t.entry(g);
-        assert_eq!(home_of_addr(e.base_addr), ProcId(2));
-        assert_eq!(e.base_addr % 16, 0);
-        assert_ne!(e.base_addr, t.entry(other).base_addr);
+        assert_eq!(home_of_addr(e.base_addr()), ProcId(2));
+        assert_eq!(e.base_addr() % 16, 0);
+        assert_ne!(e.base_addr(), t.entry(other).base_addr());
         // State survives the move.
         assert!(t.state::<Dummy>(g).is_some());
     }
@@ -393,6 +403,11 @@ mod tests {
             assert!(t.entries.capacity() <= t.len().next_power_of_two());
         }
         assert!(growths > 20, "{growths} growth steps");
+    }
+
+    #[test]
+    fn an_entry_takes_40_bytes() {
+        assert_eq!(std::mem::size_of::<ObjectEntry>(), 40);
     }
 
     #[test]

@@ -350,8 +350,8 @@ impl System {
         queue: &mut EventQueue<Event>,
     ) -> (Cycles, WordVec) {
         let entry = self.objects.entry(inv.target);
-        let base = entry.base_addr;
-        let size = entry.size_bytes;
+        let base = entry.base_addr();
+        let size = u64::from(entry.size_bytes);
         let goid = inv.target;
         let mut behavior = self.objects.take_behavior(goid);
         let mut env = SmEnv {

@@ -9,9 +9,12 @@
 //! low bit, and 0 for an empty way. LRU is kept by position: each set runs
 //! most recently used first with its empty ways last, so a hit or a fill
 //! moves the way to the front, an eviction takes the last way, and an
-//! invalidation closes the gap without reordering the rest. The array is
-//! allocated by the first fill, so a machine that never misses in shared
-//! memory (every message-passing scheme) owns no cache storage.
+//! invalidation closes the gap without reordering the rest. The array
+//! covers only the sets that fills have reached: a fill past its end grows
+//! it to the next power of two of sets that holds the filled one, up to
+//! the whole geometry. A machine that never misses in shared memory (every
+//! message-passing scheme) owns no cache storage, and a cache whose lines
+//! all map to a few low sets (the counting network's) owns only those.
 
 use std::ops::Range;
 
@@ -129,8 +132,9 @@ pub struct Cache {
     config: CacheConfig,
     /// `sets × ways` tag words, set after set. A tag is
     /// `((line + 1) << 1) | modified` and 0 is an empty way. Each set runs
-    /// most recently used first, empty ways last. Empty until the first
-    /// fill, so a cache that never misses owns no storage.
+    /// most recently used first, empty ways last. Covers a power of two of
+    /// the lowest sets, or all of them, once any of them has been filled;
+    /// a set past its end holds nothing.
     tags: Vec<u64>,
     /// Number of sets the geometry implies.
     sets: usize,
@@ -166,7 +170,7 @@ impl Cache {
         set * ways..(set + 1) * ways
     }
 
-    /// The ways of `line`'s set; empty before the first fill.
+    /// The ways of `line`'s set; empty if no fill has reached it.
     #[inline]
     fn set_mut(&mut self, line: u64) -> &mut [u64] {
         let range = self.set_range(line);
@@ -215,8 +219,14 @@ impl Cache {
     /// returning any eviction needed to make room. Counts a miss.
     pub fn fill(&mut self, line: u64, state: LineState) -> Option<Evicted> {
         let key = key(line);
-        if self.tags.is_empty() {
-            self.tags = vec![0; self.sets * self.config.ways];
+        let end = self.set_range(line).end;
+        if end > self.tags.len() {
+            // Cover the filled set: the next power of two of sets, at most
+            // all of them.
+            let ways = self.config.ways;
+            let words = (end / ways).next_power_of_two().min(self.sets) * ways;
+            self.tags.reserve_exact(words - self.tags.len());
+            self.tags.resize(words, 0);
         }
         self.stats.misses += 1;
         let tag = key | state_bit(state);
@@ -416,6 +426,31 @@ mod tests {
                 state: LineState::Modified
             }
         );
+    }
+
+    #[test]
+    fn fills_grow_the_tags_to_the_filled_sets_power_of_two() {
+        let mut c = Cache::new(CacheConfig::default());
+        let words = |c: &Cache| c.tags.len() / c.config.ways;
+        assert_eq!(words(&c), 0);
+        c.fill(2, LineState::Shared);
+        assert_eq!(words(&c), 4, "set 2 needs 3 sets, rounded up to 4");
+        c.fill(1, LineState::Shared);
+        assert_eq!(words(&c), 4, "a covered set does not grow the tags");
+        c.fill(1024 + 700, LineState::Modified);
+        assert_eq!(words(&c), 1024, "set 700 rounds up to the whole cache");
+        assert_eq!(c.probe(2), Some(LineState::Shared), "growth kept the lines");
+        assert_eq!(c.probe(1724), Some(LineState::Modified));
+
+        // A set count that is no power of two caps the growth at the
+        // geometry: 3 sets of 1 way.
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 48,
+            line_bytes: 16,
+            ways: 1,
+        });
+        c.fill(2, LineState::Shared);
+        assert_eq!(words(&c), 3);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! its coarse wheel is a fixed array of lists through those nodes, its
 //! overflow heap keeps its capacity, and the lazy `emit_with` closure
 //! never runs. The coherence caches own no storage until their first fill,
-//! and allocate nothing after it; the directory allocates one 1,020-byte
+//! grow their tag arrays only to cover the sets fills reach, and allocate
+//! nothing once every set is covered; the directory allocates one 1,020-byte
 //! page per 85 lines at the first miss on one of them, and nothing for the
 //! lines below, plus one 680-byte side array when a processor above P63
 //! first shares one of the page's lines and one 340-byte side array when
@@ -203,8 +204,13 @@ fn a_coherence_system_owns_no_cache_storage_until_it_misses() {
     );
 }
 
+/// Bytes of the first `sets` sets of a default cache's tag array.
+fn tag_bytes(sets: u64) -> u64 {
+    sets * CacheConfig::default().ways as u64 * 8
+}
+
 #[test]
-fn a_cache_allocates_once_on_its_first_fill_and_never_after() {
+fn a_cache_grows_its_tags_to_each_filled_sets_power_of_two_then_never() {
     let (mut cache, allocations, _) = allocations_in(|| Cache::new(CacheConfig::default()));
     assert_eq!(allocations, 0, "Cache::new allocated");
 
@@ -216,13 +222,30 @@ fn a_cache_allocates_once_on_its_first_fill_and_never_after() {
     });
     assert_eq!(allocations, 0, "accesses to an empty cache allocated");
 
-    let (evicted, allocations, bytes) = allocations_in(|| cache.fill(7, LineState::Shared));
-    assert_eq!(evicted, None);
-    assert_eq!(
-        (allocations, bytes),
-        (1, tag_array_bytes()),
-        "the first fill must allocate the tag array, once"
-    );
+    // Each fill past the covered sets grows the array once, to the next
+    // power of two of sets holding the filled one; a fill within them and
+    // every access to them allocate nothing. The cache has 1,024 sets.
+    let fills = [
+        (7, 1, tag_bytes(8)),
+        (3, 0, 0),
+        (8, 1, tag_bytes(16)),
+        (4096 + 1023, 1, tag_array_bytes()),
+        (700, 0, 0),
+    ];
+    for (line, grows, bytes_after) in fills {
+        let (evicted, allocations, bytes) = allocations_in(|| cache.fill(line, LineState::Shared));
+        assert_eq!(evicted, None);
+        assert_eq!(
+            (allocations, bytes),
+            (grows, bytes_after),
+            "the fill of line {line} grew the tags wrongly"
+        );
+        let ((), allocations, _) = allocations_in(|| {
+            assert_eq!(cache.hit_read(line), Some(LineState::Shared));
+            cache.hit_read(line + 1);
+        });
+        assert_eq!(allocations, 0, "a hit allocated");
+    }
 
     // Many times the cache's capacity, so every set fills, evicts, upgrades,
     // downgrades and loses lines to invalidation.
@@ -263,8 +286,9 @@ const TIME_ARRAY_BYTES: u64 = 340;
 const SLOT_BYTES: u64 = 24;
 
 /// A coherence system of `processors` whose caches at `warm` have made
-/// their first fill (which allocates their tag arrays) on a line of the
-/// last home, so that only the directory allocates from then on.
+/// their first fill on a line of the last home that maps to the last set,
+/// which allocates their whole tag arrays, so that only the directory
+/// allocates from then on.
 fn warmed(processors: u32, warm: &[u32]) -> (CoherenceSystem, Network) {
     let mut sys = CoherenceSystem::new(
         processors,
@@ -272,10 +296,12 @@ fn warmed(processors: u32, warm: &[u32]) -> (CoherenceSystem, Network) {
         CoherenceCosts::default(),
     );
     let mut net = Network::new(processors);
+    let config = CacheConfig::default();
+    let last_set = (config.sets() - 1) * config.line_bytes;
     for &p in warm {
         sys.access(
             ProcId(p),
-            make_addr(ProcId(processors - 1), 0),
+            make_addr(ProcId(processors - 1), last_set),
             Access::Read,
             &mut net,
             Cycles::ZERO,

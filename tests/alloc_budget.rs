@@ -13,8 +13,10 @@
 //!   faults, stay within a pinned budget of allocations per completed
 //!   operation, far below one: operations themselves allocate nothing;
 //! * a shared-memory B-tree run stays within a pinned peak of live heap
-//!   bytes, which gates the coherence directory's layout and the object
-//!   table's growth;
+//!   bytes, which gates the coherence directory's layout, the B-tree's
+//!   fixed node blocks and the object table's entries and growth;
+//! * a shared-memory counting run of 104 requesters stays within a pinned
+//!   peak, which gates tag arrays that cover only the sets filled;
 //! * two shared-memory counting runs allocate an exact number of directory
 //!   pages, P64–P127 sharer side arrays and high-time side arrays, as the
 //!   directory counts them.
@@ -225,7 +227,8 @@ fn peak_heap_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// B-tree, fanout 10, think 0, SM: the cell whose coherence directory
 /// grows the most, run for 2 M cycles after its build. The peak counts the
 /// directory pages and page tables its misses allocate, the caches' tag
-/// arrays, and the nodes that inserts add with their object-table slots.
+/// arrays, and the nodes that splits add (a 48-byte header and one block
+/// each) with their object-table slots.
 #[test]
 fn btree_fanout10_sm_peak_heap_budget() {
     let exp = BTreeExperiment {
@@ -239,6 +242,24 @@ fn btree_fanout10_sm_peak_heap_budget() {
         peak <= BTREE_FANOUT10_SM_PEAK_BYTES,
         "btree fanout-10 SM: peak heap {peak} B above the built machine, \
          budget {BTREE_FANOUT10_SM_PEAK_BYTES} B"
+    );
+}
+
+/// Counting network, 104 requesters (128 processors), SM: the cell whose
+/// caches hold the fewest distinct sets, run for 2 M cycles after its
+/// build. Every requester's cache makes its first fills here, on the few
+/// low sets the 24 balancers' lines map to, so the peak counts their tag
+/// arrays, the directory's pages and side arrays, and the run's own
+/// buffers.
+#[test]
+fn counting104_sm_peak_heap_budget() {
+    let (mut runner, _spec) = CountingExperiment::paper(104, 0, Scheme::shared_memory()).build();
+    let (metrics, peak) = peak_heap_during(|| runner.run(Cycles::ZERO, Cycles(2_000_000)));
+    assert!(metrics.ops > 1000, "window too short: {} ops", metrics.ops);
+    assert!(
+        peak <= COUNTING104_SM_PEAK_BYTES,
+        "counting-104 SM: peak heap {peak} B above the built machine, \
+         budget {COUNTING104_SM_PEAK_BYTES} B"
     );
 }
 
@@ -307,13 +328,15 @@ const COUNTING_SM_BUDGET: f64 = 0.001;
 /// when the migrated traversal returns, before its value reaches home.
 const COUNTING_CP_BUDGET: f64 = 0.002;
 
-/// B-tree, think 0, SM: measured 0.01158 allocations per op, 88 in a window
+/// B-tree, think 0, SM: measured 0.00671 allocations per op, 51 in a window
 /// of 7,602 ops (was 10.75, then 2.755 with per-slot wheel buffers, 2.497
 /// while every cache set was its own vector that grew on first use, 2.0088
 /// while each operation grew a heap vector for its ancestor path, 1.01158
-/// while each operation frame was a fresh box). What remains is the
-/// directory pages and B-tree nodes that inserts add.
-const BTREE_SM_BUDGET: f64 = 0.012;
+/// while each operation frame was a fresh box, 0.00987 while each node's
+/// key and child vectors regrew as inserts filled them). What remains is
+/// the directory pages and the B-tree nodes that splits add, two
+/// allocations each: the node and its fixed block.
+const BTREE_SM_BUDGET: f64 = 0.007;
 
 /// Counting network, 16 requesters, CP under chaos, 8 M-cycle window
 /// (chaos completes about a quarter of the fault-free ops): measured
@@ -325,10 +348,21 @@ const BTREE_SM_BUDGET: f64 = 0.012;
 const COUNTING_CHAOS_BUDGET: f64 = 0.004;
 
 /// B-tree, fanout 10, think 0, SM, 2 M cycles: 1% headroom over the
-/// 1,415,904 B of peak live heap above the built machine measured when the
+/// 1,259,648 B of peak live heap above the built machine measured when the
 /// budget was set, with 12-byte directory entries on 85-line pages of
-/// 1,020 B and an object table that grows by an eighth. It was 1,607,624 B
-/// (budget 1,623,999 B) with 16-byte entries on 64-line pages of 1 KB and
-/// an object table that doubled, and 1,927,872 B while each directory
-/// entry took 24 bytes, on 1.5 KB pages.
-const BTREE_FANOUT10_SM_PEAK_BYTES: u64 = 1_430_063;
+/// 1,020 B, each B-tree node a 48-byte header and one fixed block, tag
+/// arrays that cover only the sets filled and 40-byte object-table entries
+/// in a table that grows by an eighth. It was 1,416,288 B (budget
+/// 1,430,063 B) while each node was a 96-byte header with key and child
+/// vectors that doubled and each entry took 48 bytes, 1,607,624 B with
+/// 16-byte directory entries on 64-line pages of 1 KB and an object table
+/// that doubled, and 1,927,872 B while each directory entry took 24 bytes,
+/// on 1.5 KB pages.
+const BTREE_FANOUT10_SM_PEAK_BYTES: u64 = 1_272_244;
+
+/// Counting network, 104 requesters, SM, 2 M cycles: 1% headroom over the
+/// 127,704 B of peak live heap above the built machine measured when the
+/// budget was set, with tag arrays that cover only the sets filled. It was
+/// 3,522,264 B while each cache's first fill allocated all 1,024 sets, 32 KB,
+/// of which the network's lines use a few low ones.
+const COUNTING104_SM_PEAK_BYTES: u64 = 128_981;
