@@ -6,6 +6,14 @@
 //! booleans, null, and numbers (unsigned integers kept exact; everything
 //! else as `f64`). The parser exists mainly so tests can round-trip the
 //! artifacts the writer produces.
+//!
+//! A [`Json::Rendered`] node holds a value already rendered to text, which
+//! [`Json::render`] copies out verbatim. It keeps a document of many runs
+//! small while it waits to be written: one run's metrics are a few hundred
+//! bytes of text but several times that as a tree of keyed nodes. Only
+//! builders whose output is only ever rendered return it
+//! ([`crate::metrics_to_json`]); [`parse`] never produces it, so a caller
+//! that inspects fields parses the rendered text first.
 
 use std::fmt::Write as _;
 
@@ -28,6 +36,9 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; insertion order is preserved.
     Obj(Vec<(String, Json)>),
+    /// A value rendered earlier, written out verbatim. [`parse`] never
+    /// produces it, and the accessors see no fields in it.
+    Rendered(Box<str>),
 }
 
 impl Json {
@@ -123,6 +134,7 @@ impl Json {
                 }
                 out.push('}');
             }
+            Json::Rendered(text) => out.push_str(text),
         }
     }
 }
@@ -322,8 +334,10 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
 
 fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
     let hex = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
-    let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-    u32::from_str_radix(hex, 16).map_err(|e| e.to_string())
+    // Digit by digit: `u32::from_str_radix` would also take a leading `+`.
+    hex.iter()
+        .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+        .ok_or_else(|| format!("bad \\u escape at byte {}", at - 1))
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -470,5 +484,48 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            parse(r#""\u0041\u00e9""#).unwrap(),
+            Json::Str("A\u{e9}".into())
+        );
+        assert!(
+            parse(r#""\u+041""#).is_err(),
+            "a signed escape was accepted"
+        );
+        assert!(parse(r#""\u-041""#).is_err());
+        assert!(parse(r#""\u 041""#).is_err());
+        assert!(parse(r#""\u004g""#).is_err());
+        assert!(parse(r#""\uD83D\u+E00""#).is_err());
+    }
+
+    #[test]
+    fn rendered_nodes_are_written_verbatim() {
+        let inner = || {
+            obj(vec![
+                ("k", Json::Str("a\"b".into())),
+                (
+                    "n",
+                    Json::Arr(vec![Json::Int(1), Json::Num(0.5), Json::Null]),
+                ),
+            ])
+        };
+        let rendered = || Json::Rendered(inner().render().into_boxed_str());
+        let document = |node: &dyn Fn() -> Json| {
+            obj(vec![
+                ("in_array", Json::Arr(vec![node(), Json::Int(7), node()])),
+                ("in_object", node()),
+            ])
+        };
+        let text = document(&rendered).render();
+        assert_eq!(text, document(&inner).render());
+        assert_eq!(parse(&text).unwrap(), document(&inner));
+        assert!(
+            rendered().get("k").is_none(),
+            "a rendered node has no fields"
+        );
     }
 }

@@ -765,7 +765,10 @@ pub const TABLE5_CATEGORIES: &[Category] = &[
 
 /// Serialize a [`RunMetrics`] to JSON (every field the text tables print,
 /// plus the observability extensions: dispatch counters, per-processor
-/// stats, audit summary, and the full accounting breakdown).
+/// stats, audit summary, and the full accounting breakdown), already
+/// rendered: a document of many runs holds each as one string rather than
+/// as a tree of some hundred keyed nodes. Parse its `render()` to inspect
+/// fields.
 pub fn metrics_to_json(m: &RunMetrics) -> Json {
     let accounting = |a: &Accounting| {
         Json::Obj(
@@ -900,7 +903,7 @@ pub fn metrics_to_json(m: &RunMetrics) -> Json {
             ]),
         ));
     }
-    obj(fields)
+    Json::Rendered(obj(fields).render().into_boxed_str())
 }
 
 /// Serialize labeled rows (one table) to a JSON array.

@@ -377,7 +377,9 @@ pub struct BTreeOp {
     current: Goid,
     /// Ancestors visited, nearest last — consumed when splits propagate up.
     /// Paths in the paper's trees hold at most four ancestors, so they stay
-    /// in the `WordVec`'s inline words; a deeper tree spills to the heap.
+    /// in the `WordVec`'s inline words; a deeper tree spills to the heap,
+    /// once per operation box, since the requester's next operation keeps
+    /// the buffer.
     path: WordVec,
     phase: OpPhase,
     annotation: Annotation,
@@ -474,9 +476,20 @@ struct Requests {
 impl OpSource for Requests {
     type Op = BTreeOp;
 
-    fn next_op(&mut self, annotation: Annotation) -> BTreeOp {
+    fn next_op(&mut self, annotation: Annotation, spare: Option<Box<BTreeOp>>) -> Box<BTreeOp> {
         let req = self.stream.next_request();
-        BTreeOp::new(self.root, req.key, req.insert, annotation)
+        let op = BTreeOp::new(self.root, req.key, req.insert, annotation);
+        match spare {
+            // The spare's ancestor buffer is kept, so a box whose path once
+            // spilled past the inline words never allocates for it again.
+            Some(mut spare) => {
+                let mut path = std::mem::take(&mut spare.path);
+                path.clear();
+                *spare = BTreeOp { path, ..op };
+                spare
+            }
+            None => Box::new(op),
+        }
     }
 }
 
@@ -837,8 +850,8 @@ mod tests {
             stream,
         };
         let mut requester = Requester::new(requests, Cycles::ZERO);
-        let mut ops = Vec::new();
-        while ops.len() < 2 {
+        let (mut ops, mut paths) = (Vec::new(), Vec::new());
+        while ops.len() < 3 {
             match requester.step(&ctx) {
                 StepResult::Call(mut op) => {
                     ops.push(&*op as *const dyn Frame as *const ());
@@ -849,6 +862,11 @@ mod tests {
                     assert_eq!((issued.key, issued.insert), (req.key, req.insert));
                     assert_eq!(issued.current, Goid(1), "stale operation");
                     assert!(issued.path.is_empty(), "stale operation");
+                    paths.push(issued.path.as_ptr());
+                    // Six levels: five ancestors spill past the inline words.
+                    for child in 2..7 {
+                        op.on_result(&[R_CHILD, child]);
+                    }
                     op.on_result(&[R_LEAF, 9]);
                     requester.recycle_child(op);
                     assert!(requester.holds_spare(), "the operation box was not kept");
@@ -857,7 +875,17 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        assert_eq!(ops[0], ops[1], "the operation box was not reused");
+        assert!(
+            ops.iter().all(|&op| op == ops[0]),
+            "the operation box was not reused"
+        );
+        // The first operation's path starts inline; its spill is handed on
+        // to the next operations, which refill it without reallocating.
+        assert_ne!(
+            paths[0], paths[1],
+            "the spilled ancestor buffer was dropped"
+        );
+        assert_eq!(paths[1], paths[2], "the ancestor buffer was not kept");
     }
 
     /// The effects a node method has on its object, in call order.

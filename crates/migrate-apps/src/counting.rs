@@ -23,7 +23,7 @@ use migrate_rt::{
 };
 use proteus::{Cycles, ProcId};
 
-use crate::workload::{OpSource, Requester};
+use crate::workload::{boxed, OpSource, Requester};
 use crate::Goid;
 
 /// Method id: traverse a balancer.
@@ -419,8 +419,15 @@ pub struct Traversals {
 impl OpSource for Traversals {
     type Op = TraverseOp;
 
-    fn next_op(&mut self, annotation: Annotation) -> TraverseOp {
-        TraverseOp::new(self.spec.clone(), self.entry_wire, annotation)
+    fn next_op(
+        &mut self,
+        annotation: Annotation,
+        spare: Option<Box<TraverseOp>>,
+    ) -> Box<TraverseOp> {
+        boxed(
+            spare,
+            TraverseOp::new(self.spec.clone(), self.entry_wire, annotation),
+        )
     }
 }
 

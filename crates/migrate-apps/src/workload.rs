@@ -17,8 +17,23 @@ pub trait OpSource: 'static {
     /// The operation frame this source issues.
     type Op: Frame;
 
-    /// The next operation, with `annotation` on every call site it makes.
-    fn next_op(&mut self, annotation: Annotation) -> Self::Op;
+    /// The next operation, with `annotation` on every call site it makes,
+    /// written into `spare` when the requester holds its last operation's
+    /// box: no allocation, and the source may keep buffers the old
+    /// operation owned.
+    fn next_op(&mut self, annotation: Annotation, spare: Option<Box<Self::Op>>) -> Box<Self::Op>;
+}
+
+/// `op` in `spare`'s box, or in a new one: for an [`OpSource`] whose
+/// operations own no buffers worth keeping.
+pub(crate) fn boxed<T>(spare: Option<Box<T>>, op: T) -> Box<T> {
+    match spare {
+        Some(mut spare) => {
+            *spare = op;
+            spare
+        }
+        None => Box::new(op),
+    }
 }
 
 /// A requester thread's base activation, the paper's root driver frame:
@@ -73,14 +88,7 @@ impl<S: OpSource> Frame for Requester<S> {
             return StepResult::Sleep(self.think);
         }
         self.thinking = false;
-        let op = self.source.next_op(self.annotation);
-        StepResult::Call(match self.spare.take() {
-            Some(mut spare) => {
-                *spare = op;
-                spare
-            }
-            None => Box::new(op),
-        })
+        StepResult::Call(self.source.next_op(self.annotation, self.spare.take()))
     }
 
     fn on_result(&mut self, _results: &[Word]) {
@@ -182,9 +190,13 @@ mod tests {
 
     impl OpSource for Serial {
         type Op = Numbered;
-        fn next_op(&mut self, _annotation: Annotation) -> Numbered {
+        fn next_op(
+            &mut self,
+            _annotation: Annotation,
+            spare: Option<Box<Numbered>>,
+        ) -> Box<Numbered> {
             self.0 += 1;
-            Numbered(self.0)
+            boxed(spare, Numbered(self.0))
         }
     }
 

@@ -66,6 +66,15 @@ impl WordVec {
         }
     }
 
+    /// Remove every word. A spilled list keeps its heap buffer, so a list
+    /// that is cleared and refilled spills at most once.
+    pub fn clear(&mut self) {
+        match &mut self.0 {
+            Repr::Inline { len, .. } => *len = 0,
+            Repr::Heap(v) => v.clear(),
+        }
+    }
+
     /// Remove and return the last word, if any. A spilled list stays on the
     /// heap.
     pub fn pop(&mut self) -> Option<Word> {
@@ -261,6 +270,28 @@ mod tests {
         }
         assert_eq!(spilled.pop(), None);
         assert!(matches!(spilled.0, Repr::Heap(_)));
+    }
+
+    #[test]
+    fn wordvec_clear_keeps_a_spilled_buffer() {
+        let mut inline: WordVec = [1u64, 2].into();
+        inline.clear();
+        assert!(inline.is_empty() && matches!(inline.0, Repr::Inline { .. }));
+        let mut spilled: WordVec = (0..6u64).collect();
+        let Repr::Heap(v) = &spilled.0 else {
+            panic!("six words spill")
+        };
+        let buffer = v.as_ptr();
+        spilled.clear();
+        assert!(spilled.is_empty());
+        for w in 0..6u64 {
+            spilled.push(w);
+        }
+        let Repr::Heap(v) = &spilled.0 else {
+            panic!("clear moved the words inline")
+        };
+        assert_eq!(v.as_ptr(), buffer, "refilling reallocated");
+        assert_eq!(&spilled[..], &[0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

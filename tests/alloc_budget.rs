@@ -19,7 +19,11 @@
 //!   peak, which gates tag arrays that cover only the sets filled;
 //! * two shared-memory counting runs allocate an exact number of directory
 //!   pages, P64–P127 sharer side arrays and high-time side arrays, as the
-//!   directory counts them.
+//!   directory counts them;
+//! * a shared-memory B-tree run whose paths outgrow their inline words
+//!   makes an exact number of allocations, one path spill per operation
+//!   box;
+//! * the JSON value of a table's rows holds little more than its text.
 //!
 //! The counts are deterministic: they depend on the code path, not on the
 //! host, so the budgets are exact gates on regressions.
@@ -27,6 +31,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use bench::{rows_to_json, Row};
 use migrate_apps::btree::BTreeExperiment;
 use migrate_apps::counting::CountingExperiment;
 use migrate_rt::{
@@ -245,6 +250,28 @@ fn btree_fanout10_sm_peak_heap_budget() {
     );
 }
 
+/// B-tree, fanout 10, think 0, SM, 10 M cycles after its build: the tree
+/// grows from five levels to six, so descents to its leaves pass five
+/// ancestors, one past a path's inline words. Each requester's operation
+/// box spills its path once and every later operation in that box reuses
+/// the buffer; the rest are the directory pages and the nodes that splits
+/// add.
+#[test]
+fn btree_fanout10_sm_allocations_are_exact() {
+    let exp = BTreeExperiment {
+        fanout: 10,
+        ..BTreeExperiment::paper(0, Scheme::shared_memory())
+    };
+    let (mut runner, _root) = exp.build();
+    let (metrics, allocations) =
+        allocations_during(|| runner.run(Cycles::ZERO, Cycles(10_000_000)));
+    assert_eq!(metrics.ops, 87_733, "a different run");
+    assert_eq!(
+        allocations, BTREE_FANOUT10_SM_ALLOCATIONS,
+        "btree fanout-10 SM: allocations in 10 M cycles"
+    );
+}
+
 /// Counting network, 104 requesters (128 processors), SM: the cell whose
 /// caches hold the fewest distinct sets, run for 2 M cycles after its
 /// build. Every requester's cache makes its first fills here, on the few
@@ -260,6 +287,34 @@ fn counting104_sm_peak_heap_budget() {
         peak <= COUNTING104_SM_PEAK_BYTES,
         "counting-104 SM: peak heap {peak} B above the built machine, \
          budget {COUNTING104_SM_PEAK_BYTES} B"
+    );
+}
+
+/// The rows of one Figure 2 point, from short counting-16 runs under the
+/// five schemes: the JSON value `rows_to_json` returns holds each run's
+/// metrics as rendered text, so it takes little more than the text it
+/// renders to. A tree of keyed nodes took about four times the text.
+#[test]
+fn rendered_metrics_take_little_more_than_their_text() {
+    let rows: Vec<Row> = Scheme::figure2_rows()
+        .into_iter()
+        .map(|scheme| {
+            let (mut runner, _spec) = CountingExperiment::paper(16, 0, scheme).build();
+            Row {
+                label: scheme.label(),
+                metrics: runner.run(Cycles(20_000), Cycles(100_000)),
+            }
+        })
+        .collect();
+    let before = LIVE.with(Cell::get);
+    let json = rows_to_json(&rows);
+    let held = (LIVE.with(Cell::get) - before) as usize;
+    let text = json.render().len();
+    let budget = text + RENDERED_ROW_OVERHEAD_BYTES * rows.len();
+    assert!(
+        held <= budget,
+        "{} rows hold {held} B for {text} B of text, budget {budget} B",
+        rows.len()
     );
 }
 
@@ -366,3 +421,16 @@ const BTREE_FANOUT10_SM_PEAK_BYTES: u64 = 1_272_244;
 /// 3,522,264 B while each cache's first fill allocated all 1,024 sets, 32 KB,
 /// of which the network's lines use a few low ones.
 const COUNTING104_SM_PEAK_BYTES: u64 = 128_981;
+
+/// B-tree, fanout 10, think 0, SM, 10 M cycles: measured exactly. It was
+/// 65,575 while each operation started with an empty inline path, so every
+/// descent through five ancestors spilled a fresh heap buffer (50,278 of
+/// them in 87,733 operations); now each of the 16 requesters' boxes spills
+/// once.
+const BTREE_FANOUT10_SM_ALLOCATIONS: u64 = 15_313;
+
+/// Bytes a row of `rows_to_json` may hold beyond its rendered text: its
+/// array slot, its two-field object with their keys and its label. Five
+/// counting-16 rows measured 23,787 B held for 23,128 B of text (91,268 B
+/// while each run's metrics were a tree of keyed nodes).
+const RENDERED_ROW_OVERHEAD_BYTES: usize = 256;
